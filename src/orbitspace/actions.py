@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import (
     CompatibilityViolated,
+    GroupMismatch,
     IdentityAxiomViolated,
     NotAnInteger,
     NotFree,
@@ -151,9 +152,11 @@ class GroupAction:
 
     def is_free(self) -> bool:
         """True iff no element besides the identity fixes a point."""
-        return self._free_violation() is None
+        return self.free_witness() is None
 
-    def _free_violation(self):
+    def free_witness(self) -> Optional[tuple]:
+        """The first (element, point) with a non-identity element fixing the
+        point, or None when the action is free."""
         e = self.group.identity
         for a in range(self.group.order):
             if a == e:
@@ -164,23 +167,29 @@ class GroupAction:
                     return a, x
         return None
 
-    def burnside_dimension(self, subgroup: Optional[Subgroup] = None) -> Fraction:
-        """dim of the subgroup-invariant function space: (1/|H|) sum |Fix a|.
+    def fixed_point_total(self, subgroup: Optional[Subgroup] = None) -> int:
+        """sum over a in H of |Fix a|: the numerator of the Cauchy-Frobenius count.
 
-        The Cauchy-Frobenius count; always an integer on a valid action, and
-        asserted internally against the direct orbit count.
+        Always |H| times the orbit count on a valid action: divisibility is
+        checked, and the quotient asserted against the direct orbit count.
         """
         h = self._subgroup(subgroup)
         total = sum(len(self.fix(a)) for a in h.members)
-        dim = Fraction(total, h.order)
-        if dim.denominator != 1:
+        if total % h.order:
             raise NotAnInteger(
-                f"fixed-point average {dim} is not an integer",
+                f"fixed-point average {Fraction(total, h.order)} is not an integer",
                 numerator=total,
                 denominator=h.order,
             )
-        assert dim == len(self.orbits(h)), "fixed-point count disagrees with orbit scan"
-        return dim
+        assert total // h.order == len(self.orbits(h)), (
+            "fixed-point count disagrees with orbit scan"
+        )
+        return total
+
+    def burnside_dimension(self, subgroup: Optional[Subgroup] = None) -> Fraction:
+        """dim of the subgroup-invariant function space: (1/|H|) sum |Fix a|."""
+        h = self._subgroup(subgroup)
+        return Fraction(self.fixed_point_total(h), h.order)
 
     def dimension_difference(self, subgroup: Subgroup) -> Fraction:
         """|G| dim_G - |H| dim_H, cross-checked against sum over G minus H of |Fix a|.
@@ -190,14 +199,13 @@ class GroupAction:
         """
         h = self._subgroup(subgroup)
         lhs = self.group.order * len(self.orbits()) - h.order * len(self.orbits(h))
-        members = set(h.members)
-        rhs = sum(len(self.fix(a)) for a in range(self.group.order) if a not in members)
+        rhs = sum(len(self.fix(a)) for a in range(self.group.order) if a not in h)
         assert lhs == rhs, "dimension difference disagrees with direct fixed-point sum"
         return Fraction(lhs)
 
     def free_ratio_check(self, subgroup: Subgroup):
         """For free actions, dim_H / dim_G; asserted equal to the index [G:H]."""
-        violation = self._free_violation()
+        violation = self.free_witness()
         if violation is not None:
             a, x = violation
             raise NotFree(
@@ -212,8 +220,9 @@ class GroupAction:
     def _subgroup(self, subgroup: Optional[Subgroup]) -> Subgroup:
         if subgroup is None:
             return whole_group(self.group)
-        if subgroup.parent != self.group:
-            raise ValueError("subgroup belongs to a different group")
+        _require_same_group(
+            subgroup.parent, self.group, "subgroup belongs to a different group"
+        )
         return subgroup
 
     def _rows(self, subgroup: Optional[Subgroup]):
@@ -232,6 +241,12 @@ class GroupAction:
 
     def __repr__(self):
         return f"GroupAction(order={self.group.order}, degree={self.degree})"
+
+
+def _require_same_group(g1: FiniteGroup, g2: FiniteGroup, message: str):
+    mismatch = g1.table_mismatch(g2)
+    if mismatch is not None:
+        raise GroupMismatch(message, **mismatch)
 
 
 def validate_action(group: FiniteGroup, act: Sequence[Sequence[int]]) -> GroupAction:
@@ -261,10 +276,8 @@ def trivial_action(group: FiniteGroup, degree: int) -> GroupAction:
 
 def conjugation_action(group: FiniteGroup) -> GroupAction:
     """The group acting on its own elements by a.x = a x a^-1."""
-    act = [
-        [group.conjugate(a, x) for x in range(group.order)]
-        for a in range(group.order)
-    ]
+    mul, inv = group.mul_table, group.inv_table
+    act = [[mul[ax][inv[a]] for ax in mul[a]] for a in range(group.order)]
     return GroupAction(group, act)
 
 
@@ -275,20 +288,21 @@ def translation_action(group: FiniteGroup) -> GroupAction:
 
 def coset_action(group: FiniteGroup, h: Subgroup) -> GroupAction:
     """Left multiplication on the cosets xH; points ordered by smallest member."""
-    if h.parent != group:
-        raise ValueError("subgroup belongs to a different group")
+    _require_same_group(h.parent, group, "subgroup belongs to a different group")
+    mul = group.mul_table
     members = h.members
     coset_of = [None] * group.order
     cosets = []
     for x in range(group.order):
         if coset_of[x] is not None:
             continue
-        cs = sorted(group.mul(x, m) for m in members)
+        row = mul[x]
+        cs = sorted(row[m] for m in members)
         idx = len(cosets)
         cosets.append(cs)
         for y in cs:
             coset_of[y] = idx
-    act = [[coset_of[group.mul(a, cs[0])] for cs in cosets] for a in range(group.order)]
+    act = [[coset_of[mul[a][cs[0]]] for cs in cosets] for a in range(group.order)]
     return GroupAction(group, act)
 
 
@@ -306,8 +320,7 @@ def are_equivalent(a1: GroupAction, a2: GroupAction) -> Optional[list]:
     within a candidate orbit pair, a match is pinned down by choosing an
     image for one base point whose stabilizer agrees exactly.
     """
-    if a1.group != a2.group:
-        raise ValueError("actions must share the same group")
+    _require_same_group(a1.group, a2.group, "actions must share the same group")
     if a1.degree != a2.degree:
         return None
     group = a1.group

@@ -128,22 +128,20 @@ def _cmd_orbits(args):
 def _cmd_dimension(args):
     action = _load_action(args)
     h = _load_subgroup(action, args)
-    sub = h if h is not None else None
-    dim = action.burnside_dimension(sub)
-    members = sub.members if sub is not None else range(action.group.order)
-    total = sum(len(action.fix(a)) for a in members)
+    order = h.order if h is not None else action.group.order
+    total = action.fixed_point_total(h)
     return {
-        "dim": int(dim),
+        "dim": total // order,
         "burnside_sum": total,
         "group_order": action.group.order,
-        "subgroup_order": len(list(members)),
+        "subgroup_order": order,
     }
 
 
 def _cmd_free_check(args):
     action = _load_action(args)
-    doc = {"is_free": action.is_free()}
-    violation = action._free_violation()
+    violation = action.free_witness()
+    doc = {"is_free": violation is None}
     if violation is not None:
         doc["witness"] = {"element": violation[0], "point": violation[1]}
     if args.subgroup is not None:

@@ -207,14 +207,16 @@ def small_group_catalog(max_order: int = 12) -> List:
 
 
 def _close_members(g: FiniteGroup, seed, limit: int):
+    mul = g.mul_table
     members = set(seed)
     members.add(g.identity)
     frontier = list(members)
     while frontier:
         nxt = []
         for a in frontier:
+            row_a = mul[a]
             for b in list(members):
-                for c in (g.mul(a, b), g.mul(b, a)):
+                for c in (row_a[b], mul[b][a]):
                     if c not in members:
                         members.add(c)
                         nxt.append(c)
@@ -252,11 +254,13 @@ def _subgroups_of_order(g: FiniteGroup, k: int, pool) -> List:
 def _conjugation_on_sets(g: FiniteGroup, sets: List) -> GroupAction:
     """g acting on a closed family of element sets by pointwise conjugation."""
     index = {tuple(s): i for i, s in enumerate(sets)}
+    mul, inv = g.mul_table, g.inv_table
     act = []
     for a in range(g.order):
+        row_a, a_inv = mul[a], inv[a]
         row = []
         for s in sets:
-            image = tuple(sorted(g.conjugate(a, y) for y in s))
+            image = tuple(sorted(mul[row_a[y]][a_inv] for y in s))
             row.append(index[image])
         act.append(row)
     return GroupAction(g, act)
@@ -382,13 +386,14 @@ def _is_power_of(n: int, p: int) -> bool:
 
 def _build_order_p(group: str = "s3", p: int = 2) -> CorpusEntry:
     g = group_by_name(group)
+    mul, inv = g.mul_table, g.inv_table
     points = [a for a in range(g.order) if g.element_order(a) == p]
     if not points:
         raise ParamOutOfRange(
             f"no elements of order {p} in this group", p=p, order=g.order
         )
     index = {x: i for i, x in enumerate(points)}
-    act = [[index[g.conjugate(a, x)] for x in points] for a in range(g.order)]
+    act = [[index[mul[mul[a][x]][inv[a]]] for x in points] for a in range(g.order)]
     action = GroupAction(g, act)
     expected = {"is_free": False}
     return CorpusEntry("order_p", action, expected, {"group": group, "p": p})
@@ -446,7 +451,7 @@ def _build_gl_on_vectors(n: int = 2, q: int = 2, allow_large: bool = False) -> C
     ident_idx = index[ident]
     inv = [row.index(ident_idx) for row in mul]
     labels = [str([list(m[r * n : (r + 1) * n]) for r in range(n)]) for m in mats]
-    g = FiniteGroup(mul, index[ident], inv, labels=labels)
+    g = FiniteGroup.from_cayley_rows(mul, index[ident], inv, labels=labels)
 
     def vec_index(vec):
         out = 0
@@ -512,12 +517,13 @@ def _build_two_sided(group: str = "c2") -> CorpusEntry:
     if g.order < 2:
         raise ParamOutOfRange("two-sided family needs a group of order >= 2", group=group)
     gg = direct_product(g, g)
-    m = g.order
+    mul, inv = g.mul_table, g.inv_table
     act = []
-    for a in range(m):
-        for b in range(m):
-            binv = g.inv(b)
-            act.append([g.mul(g.mul(a, x), binv) for x in range(m)])
+    for a in range(g.order):
+        row_a = mul[a]
+        for b in range(g.order):
+            binv = inv[b]
+            act.append([mul[ax][binv] for ax in row_a])
     action = GroupAction(gg, act)
     expected = {"is_free": False}
     return CorpusEntry("two_sided", action, expected, {"group": group})

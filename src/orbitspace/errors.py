@@ -59,6 +59,10 @@ class DegreeMismatch(OrbitspaceError):
     pass
 
 
+class GroupMismatch(OrbitspaceError, ValueError):
+    """Two objects that must share one group have different Cayley tables."""
+
+
 class EmptyDomain(OrbitspaceError):
     pass
 

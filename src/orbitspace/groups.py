@@ -1,10 +1,17 @@
-"""Finite groups as fully materialized multiplication tables.
+"""Finite groups as permutations, with the Cayley table built on demand.
 
-Elements are the indices 0..order-1. Groups are built either by validating a
+Elements are the indices 0..order-1, and each element carries a permutation
+that composes like the element does. Groups are built either by validating a
 user-supplied Cayley table or by breadth-first closure of permutation
-generators; both paths end in the same immutable ``FiniteGroup``. Full tables
-(rather than generator-driven stabilizer chains) are the right shape here
-because every downstream computation sums over all elements anyway.
+generators; both paths end in the same immutable ``FiniteGroup``. A closure
+keeps the permutations it found. A Cayley table's rows are its left-regular
+permutations (Cayley's theorem), so a validated table serves as both the
+permutations and the ready-made table.
+
+A product is one composition and one dictionary lookup, so closure, orbits,
+fixed points, stabilizers, Burnside sums and subgroup closure need no m x m
+table. Code that reads on the order of m^2 products reads ``mul_table``,
+which is built once, on first access.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ def check_permutation(images: Sequence[int], degree: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p o q)(x) = p(q(x))."""
-    return tuple(p[q[x]] for x in range(len(q)))
+    return tuple(map(p.__getitem__, q))
 
 
 def invert_perm(p: Perm) -> Perm:
@@ -91,23 +98,63 @@ def cycle_string(p: Perm) -> str:
 
 
 class FiniteGroup:
-    """A finite group given by its full multiplication and inverse tables.
+    """A finite group whose elements are backed by permutations.
+
+    ``perms[a]`` is the permutation of element a, and ``index`` maps each
+    permutation back to its element, so that
+    ``index[compose(perms[a], perms[b])]`` is the product ab. The Cayley
+    table ``mul_table`` is built from them on first access, unless the group
+    came from ``from_cayley_rows``. ``generators`` names elements that generate
+    the group; it lets equality be decided on O(m |S|) products.
 
     Instances are immutable; construction is expected to go through
     ``group_from_table`` (validating) or ``from_generators`` (closure).
     """
 
-    __slots__ = ("order", "mul_table", "identity", "inv_table", "labels")
+    __slots__ = (
+        "order",
+        "perms",
+        "index",
+        "identity",
+        "inv_table",
+        "labels",
+        "generators",
+        "_mul_table",
+    )
 
-    def __init__(self, mul_table, identity, inv_table, labels=None):
-        self.mul_table = tuple(tuple(row) for row in mul_table)
-        self.order = len(self.mul_table)
+    def __init__(self, perms, identity, inv_table, labels=None, generators=None):
+        self.perms = tuple(map(tuple, perms))
+        self.order = len(self.perms)
+        self.index = {p: a for a, p in enumerate(self.perms)}
         self.identity = identity
         self.inv_table = tuple(inv_table)
         self.labels = tuple(labels) if labels is not None else None
+        self.generators = tuple(generators) if generators is not None else None
+        self._mul_table = None
+
+    @classmethod
+    def from_cayley_rows(cls, mul_table, identity, inv_table, labels=None):
+        """A group from a trusted Cayley table, whose rows b -> ab are the
+        left-regular permutations: one tuple serves as perms and table."""
+        group = cls(mul_table, identity, inv_table, labels=labels)
+        group._mul_table = group.perms
+        return group
+
+    @property
+    def mul_table(self) -> tuple:
+        """The m x m Cayley table; the first access builds it with m^2 compositions."""
+        if self._mul_table is None:
+            index, perms = self.index, self.perms
+            self._mul_table = tuple(
+                tuple([index[compose(p, q)] for q in perms]) for p in perms
+            )
+        return self._mul_table
 
     def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
+        table = self._mul_table
+        if table is not None:
+            return table[a][b]
+        return self.index[compose(self.perms[a], self.perms[b])]
 
     def inv(self, a: int) -> int:
         return self.inv_table[a]
@@ -172,13 +219,45 @@ class FiniteGroup:
             for b in range(a + 1, self.order)
         )
 
+    def table_mismatch(self, other: "FiniteGroup") -> Optional[dict]:
+        """None when both groups have the same Cayley table, else a witness.
+
+        The witness is the pair of orders, or a pair (a, b) with the two
+        products. Without both tables at hand, b runs over the generators S
+        of one side only: if a*s agrees for every a and every s in S, then
+        a*(s1...sk) agrees too by associativity in each group, and every b
+        is such a word. That is O(m |S|) products instead of m^2.
+        """
+        if self is other:
+            return None
+        m = self.order
+        if m != other.order:
+            return {"orders": [m, other.order]}
+        if self._mul_table is not None and other._mul_table is not None:
+            if self._mul_table == other._mul_table:
+                return None
+            right = range(m)
+        elif self.generators is not None:
+            right = self.generators
+        elif other.generators is not None:
+            right = other.generators
+        else:
+            right = range(m)
+        for a in range(m):
+            for b in right:
+                ours, theirs = self.mul(a, b), other.mul(a, b)
+                if ours != theirs:
+                    return {"a": a, "b": b, "products": [ours, theirs]}
+        return None
+
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self.mul_table == other.mul_table
+        return self.table_mismatch(other) is None
 
     def __hash__(self):
-        return hash(self.mul_table)
+        # Equal tables have equal inverse tables, and this needs no table.
+        return hash(self.inv_table)
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -187,11 +266,12 @@ class FiniteGroup:
 class Subgroup:
     """A subgroup as a sorted member set inside a parent group."""
 
-    __slots__ = ("parent", "members")
+    __slots__ = ("parent", "members", "_member_set")
 
     def __init__(self, parent: FiniteGroup, members: Iterable[int]):
         self.parent = parent
-        self.members = tuple(sorted(set(members)))
+        self._member_set = frozenset(members)
+        self.members = tuple(sorted(self._member_set))
 
     @property
     def order(self) -> int:
@@ -207,7 +287,7 @@ class Subgroup:
         return self.order == self.parent.order
 
     def __contains__(self, a: int) -> bool:
-        return a in set(self.members)
+        return a in self._member_set
 
     def __iter__(self):
         return iter(self.members)
@@ -239,7 +319,7 @@ def group_from_table(mul_table, labels=None) -> FiniteGroup:
     and associativity by the full triple loop. Each failure names the first
     offending element or triple.
     """
-    rows = [list(row) for row in mul_table]
+    rows = [tuple(row) for row in mul_table]
     m = len(rows)
     if m == 0:
         raise NoIdentity("empty multiplication table")
@@ -303,7 +383,7 @@ def group_from_table(mul_table, labels=None) -> FiniteGroup:
                         f"({a}*{b})*{c} != {a}*({b}*{c})", a=a, b=b, c=c
                     )
 
-    return FiniteGroup(rows, identity, inv, labels=labels)
+    return FiniteGroup.from_cayley_rows(rows, identity, inv, labels=labels)
 
 
 def from_generators(
@@ -340,11 +420,11 @@ def from_generators(
                         )
         frontier = nxt
 
-    m = len(elements)
-    mul = [[index[compose(p, q)] for q in elements] for p in elements]
     inv = [index[invert_perm(p)] for p in elements]
     labels = [cycle_string(p) for p in elements]
-    group = FiniteGroup(mul, 0, inv, labels=labels)
+    group = FiniteGroup(
+        elements, 0, inv, labels=labels, generators=sorted({index[g] for g in gens})
+    )
     act = [list(p) for p in elements]
     return group, act
 
@@ -355,7 +435,7 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise NoIdentity(f"order must be positive, got {n}")
     mul = [[(a + b) % n for b in range(n)] for a in range(n)]
     inv = [(-a) % n for a in range(n)]
-    return FiniteGroup(mul, 0, inv, labels=[str(a) for a in range(n)])
+    return FiniteGroup.from_cayley_rows(mul, 0, inv, labels=[str(a) for a in range(n)])
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -366,36 +446,40 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     def enc(a, b):
         return a * mh + b
 
+    g_mul, h_mul = g.mul_table, h.mul_table
     mul = [[0] * order for _ in range(order)]
     for a1 in range(g.order):
+        g_row = g_mul[a1]
         for b1 in range(mh):
             row = mul[enc(a1, b1)]
+            h_row = h_mul[b1]
             for a2 in range(g.order):
-                ga = g.mul(a1, a2)
+                ga = g_row[a2]
                 for b2 in range(mh):
-                    row[enc(a2, b2)] = enc(ga, h.mul(b1, b2))
+                    row[enc(a2, b2)] = enc(ga, h_row[b2])
     inv = [enc(g.inv(a), h.inv(b)) for a in range(g.order) for b in range(mh)]
     labels = [
         f"({g.label(a)},{h.label(b)})" for a in range(g.order) for b in range(mh)
     ]
-    return FiniteGroup(mul, enc(g.identity, h.identity), inv, labels=labels)
+    return FiniteGroup.from_cayley_rows(mul, enc(g.identity, h.identity), inv, labels=labels)
 
 
 def _generating_set(g: FiniteGroup) -> list:
     """Greedy small generating set (empty for the trivial group)."""
     gens = []
-    members = {g.identity}
+    members = g.subgroup_generated([])
     for a in range(g.order):
         if a not in members:
             gens.append(a)
-            members = set(g.subgroup_generated(gens).members)
-            if len(members) == g.order:
+            members = g.subgroup_generated(gens)
+            if members.is_whole_group():
                 break
     return gens
 
 
 def _extend_hom(g: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
     """Extend gen -> image to a full endomorphism by closure, or return None."""
+    mul = g.mul_table
     hom = {g.identity: g.identity}
     for a, b in zip(gens, images):
         if hom.get(a, b) != b:
@@ -406,9 +490,10 @@ def _extend_hom(g: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
         nxt = []
         for a in frontier:
             fa = hom[a]
+            row_a, row_fa = mul[a], mul[fa]
             for s, fs in zip(gens, images):
-                b = g.mul(a, s)
-                fb = g.mul(fa, fs)
+                b = row_a[s]
+                fb = row_fa[fs]
                 known = hom.get(b)
                 if known is None:
                     hom[b] = fb

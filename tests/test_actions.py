@@ -17,6 +17,7 @@ from orbitspace.actions import (
 )
 from orbitspace.errors import (
     CompatibilityViolated,
+    GroupMismatch,
     IdentityAxiomViolated,
     NotAnInteger,
     NotFree,
@@ -314,6 +315,26 @@ def test_are_equivalent_distinguishes_stabilizers():
 def test_are_equivalent_requires_same_group():
     with pytest.raises(ValueError):
         are_equivalent(z4_translation(), trivial_action(cyclic_group(2), 4))
+
+
+def test_group_mismatch_names_the_orders():
+    with pytest.raises(GroupMismatch) as exc:
+        are_equivalent(z4_translation(), trivial_action(cyclic_group(2), 4))
+    assert exc.value.witness == {"orders": [4, 2]}
+    with pytest.raises(GroupMismatch):
+        coset_action(cyclic_group(4), cyclic_group(2).subgroup_generated([1]))
+
+
+def test_fixed_point_total_and_free_witness():
+    conj = s3_conjugation()
+    # three conjugacy classes: 6 * 3 fixed points in total
+    assert conj.fixed_point_total() == 18
+    assert conj.burnside_dimension() == 3
+    h = conj.group.subgroup_generated([1])
+    assert conj.fixed_point_total(h) == h.order * orbit_count_oracle(conj, h.members)
+    a, x = conj.free_witness()
+    assert a != conj.group.identity and conj.act[a][x] == x
+    assert z4_translation().free_witness() is None
 
 
 def test_are_equivalent_backtracks_over_orbit_pairing():

@@ -199,6 +199,32 @@ def test_corpus_unknown_name_exits_2(capsys):
     assert doc["error"] == "UnknownCorpusName"
 
 
+def test_equivalence_over_different_groups_exits_2(capsys):
+    code = main(["equivalence", "--input", inp("s3_conj.json"), "--input", inp("z2_four.json")])
+    assert code == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "GroupMismatch"
+    assert doc["witness"] == {"orders": [6, 2]}
+
+
+def test_equivalence_over_same_order_groups_names_a_product(tmp_path, capsys):
+    def evaluation(gens):
+        return {
+            "kind": "evaluation",
+            "group": {"kind": "permutation", "degree": 6, "generators": gens},
+        }
+
+    c6 = tmp_path / "c6.json"
+    s3 = tmp_path / "s3.json"
+    c6.write_text(json.dumps(evaluation([[1, 2, 3, 4, 5, 0]])))
+    s3.write_text(json.dumps(evaluation([[1, 0, 2, 3, 4, 5], [1, 2, 0, 3, 4, 5]])))
+    assert main(["equivalence", "--input", str(c6), "--input", str(s3)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "GroupMismatch"
+    left, right = doc["witness"]["products"]
+    assert left != right
+
+
 def test_equivalence_unequal_pair(tmp_path, capsys):
     a = {
         "group": {"kind": "table", "mul": [[0, 1], [1, 0]]},

@@ -1,10 +1,15 @@
 """Group construction and validation against small independent oracles."""
 
+import json
 import random
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from orbitspace import groups
+from orbitspace.cli import main
 from orbitspace.errors import (
     NoIdentity,
     NoInverse,
@@ -268,3 +273,124 @@ def test_cycle_string():
     assert cycle_string((1, 0, 2)) == "(0 1)"
     assert cycle_string((1, 2, 0)) == "(0 1 2)"
     assert invert_perm((1, 2, 0)) == (2, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# permutation-backed groups: lazy products, generator equality, no table
+
+
+@st.composite
+def generator_sets(draw, max_degree=6):
+    degree = draw(st.integers(1, max_degree))
+    gens = draw(st.lists(st.permutations(range(degree)), max_size=3))
+    return degree, [tuple(g) for g in gens]
+
+
+def conjugate_gens(sigma, gens):
+    """sigma g sigma^-1 for each generator: a relabeling of the points."""
+    sigma = tuple(sigma)
+    return [compose(compose(sigma, g), invert_perm(sigma)) for g in gens]
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets())
+def test_lazy_products_match_the_table(case):
+    degree, gens = case
+    g, _ = from_generators(degree, gens)
+    rows = range(0, g.order, max(1, g.order // 30))
+    lazy = {(a, b): g.mul(a, b) for a in rows for b in g.elements()}
+    table = g.mul_table
+    assert all(table[a][b] == ab for (a, b), ab in lazy.items())
+    # the rows of a Cayley table compose like the elements (Cayley's theorem)
+    regular = FiniteGroup(table, g.identity, g.inv_table)
+    assert all(regular.mul(a, b) == ab for (a, b), ab in lazy.items())
+    if g.order <= 60:
+        validated = group_from_table(table)
+        assert validated.mul_table == table
+        assert validated == g and hash(validated) == hash(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(), st.data())
+def test_generator_equality_agrees_with_table_equality(case, data):
+    degree, gens = case
+    first, _ = from_generators(degree, gens)
+    assume(first.order <= 120)
+    sigma = data.draw(st.permutations(range(degree)))
+    other = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+    for second_gens in (conjugate_gens(sigma, gens), gens[::-1], [tuple(p) for p in other]):
+        g1, _ = from_generators(degree, gens)
+        g2, _ = from_generators(degree, second_gens)
+        assume(g2.order <= 120)
+        lazy_equal = g1 == g2  # decided before either table exists
+        assert lazy_equal == (g1.mul_table == g2.mul_table)
+        if lazy_equal:
+            assert hash(g1) == hash(g2)
+        # one side with a table, the other without
+        g3, _ = from_generators(degree, second_gens)
+        assert (g1 == g3) == lazy_equal
+        assert (g3 == g1) == lazy_equal
+    # a relabeling of the points keeps the closure order, hence the table
+    twin, _ = from_generators(degree, conjugate_gens(sigma, gens))
+    assert first == twin
+
+
+def test_same_order_groups_with_different_tables_differ():
+    c6, _ = from_generators(6, [(1, 2, 3, 4, 5, 0)])
+    s3_group, _ = s3()
+    witness = c6.table_mismatch(s3_group)
+    assert set(witness) == {"a", "b", "products"}
+    a, b = witness["a"], witness["b"]
+    assert witness["products"] == [c6.mul(a, b), s3_group.mul(a, b)]
+    assert witness["products"][0] != witness["products"][1]
+    assert c6 != s3_group
+    assert c6 == c6 and c6.table_mismatch(c6) is None
+    assert cyclic_group(2).table_mismatch(c6) == {"orders": [2, 6]}
+    assert c6 != cyclic_group(2)
+
+
+def test_from_generators_records_generator_elements():
+    group, act = s3()
+    assert {tuple(act[a]) for a in group.generators} == set(S3_GENS)
+    assert group.subgroup_generated(group.generators).is_whole_group()
+
+
+def test_subgroup_membership():
+    z4 = cyclic_group(4)
+    sub = z4.subgroup_generated([2])
+    assert 0 in sub and 2 in sub
+    assert 1 not in sub and 3 not in sub
+
+
+S7_DOC = {
+    "kind": "evaluation",
+    "group": {
+        "kind": "permutation",
+        "degree": 7,
+        "generators": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["orbits"], ["dimension"], ["dimension", "--subgroup", "1,2"], ["free-check"]],
+    ids=["orbits", "dimension", "dimension-subgroup", "free-check"],
+)
+def test_s7_commands_compose_linearly_in_the_order(argv, tmp_path, monkeypatch, capsys):
+    """Any path that builds the 5040 x 5040 table makes 5040^2 compositions."""
+    path = tmp_path / "s7.json"
+    path.write_text(json.dumps(S7_DOC))
+    calls = [0]
+
+    def counted(p, q):
+        calls[0] += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(groups, "compose", counted)
+    assert main([argv[0], "--input", str(path)] + argv[1:]) == 0
+    report = json.loads(capsys.readouterr().out)
+    order, n_gens = 5040, len(S7_DOC["group"]["generators"])
+    assert calls[0] <= 2 * order * n_gens
+    if argv[0] == "dimension":
+        assert report["group_order"] == order
