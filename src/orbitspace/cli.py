@@ -360,10 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "cap", None) is None and hasattr(args, "cap"):
-        args.cap = default_cap()
     output = getattr(args, "output", None)
     try:
+        if getattr(args, "cap", None) is None and hasattr(args, "cap"):
+            args.cap = default_cap()
         doc = args.run(args)
     except ParseError as exc:
         _emit({"error": exc.kind, "message": str(exc), "witness": exc.witness}, output)

@@ -10,14 +10,14 @@ count) is reported alongside each entry.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 from .actions import GroupAction, conjugation_action, coset_action, trivial_action
-from .errors import ParamOutOfRange, UnknownCorpusName
+from .errors import ParamOutOfRange, ParseError, UnknownCorpusName
 from .groups import (
     FiniteGroup,
-    Subgroup,
     cyclic_group,
     direct_product,
     from_generators,
@@ -322,28 +322,37 @@ def _build_conjugation(group: str = "s3") -> CorpusEntry:
     return CorpusEntry("conjugation", action, expected, {"group": group})
 
 
-def _subgroup_from_seeds(g: FiniteGroup, seeds) -> Subgroup:
-    return g.subgroup_generated(seeds)
+def _subgroup_from_seeds(g: FiniteGroup, seeds) -> tuple:
+    """The seed list and the subgroup it generates; one integer is one seed."""
+    seeds = list(seeds) if isinstance(seeds, (list, tuple)) else [seeds]
+    for seed in seeds:
+        if type(seed) is not int or not 0 <= seed < g.order:
+            raise ParseError(
+                f"seed {seed!r} is not an element index 0..{g.order - 1}",
+                seed=seed,
+                order=g.order,
+            )
+    return seeds, g.subgroup_generated(seeds)
 
 
 def _build_coset(group: str = "s3", seeds=(1,)) -> CorpusEntry:
     g = group_by_name(group)
-    h = _subgroup_from_seeds(g, seeds)
+    seeds, h = _subgroup_from_seeds(g, seeds)
     if h.order == 1:
         raise ParamOutOfRange(
-            "coset family needs a nontrivial subgroup", seeds=list(seeds)
+            "coset family needs a nontrivial subgroup", seeds=seeds
         )
     action = coset_action(g, h)
     expected = {"is_free": False, "is_transitive": True, "orbit_count": 1}
-    return CorpusEntry("coset", action, expected, {"group": group, "seeds": list(seeds)})
+    return CorpusEntry("coset", action, expected, {"group": group, "seeds": seeds})
 
 
 def _build_subgroup_conjugates(group: str = "s3", seeds=(1,)) -> CorpusEntry:
     g = group_by_name(group)
-    h = _subgroup_from_seeds(g, seeds)
+    seeds, h = _subgroup_from_seeds(g, seeds)
     if h.order == 1:
         raise ParamOutOfRange(
-            "conjugate family needs a nontrivial subgroup", seeds=list(seeds)
+            "conjugate family needs a nontrivial subgroup", seeds=seeds
         )
     conjugates = set()
     for x in range(g.order):
@@ -352,7 +361,7 @@ def _build_subgroup_conjugates(group: str = "s3", seeds=(1,)) -> CorpusEntry:
     action = _conjugation_on_sets(g, sets)
     expected = {"is_free": False, "is_transitive": True, "orbit_count": 1}
     return CorpusEntry(
-        "subgroup_conjugates", action, expected, {"group": group, "seeds": list(seeds)}
+        "subgroup_conjugates", action, expected, {"group": group, "seeds": seeds}
     )
 
 
@@ -556,6 +565,15 @@ def build(name: str, **params) -> CorpusEntry:
             f"unknown corpus name {name!r}; known: {', '.join(corpus_names())}",
             name=name,
         )
+    accepted = sorted(inspect.signature(builder).parameters)
+    for key in sorted(params):
+        if key not in accepted:
+            raise ParseError(
+                f"unknown parameter {key!r} for {name}; accepted: {', '.join(accepted)}",
+                name=name,
+                unknown=key,
+                accepted=accepted,
+            )
     entry = builder(**params)
     _check_expected(entry)
     return entry

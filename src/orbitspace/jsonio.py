@@ -23,7 +23,9 @@ def _expect(obj, key, kinds, where):
     if key not in obj:
         raise ParseError(f"{where} is missing {key!r}", where=where, missing=key)
     value = obj[key]
-    if kinds is not None and not isinstance(value, kinds):
+    if kinds is not None and (
+        not isinstance(value, kinds) or (kinds is int and type(value) is bool)
+    ):
         raise ParseError(
             f"{where}.{key} has the wrong type", where=where, key=key
         )
@@ -31,7 +33,8 @@ def _expect(obj, key, kinds, where):
 
 
 def _int_list(value, where):
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    # JSON true and false are Python bools, which isinstance counts as ints.
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise ParseError(f"{where} must be a list of integers", where=where)
     return value
 
@@ -56,7 +59,13 @@ def group_from_json(obj, cap: Optional[int] = None):
     kind = _expect(obj, "kind", str, "group")
     if kind == "table":
         mul = _expect(obj, "mul", list, "group")
+        for i, row in enumerate(mul):
+            _int_list(row, f"group.mul[{i}]")
         labels = obj.get("labels")
+        if labels is not None and (
+            not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
+        ):
+            raise ParseError("group.labels must be a list of strings", where="group.labels")
         return group_from_table(mul, labels=labels), None
     if kind == "permutation":
         degree = _expect(obj, "degree", int, "group")

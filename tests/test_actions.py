@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitspace import actions
 from orbitspace.actions import (
     GroupAction,
     Partition,
@@ -22,7 +25,14 @@ from orbitspace.errors import (
     NotAnInteger,
     NotFree,
 )
-from orbitspace.groups import cyclic_group, direct_product, from_generators, whole_group
+from orbitspace.corpus import group_by_name
+from orbitspace.groups import (
+    compose,
+    cyclic_group,
+    direct_product,
+    from_generators,
+    whole_group,
+)
 
 
 class UnionFind:
@@ -110,13 +120,100 @@ def test_validate_rejects_incompatible_rows():
 
 def test_s3_conjugation_is_valid_and_matches_oracle():
     group, _ = s3()
-    # direct construction from the Cayley table, then the full triple loop
+    # direct construction from the Cayley table, then full validation
     table = [
         [group.mul(group.mul(a, x), group.inv(a)) for x in range(group.order)]
         for a in range(group.order)
     ]
     action = validate_action(group, table)
     assert action == conjugation_action(group)
+
+
+# ---------------------------------------------------------------------------
+# compatibility on generators against the full loop
+
+
+def compatibility_violation(group, act):
+    """The full O(m^2 n) loop: the first (a, b, x) with act[ab][x] != act[a][act[b][x]]."""
+    mul = group.mul_table
+    for a in range(group.order):
+        for b in range(group.order):
+            for x in range(len(act[0])):
+                if act[mul[a][b]][x] != act[a][act[b][x]]:
+                    return a, b, x
+    return None
+
+
+# C4 and V4 carry no generators, S3 those of its closure, Q8 those of its
+# table check: every branch of validate_action's choice of generating set.
+ACTION_GROUPS = {name: group_by_name(name) for name in ("c4", "s3", "q8", "v4")}
+
+
+def actions_of(group):
+    return [
+        translation_action(group),
+        conjugation_action(group),
+        coset_action(group, group.subgroup_generated([1])),
+    ]
+
+
+@st.composite
+def mutated_action_tables(draw):
+    """A valid action table with one non-identity row changed (two entries
+    swapped, or the row replaced by another row), or with the rows of one
+    coset c<s> != <s> all composed with one permutation pi. The twisted
+    table still satisfies act[as] = act[a] o act[s] for every a, so only a
+    check on the other generators can catch it. Rows stay permutations."""
+    group = ACTION_GROUPS[draw(st.sampled_from(sorted(ACTION_GROUPS)))]
+    action = draw(st.sampled_from(actions_of(group)))
+    rows = [list(row) for row in action.act]
+    a = draw(st.sampled_from([a for a in group.elements() if a != group.identity]))
+    kind = draw(st.sampled_from(["swap", "replace", "twist"]))
+    if kind == "swap":
+        x = draw(st.integers(0, action.degree - 1))
+        y = draw(st.integers(0, action.degree - 1))
+        rows[a][x], rows[a][y] = rows[a][y], rows[a][x]
+    elif kind == "replace":
+        rows[a] = list(rows[draw(st.integers(0, group.order - 1))])
+    else:
+        h = group.subgroup_generated([a])
+        outside = [c for c in group.elements() if c not in h]
+        if outside:
+            c = draw(st.sampled_from(outside))
+            pi = draw(st.permutations(range(action.degree)))
+            for b in h:
+                cb = group.mul(c, b)
+                rows[cb] = [pi[y] for y in rows[cb]]
+    return group, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_action_tables())
+def test_generator_compatibility_agrees_with_the_full_loop(case):
+    group, rows = case
+    violation = compatibility_violation(group, rows)
+    try:
+        validate_action(group, rows)
+    except CompatibilityViolated as exc:
+        assert violation is not None
+        a, b, x = exc.witness["a"], exc.witness["b"], exc.witness["point"]
+        assert rows[group.mul(a, b)][x] != rows[a][rows[b][x]]
+    else:
+        assert violation is None
+
+
+def test_s5_compatibility_composes_rows_once_per_element_and_generator(monkeypatch):
+    group = group_by_name("s5")
+    table = conjugation_action(group).act
+    calls = [0]
+
+    def counted(p, q):
+        calls[0] += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(actions, "compose", counted)
+    validate_action(group, table)
+    assert group.order <= calls[0] <= group.order * len(group.generators)
 
 
 def test_conjugation_orbit_structure():

@@ -192,6 +192,42 @@ def test_corpus_build_output_feeds_other_commands(tmp_path, capsys):
     assert doc["orbit_count"] == 1
 
 
+@pytest.mark.parametrize("family", ["coset", "subgroup_conjugates"])
+@pytest.mark.parametrize("raw", ["1", "1,"])
+def test_corpus_build_one_seed(family, raw, capsys):
+    code = main(["corpus", "build", family, "--param", "group=s4", "--param", f"seeds={raw}"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"] == {"group": "s4", "seeds": [1]}
+
+
+@pytest.mark.parametrize("family", ["coset", "subgroup_conjugates"])
+@pytest.mark.parametrize("raw,seed", [("99", 99), ("1,-1", -1), ("x", "x"), ("true", True)])
+def test_corpus_build_bad_seed_exits_3(family, raw, seed, capsys):
+    code = main(["corpus", "build", family, "--param", f"seeds={raw}"])
+    assert code == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParseError"
+    assert doc["witness"] == {"seed": seed, "order": 6}
+
+
+def test_corpus_build_unknown_param_exits_3(capsys):
+    code = main(["corpus", "build", "symmetric", "--param", "bogus=1"])
+    assert code == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParseError"
+    assert doc["witness"] == {"name": "symmetric", "unknown": "bogus", "accepted": ["n"]}
+
+
+def test_bad_cap_env_var_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("ORBITSPACE_CAP", "abc")
+    code = main(["validate", "--input", inp("s3_eval.json")])
+    assert code == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParseError"
+    assert doc["witness"] == {"variable": "ORBITSPACE_CAP", "value": "abc"}
+
+
 def test_corpus_unknown_name_exits_2(capsys):
     code = main(["corpus", "build", "nope"])
     assert code == 2

@@ -11,7 +11,7 @@ from orbitspace.corpus import (
     group_by_name,
     small_group_catalog,
 )
-from orbitspace.errors import ParamOutOfRange, UnknownCorpusName
+from orbitspace.errors import ParamOutOfRange, ParseError, UnknownCorpusName
 from orbitspace.groups import group_from_table
 
 
@@ -88,6 +88,22 @@ def test_coset_family():
     assert entry.action.is_transitive()
     with pytest.raises(ParamOutOfRange):
         build("coset", seeds=[0])
+
+
+def test_seed_lists_and_single_seeds():
+    for family in ("coset", "subgroup_conjugates"):
+        assert build(family, seeds=1).action == build(family, seeds=[1]).action
+        assert build(family, seeds=(1,)).params["seeds"] == [1]
+        for bad in (6, -1, [1, "2"], 1.0):
+            with pytest.raises(ParseError):
+                build(family, seeds=bad)
+
+
+def test_unknown_parameters_are_named():
+    with pytest.raises(ParseError) as exc:
+        build("coset", group="s3", seed=1)
+    assert exc.value.witness["unknown"] == "seed"
+    assert exc.value.witness["accepted"] == ["group", "seeds"]
 
 
 def test_subgroup_conjugates_family():

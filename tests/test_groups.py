@@ -16,6 +16,7 @@ from orbitspace.errors import (
     NotAPermutation,
     NotAssociative,
     NotLatinSquare,
+    ParseError,
     SizeLimitExceeded,
 )
 from orbitspace.groups import (
@@ -24,6 +25,7 @@ from orbitspace.groups import (
     compose,
     cyclic_group,
     cycle_string,
+    default_cap,
     direct_product,
     from_generators,
     group_from_table,
@@ -151,6 +153,147 @@ def test_validate_nonassociative_loop():
     a, b, c = w["a"], w["b"], w["c"]
     t = NONASSOC_LOOP
     assert t[t[a][b]][c] != t[a][t[b][c]]
+
+
+# ---------------------------------------------------------------------------
+# associativity on generators against the triple loop
+
+
+def random_loop(order, rng):
+    """A Latin square with identity 0, filled cell by cell with backtracking."""
+    table = [[a + b if a * b == 0 else None for b in range(order)] for a in range(order)]
+    cells = [(a, b) for a in range(1, order) for b in range(1, order)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        a, b = cells[k]
+        options = [
+            v
+            for v in range(order)
+            if v not in table[a] and all(row[b] != v for row in table)
+        ]
+        rng.shuffle(options)
+        for v in options:
+            table[a][b] = v
+            if fill(k + 1):
+                return True
+        table[a][b] = None
+        return False
+
+    assert fill(0)
+    return table
+
+
+def relabel(table, sigma):
+    """The table carried over the bijection a -> sigma[a]."""
+    out = [[None] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            out[sigma[a]][sigma[b]] = sigma[ab]
+    return out
+
+
+def switch_intercalate(table, identity, rng):
+    """Swap the values of one 2x2 Latin subsquare away from the identity's
+    row and column: the result is still a Latin square with that identity,
+    but its non-associative triples (if any) are few."""
+    m = len(table)
+    rest = [a for a in range(m) if a != identity]
+    found = [
+        (a, b, c, d)
+        for a in rest
+        for b in rest
+        for c in rest
+        for d in rest
+        if a < b and c < d
+        and table[a][c] == table[b][d]
+        and table[a][d] == table[b][c]
+    ]
+    if not found:
+        return table
+    a, b, c, d = rng.choice(found)
+    out = [list(row) for row in table]
+    out[a][c], out[a][d] = table[a][d], table[a][c]
+    out[b][c], out[b][d] = table[b][d], table[b][c]
+    return out
+
+
+SMALL_GROUP_TABLES = [
+    cyclic_group(n).mul_table for n in range(1, 7)
+] + [
+    direct_product(cyclic_group(2), cyclic_group(2)).mul_table,
+    from_generators(3, S3_GENS)[0].mul_table,
+]
+
+
+@st.composite
+def loops_with_identity(draw, max_order=6):
+    """Latin squares of order <= 6 with a two-sided identity: random ones,
+    relabeled group tables, and group tables with one intercalate switched."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["random", "group", "switched"]))
+    if kind == "random":
+        return random_loop(draw(st.integers(1, max_order)), rng)
+    table = draw(st.sampled_from(SMALL_GROUP_TABLES))
+    sigma = draw(st.permutations(range(len(table))))
+    table = relabel(table, sigma)
+    if kind == "switched":
+        table = switch_intercalate(table, sigma[0], rng)
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(NONASSOC_LOOP), loops_with_identity()))
+def test_generator_associativity_agrees_with_the_triple_loop(table):
+    violation = triple_loop_violation(table)
+    try:
+        group = group_from_table(table)
+    except NotAssociative as exc:
+        assert violation is not None
+        a, b, c = (exc.witness[k] for k in "abc")
+        assert table[table[a][b]][c] != table[a][table[b][c]]
+    except NoInverse:
+        # an associative Latin square with identity is a group, so has inverses
+        assert violation is not None
+    else:
+        assert violation is None
+        assert group.subgroup_generated(group.generators).is_whole_group()
+
+
+def test_s6_associativity_composes_rows_once_per_element_and_generator(monkeypatch):
+    """The triple loop reads 720^3 products; the generator test composes
+    row a with row s once for each element a and generator s."""
+    table = from_generators(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])[0].mul_table
+    calls = [0]
+
+    def counted(p, q):
+        calls[0] += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(groups, "compose", counted)
+    group = group_from_table(table)
+    m = group.order
+    assert m == 720 and 1 <= len(group.generators) <= 9
+    assert m <= calls[0] <= m * len(group.generators)
+
+
+def test_table_groups_record_the_checked_generators():
+    group = group_from_table(cyclic_group(6).mul_table)
+    assert group.generators == (1,)
+    assert group_from_table([[0]]).generators == ()
+
+
+def test_default_cap_reads_a_positive_integer(monkeypatch):
+    monkeypatch.delenv("ORBITSPACE_CAP", raising=False)
+    assert default_cap() == groups.DEFAULT_CLOSURE_CAP
+    monkeypatch.setenv("ORBITSPACE_CAP", "12")
+    assert default_cap() == 12
+    for raw in ("abc", "0", "-3", ""):
+        monkeypatch.setenv("ORBITSPACE_CAP", raw)
+        with pytest.raises(ParseError) as exc:
+            default_cap()
+        assert exc.value.witness == {"variable": "ORBITSPACE_CAP", "value": raw}
 
 
 def test_validate_no_inverse_loop():

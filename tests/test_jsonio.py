@@ -62,6 +62,40 @@ def test_group_invalid_table_surfaces_module_error():
         )
 
 
+@pytest.mark.parametrize(
+    "mul,where",
+    [
+        ([5, 6], "group.mul[0]"),
+        ([[0, 1], "10"], "group.mul[1]"),
+        ([[0, True], [True, 0]], "group.mul[0]"),
+        ([[0, 1], [1, False]], "group.mul[1]"),
+    ],
+)
+def test_table_rows_must_be_lists_of_integers(mul, where):
+    with pytest.raises(ParseError) as exc:
+        group_from_json({"kind": "table", "mul": mul})
+    assert exc.value.witness == {"where": where}
+
+
+def test_labels_must_be_a_list_of_strings():
+    for labels in (5, ["e", 1]):
+        with pytest.raises(ParseError):
+            group_from_json({"kind": "table", "mul": [[0, 1], [1, 0]], "labels": labels})
+
+
+def test_booleans_are_not_integers():
+    table = {"kind": "table", "mul": [[0, 1], [1, 0]]}
+    with pytest.raises(ParseError) as exc:
+        action_from_json({"group": table, "act": [[0, 1], [True, 0]]})
+    assert exc.value.witness == {"where": "action.act[1]"}
+    with pytest.raises(ParseError) as exc:
+        group_from_json({"kind": "permutation", "degree": 2, "generators": [[True, 0]]})
+    assert exc.value.witness == {"where": "group.generators[0]"}
+    with pytest.raises(ParseError) as exc:
+        group_from_json({"kind": "permutation", "degree": True, "generators": []})
+    assert exc.value.witness == {"where": "group", "key": "degree"}
+
+
 def test_action_round_trip():
     act = trivial_action(cyclic_group(2), 3)
     doc = action_to_json(act)
