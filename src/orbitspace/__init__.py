@@ -7,134 +7,85 @@ induction across invariant subsets with Frobenius reciprocity; and the
 converse construction realizing any partition as the orbits of a
 permutation group. All arithmetic is over the Gaussian rationals, so every
 identity is checked exactly.
+
+Each name in ``__all__`` is read from its submodule on first access (PEP 562),
+so ``import orbitspace`` loads no layer until one of its names is used.
 """
 
-from .actions import (
-    GroupAction,
-    Partition,
-    are_equivalent,
-    conjugation_action,
-    coset_action,
-    translation_action,
-    trivial_action,
-    validate_action,
-)
-from .corpus import (
-    CorpusEntry,
-    NON_FREE_FAMILIES,
-    build,
-    corpus_names,
-    default_entries,
-    group_by_name,
-    small_group_catalog,
-)
-from .errors import OrbitspaceError
-from .groups import (
-    DEFAULT_CLOSURE_CAP,
-    FiniteGroup,
-    Subgroup,
-    automorphism_group,
-    cyclic_group,
-    direct_product,
-    from_generators,
-    group_from_table,
-    whole_group,
-)
-from .partitions import (
-    cell_transpositions,
-    count_cell_preserving,
-    group_from_partition,
-    preserves_cells,
-    realized_order,
-)
-from .resind import (
-    InvariantSubset,
-    SubsetFunction,
-    extend_by_zero,
-    induce,
-    invariant_subset,
-    reciprocity_check,
-    restrict,
-    subset_inner_product,
-)
-from .scalars import GaussianRational, Rational, parse_rational
-from .spaces import (
-    Decomposition,
-    FourierCoefficient,
-    InvariantCertificate,
-    PointFunction,
-    act_on_function,
-    bessel_check,
-    decompose,
-    fourier_coefficients,
-    fourier_projection,
-    indicator_basis,
-    inner_product,
-    is_invariant,
-    norm_squared,
-    perp_zero_sum_check,
-    strict_bessel_witness,
-    unitarity_check,
-    value_sum,
-)
+from importlib import import_module
 
-__all__ = [
-    "CorpusEntry",
-    "DEFAULT_CLOSURE_CAP",
-    "Decomposition",
-    "FiniteGroup",
-    "FourierCoefficient",
-    "GaussianRational",
-    "GroupAction",
-    "InvariantCertificate",
-    "InvariantSubset",
-    "NON_FREE_FAMILIES",
-    "OrbitspaceError",
-    "Partition",
-    "PointFunction",
-    "Rational",
-    "Subgroup",
-    "SubsetFunction",
-    "act_on_function",
-    "are_equivalent",
-    "automorphism_group",
-    "bessel_check",
-    "build",
-    "cell_transpositions",
-    "conjugation_action",
-    "corpus_names",
-    "coset_action",
-    "count_cell_preserving",
-    "cyclic_group",
-    "decompose",
-    "default_entries",
-    "direct_product",
-    "extend_by_zero",
-    "fourier_coefficients",
-    "fourier_projection",
-    "from_generators",
-    "group_by_name",
-    "group_from_partition",
-    "group_from_table",
-    "indicator_basis",
-    "induce",
-    "inner_product",
-    "invariant_subset",
-    "is_invariant",
-    "norm_squared",
-    "parse_rational",
-    "perp_zero_sum_check",
-    "preserves_cells",
-    "realized_order",
-    "reciprocity_check",
-    "restrict",
-    "small_group_catalog",
-    "strict_bessel_witness",
-    "subset_inner_product",
-    "translation_action",
-    "trivial_action",
-    "unitarity_check",
-    "validate_action",
-    "value_sum",
-    "whole_group",
-]
+# public name -> submodule that defines it
+_EXPORTS = {
+    "GroupAction": "actions",
+    "Partition": "actions",
+    "are_equivalent": "actions",
+    "conjugation_action": "actions",
+    "coset_action": "actions",
+    "translation_action": "actions",
+    "trivial_action": "actions",
+    "validate_action": "actions",
+    "CorpusEntry": "corpus",
+    "NON_FREE_FAMILIES": "corpus",
+    "build": "corpus",
+    "corpus_names": "corpus",
+    "default_entries": "corpus",
+    "group_by_name": "corpus",
+    "small_group_catalog": "corpus",
+    "OrbitspaceError": "errors",
+    "DEFAULT_CLOSURE_CAP": "groups",
+    "FiniteGroup": "groups",
+    "Subgroup": "groups",
+    "automorphism_group": "groups",
+    "cyclic_group": "groups",
+    "direct_product": "groups",
+    "from_generators": "groups",
+    "group_from_table": "groups",
+    "whole_group": "groups",
+    "cell_transpositions": "partitions",
+    "group_from_partition": "partitions",
+    "preserves_cells": "partitions",
+    "realized_order": "partitions",
+    "InvariantSubset": "resind",
+    "SubsetFunction": "resind",
+    "extend_by_zero": "resind",
+    "induce": "resind",
+    "invariant_subset": "resind",
+    "reciprocity_check": "resind",
+    "restrict": "resind",
+    "subset_inner_product": "resind",
+    "GaussianRational": "scalars",
+    "Rational": "scalars",
+    "parse_rational": "scalars",
+    "Decomposition": "spaces",
+    "FourierCoefficient": "spaces",
+    "InvariantCertificate": "spaces",
+    "PointFunction": "spaces",
+    "act_on_function": "spaces",
+    "bessel_check": "spaces",
+    "decompose": "spaces",
+    "fourier_coefficients": "spaces",
+    "fourier_projection": "spaces",
+    "indicator_basis": "spaces",
+    "inner_product": "spaces",
+    "is_invariant": "spaces",
+    "norm_squared": "spaces",
+    "perp_zero_sum_check": "spaces",
+    "strict_bessel_witness": "spaces",
+    "unitarity_check": "spaces",
+    "value_sum": "spaces",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

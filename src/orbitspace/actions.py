@@ -9,17 +9,20 @@ deciding when two actions of the same group are the same up to relabeling.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     CompatibilityViolated,
     GroupMismatch,
     IdentityAxiomViolated,
+    InvariantViolated,
     NotAnInteger,
     NotFree,
 )
 from .groups import FiniteGroup, Subgroup, _generating_set, compose, whole_group
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Partition:
@@ -172,23 +175,29 @@ class GroupAction:
         """sum over a in H of |Fix a|: the numerator of the Cauchy-Frobenius count.
 
         Always |H| times the orbit count on a valid action: divisibility is
-        checked, and the quotient asserted against the direct orbit count.
+        checked, and the quotient checked against the direct orbit count.
         """
         h = self._subgroup(subgroup)
         total = sum(len(self.fix(a)) for a in h.members)
         if total % h.order:
+            from fractions import Fraction
+
             raise NotAnInteger(
                 f"fixed-point average {Fraction(total, h.order)} is not an integer",
                 numerator=total,
                 denominator=h.order,
             )
-        assert total // h.order == len(self.orbits(h)), (
-            "fixed-point count disagrees with orbit scan"
-        )
+        orbit_count = len(self.orbits(h))
+        if total // h.order != orbit_count:
+            raise InvariantViolated(
+                "fixed-point count disagrees with orbit scan", total // h.order, orbit_count
+            )
         return total
 
     def burnside_dimension(self, subgroup: Optional[Subgroup] = None) -> Fraction:
         """dim of the subgroup-invariant function space: (1/|H|) sum |Fix a|."""
+        from fractions import Fraction
+
         h = self._subgroup(subgroup)
         return Fraction(self.fixed_point_total(h), h.order)
 
@@ -198,14 +207,19 @@ class GroupAction:
         The left side counts orbits directly, so the identity is checked
         against the fixed-point sums rather than derived from them.
         """
+        from fractions import Fraction
+
         h = self._subgroup(subgroup)
         lhs = self.group.order * len(self.orbits()) - h.order * len(self.orbits(h))
         rhs = sum(len(self.fix(a)) for a in range(self.group.order) if a not in h)
-        assert lhs == rhs, "dimension difference disagrees with direct fixed-point sum"
+        if lhs != rhs:
+            raise InvariantViolated(
+                "dimension difference disagrees with direct fixed-point sum", lhs, rhs
+            )
         return Fraction(lhs)
 
     def free_ratio_check(self, subgroup: Subgroup):
-        """For free actions, dim_H / dim_G; asserted equal to the index [G:H]."""
+        """For free actions, dim_H / dim_G; checked equal to the index [G:H]."""
         violation = self.free_witness()
         if violation is not None:
             a, x = violation
@@ -215,7 +229,8 @@ class GroupAction:
         h = self._subgroup(subgroup)
         ratio = self.burnside_dimension(h) / self.burnside_dimension()
         idx = h.index()
-        assert ratio == idx
+        if ratio != idx:
+            raise InvariantViolated("dimension ratio differs from the index", ratio, idx)
         return ratio, idx
 
     def _subgroup(self, subgroup: Optional[Subgroup]) -> Subgroup:
@@ -381,8 +396,18 @@ def are_equivalent(a1: GroupAction, a2: GroupAction) -> Optional[list]:
 
     if not assign(0):
         return None
-    assert all(y is not None for y in phi)
+    if None in phi:
+        raise InvariantViolated(
+            "matched orbits leave a point unassigned",
+            a1.degree - phi.count(None),
+            a1.degree,
+            point=phi.index(None),
+        )
     for a in range(group.order):
         for x in range(a1.degree):
-            assert phi[a1.act[a][x]] == a2.act[a][phi[x]]
+            lhs, rhs = phi[a1.act[a][x]], a2.act[a][phi[x]]
+            if lhs != rhs:
+                raise InvariantViolated(
+                    f"phi({a}.{x}) != {a}.phi({x})", lhs, rhs, element=a, point=x
+                )
     return phi

@@ -13,7 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import corpus as corpus_mod
 from .actions import are_equivalent
 from .errors import OrbitspaceError, ParseError
 from .groups import default_cap
@@ -27,20 +26,9 @@ from .jsonio import (
     scalar_to_json,
     subset_function_from_json,
 )
-from .partitions import (
-    cell_transpositions,
-    group_from_partition,
-    preserves_cells,
-)
-from .resind import invariant_subset, reciprocity_check
-from .spaces import (
-    bessel_check,
-    decompose,
-    fourier_coefficients,
-    fourier_projection,
-    is_invariant,
-    value_sum,
-)
+
+# The function-space, induction, partition and corpus layers are imported by
+# the commands that run them, so that a command loads only what it uses.
 
 
 def _read_json(path: str):
@@ -153,6 +141,8 @@ def _cmd_free_check(args):
 
 
 def _cmd_fourier(args):
+    from .spaces import fourier_coefficients, fourier_projection, is_invariant
+
     action = _load_action(args)
     f = _load_function(args, action)
     entries = fourier_coefficients(action, f)
@@ -171,6 +161,8 @@ def _cmd_fourier(args):
 
 
 def _cmd_bessel(args):
+    from .spaces import bessel_check, is_invariant
+
     action = _load_action(args)
     f = _load_function(args, action)
     lhs, rhs = bessel_check(action, f)
@@ -183,6 +175,8 @@ def _cmd_bessel(args):
 
 
 def _cmd_decompose(args):
+    from .spaces import decompose, value_sum
+
     action = _load_action(args)
     f = _load_function(args, action)
     parts = decompose(action, f)
@@ -196,6 +190,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_reciprocity(args):
+    from .resind import invariant_subset, reciprocity_check
+
     action = _load_action(args)
     if args.subset is None:
         raise ParseError("reciprocity needs --subset")
@@ -216,6 +212,8 @@ def _cmd_reciprocity(args):
 
 
 def _cmd_from_partition(args):
+    from .partitions import cell_transpositions, group_from_partition, preserves_cells
+
     partition = partition_from_json(_single_input(args))
     group, action = group_from_partition(
         partition, minimal_generators=args.minimal_generators, cap=args.cap
@@ -262,6 +260,8 @@ def _parse_param(text: str):
 
 
 def _cmd_corpus(args):
+    from . import corpus as corpus_mod
+
     if args.corpus_command == "list":
         return {"names": corpus_mod.corpus_names()}
     params = dict(_parse_param(p) for p in (args.param or []))

@@ -10,12 +10,10 @@ count) is reported alongside each entry.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .actions import GroupAction, conjugation_action, coset_action, trivial_action
-from .errors import ParamOutOfRange, ParseError, UnknownCorpusName
+from .errors import InvariantViolated, ParamOutOfRange, ParseError, UnknownCorpusName
 from .groups import (
     FiniteGroup,
     cyclic_group,
@@ -25,12 +23,37 @@ from .groups import (
 )
 
 
-@dataclass
 class CorpusEntry:
-    name: str
-    action: GroupAction
-    expected: Dict[str, object]
-    params: Dict[str, object] = field(default_factory=dict)
+    """A named action, the structural facts forced for it, and its parameters.
+
+    A plain class rather than a dataclass: ``dataclasses`` imports
+    ``inspect``, which would make ``corpus list`` pay for both.
+    """
+
+    __slots__ = ("name", "action", "expected", "params")
+
+    def __init__(
+        self,
+        name: str,
+        action: GroupAction,
+        expected: Dict[str, object],
+        params: Optional[Dict[str, object]] = None,
+    ):
+        self.name = name
+        self.action = action
+        self.expected = expected
+        self.params = {} if params is None else params
+
+    def __eq__(self, other):
+        if not isinstance(other, CorpusEntry):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self):
+        return (
+            f"CorpusEntry(name={self.name!r}, action={self.action!r}, "
+            f"expected={self.expected!r}, params={self.params!r})"
+        )
 
     def divisibility(self) -> Dict[str, object]:
         m = self.action.group.order
@@ -558,21 +581,39 @@ def corpus_names() -> List[str]:
 
 
 def build(name: str, **params) -> CorpusEntry:
-    """Build a corpus entry by name; unknown names and bad parameters raise."""
+    """Build a corpus entry by name; unknown names and bad parameters raise.
+
+    A parameter whose default is a bool, int or str takes only a value of
+    exactly that type (so True is not the integer 1); seed lists are checked
+    by the builders that take them.
+    """
+    import inspect
+
     builder = _BUILDERS.get(name)
     if builder is None:
         raise UnknownCorpusName(
             f"unknown corpus name {name!r}; known: {', '.join(corpus_names())}",
             name=name,
         )
-    accepted = sorted(inspect.signature(builder).parameters)
+    signature = inspect.signature(builder).parameters
+    accepted = sorted(signature)
     for key in sorted(params):
-        if key not in accepted:
+        if key not in signature:
             raise ParseError(
                 f"unknown parameter {key!r} for {name}; accepted: {', '.join(accepted)}",
                 name=name,
                 unknown=key,
                 accepted=accepted,
+            )
+        default, value = signature[key].default, params[key]
+        if isinstance(default, (bool, int, str)) and type(value) is not type(default):
+            expected = type(default).__name__
+            raise ParseError(
+                f"parameter {key!r} for {name} expects {expected}, got {value!r}",
+                name=name,
+                param=key,
+                value=value,
+                expected=expected,
             )
     entry = builder(**params)
     _check_expected(entry)
@@ -588,9 +629,14 @@ def _check_expected(entry: CorpusEntry):
         "is_trivial": action.is_trivial(),
     }
     for key, value in entry.expected.items():
-        assert recomputed[key] == value, (
-            f"{entry.name}: expected {key}={value}, recomputed {recomputed[key]}"
-        )
+        if recomputed[key] != value:
+            raise InvariantViolated(
+                f"{entry.name}: expected {key}={value}, recomputed {recomputed[key]}",
+                recomputed[key],
+                value,
+                name=entry.name,
+                key=key,
+            )
 
 
 def default_entries() -> List[CorpusEntry]:

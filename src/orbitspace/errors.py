@@ -89,3 +89,25 @@ class ParamOutOfRange(OrbitspaceError):
 
 class ParseError(OrbitspaceError):
     pass
+
+
+class InvariantViolated(OrbitspaceError):
+    """An identity the library guarantees came out false.
+
+    ``lhs`` and ``rhs`` are the two sides as computed, turned into JSON data:
+    rationals as ``"p/q"`` strings, Gaussian rationals as pairs, tuples as
+    lists. Unlike ``assert``, the check survives ``python -O``.
+    """
+
+    def __init__(self, message: str, lhs, rhs, **witness):
+        super().__init__(message, lhs=_plain(lhs), rhs=_plain(rhs), **witness)
+
+
+def _plain(value):
+    if hasattr(value, "to_pair"):
+        return value.to_pair()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    return str(value)

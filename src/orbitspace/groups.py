@@ -17,9 +17,11 @@ which is built once, on first access.
 from __future__ import annotations
 
 import os
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    InvariantViolated,
     NoIdentity,
     NoInverse,
     NotAPermutation,
@@ -288,7 +290,13 @@ class Subgroup:
     def index(self) -> int:
         """[G : H]; Lagrange guarantees this is an exact integer."""
         q, r = divmod(self.parent.order, self.order)
-        assert r == 0, "member count must divide the parent order"
+        if r:
+            raise InvariantViolated(
+                f"member count {self.order} does not divide the parent order",
+                self.parent.order,
+                q * self.order,
+                order=self.order,
+            )
         return q
 
     def is_whole_group(self) -> bool:
@@ -339,34 +347,8 @@ def group_from_table(mul_table, labels=None) -> FiniteGroup:
     m = len(rows)
     if m == 0:
         raise NoIdentity("empty multiplication table")
-    for i, row in enumerate(rows):
-        if len(row) != m:
-            raise NotLatinSquare(
-                f"row {i} has length {len(row)}, expected {m}", row=i, length=len(row)
-            )
-        seen = [False] * m
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or v < 0 or v >= m:
-                raise NotLatinSquare(
-                    f"entry ({i},{j}) = {v!r} out of range 0..{m - 1}",
-                    row=i,
-                    col=j,
-                    value=v,
-                )
-            if seen[v]:
-                raise NotLatinSquare(
-                    f"value {v} repeats in row {i}", row=i, value=v
-                )
-            seen[v] = True
-    for j in range(m):
-        seen = [False] * m
-        for i in range(m):
-            v = rows[i][j]
-            if seen[v]:
-                raise NotLatinSquare(
-                    f"value {v} repeats in column {j}", col=j, value=v
-                )
-            seen[v] = True
+    if not _is_latin(rows, m):
+        _raise_not_latin(rows, m)
 
     identity = None
     for e in range(m):
@@ -402,6 +384,54 @@ def group_from_table(mul_table, labels=None) -> FiniteGroup:
                     f"({a}*{s})*{c} != {a}*({s}*{c})", a=a, b=s, c=c
                 )
     return FiniteGroup.from_cayley_rows(rows, identity, inv, labels=labels, generators=gens)
+
+
+def _is_latin(rows, m: int) -> bool:
+    """Whether every row and every column is a permutation of 0..m-1.
+
+    One set comparison per row and column, after a type test on all entries
+    at once: bools and floats must fail it, since {True} == {1} == {1.0}.
+    """
+    values = set(range(m))
+    return (
+        all(len(row) == m for row in rows)
+        and set(map(type, chain.from_iterable(rows))) == {int}
+        and all(set(row) == values for row in rows)
+        and all(set(col) == values for col in zip(*rows))
+    )
+
+
+def _raise_not_latin(rows, m: int):
+    """Scan entry by entry and raise on the first offending one."""
+    for i, row in enumerate(rows):
+        if len(row) != m:
+            raise NotLatinSquare(
+                f"row {i} has length {len(row)}, expected {m}", row=i, length=len(row)
+            )
+        seen = [False] * m
+        for j, v in enumerate(row):
+            if type(v) is not int or v < 0 or v >= m:
+                raise NotLatinSquare(
+                    f"entry ({i},{j}) = {v!r} out of range 0..{m - 1}",
+                    row=i,
+                    col=j,
+                    value=v,
+                )
+            if seen[v]:
+                raise NotLatinSquare(
+                    f"value {v} repeats in row {i}", row=i, value=v
+                )
+            seen[v] = True
+    for j in range(m):
+        seen = [False] * m
+        for i in range(m):
+            v = rows[i][j]
+            if seen[v]:
+                raise NotLatinSquare(
+                    f"value {v} repeats in column {j}", col=j, value=v
+                )
+            seen[v] = True
+    raise NotLatinSquare("table is not a Latin square of integers")
 
 
 def from_generators(
@@ -554,6 +584,11 @@ def automorphism_group(g: FiniteGroup) -> list:
             assign(i + 1, images + [b])
 
     assign(0, [])
-    result = sorted(auts)
-    assert tuple(range(g.order)) in auts
-    return result
+    identity_map = tuple(range(g.order))
+    if identity_map not in auts:
+        raise InvariantViolated(
+            "extending each generator to itself did not give an automorphism",
+            _extend_hom(g, gens, gens),
+            identity_map,
+        )
+    return sorted(auts)

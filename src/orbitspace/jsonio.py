@@ -7,14 +7,19 @@ exact and byte-stable. Parsing is strict: anything off-schema raises
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .actions import GroupAction, Partition, validate_action
 from .errors import ParseError
 from .groups import FiniteGroup, from_generators, group_from_table
-from .resind import InvariantSubset, SubsetFunction
-from .scalars import GaussianRational
-from .spaces import PointFunction
+
+if TYPE_CHECKING:
+    from .resind import InvariantSubset, SubsetFunction
+    from .scalars import GaussianRational
+    from .spaces import PointFunction
+
+# The scalar, function-space and induction layers are imported by the readers
+# that need them, so that parsing an action alone does not load them.
 
 
 def _expect(obj, key, kinds, where):
@@ -40,6 +45,8 @@ def _int_list(value, where):
 
 
 def scalar_from_json(value, where="scalar") -> GaussianRational:
+    from .scalars import GaussianRational
+
     try:
         return GaussianRational.from_pair(value)
     except ParseError as exc:
@@ -114,6 +121,8 @@ def action_to_json(action: GroupAction) -> dict:
 
 
 def function_from_json(obj, degree: Optional[int] = None) -> PointFunction:
+    from .spaces import PointFunction
+
     values = _expect(obj, "values", list, "function")
     f = PointFunction(
         scalar_from_json(v, where=f"function.values[{i}]") for i, v in enumerate(values)
@@ -132,6 +141,8 @@ def function_to_json(f: PointFunction) -> dict:
 
 
 def subset_function_from_json(obj, subset: InvariantSubset) -> SubsetFunction:
+    from .resind import SubsetFunction
+
     values = _expect(obj, "values", list, "function")
     declared = obj.get("subset")
     if declared is not None:

@@ -10,11 +10,10 @@ construction also gives a membership test and a counting cross-check
 from __future__ import annotations
 
 import math
-from itertools import permutations
 from typing import Optional
 
 from .actions import GroupAction, Partition
-from .errors import SizeLimitExceeded
+from .errors import InvariantViolated, SizeLimitExceeded
 from .groups import check_permutation, default_cap, from_generators
 
 
@@ -70,8 +69,17 @@ def group_from_partition(
     gens = cell_transpositions(partition, minimal=minimal_generators)
     group, act = from_generators(partition.degree, gens, cap=cap)
     action = GroupAction(group, act)
-    assert group.order == predicted
-    assert action.orbits() == partition
+    if group.order != predicted:
+        raise InvariantViolated(
+            "closure order differs from the product of cell factorials",
+            group.order,
+            predicted,
+        )
+    orbits = action.orbits()
+    if orbits != partition:
+        raise InvariantViolated(
+            "orbits of the realized group differ from the cells", orbits.cells, partition.cells
+        )
     return group, action
 
 
@@ -80,14 +88,3 @@ def preserves_cells(partition: Partition, sigma) -> bool:
     sigma = check_permutation(sigma, partition.degree)
     cell_of = partition.cell_of
     return all(cell_of[sigma[x]] == cell_of[x] for x in range(partition.degree))
-
-
-def count_cell_preserving(partition: Partition) -> int:
-    """Brute-force count of cell-preserving permutations (n! scan; keep n small)."""
-    cell_of = partition.cell_of
-    n = partition.degree
-    count = 0
-    for sigma in permutations(range(n)):
-        if all(cell_of[sigma[x]] == cell_of[x] for x in range(n)):
-            count += 1
-    return count

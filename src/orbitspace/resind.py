@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .actions import GroupAction
-from .errors import DegreeMismatch, EmptySubset, NotInvariant
+from .errors import DegreeMismatch, EmptySubset, InvariantViolated, NotInvariant
 from .scalars import GaussianRational, ZERO
 from .spaces import PointFunction, inner_product, is_invariant
 
@@ -159,7 +159,16 @@ def induce(subset: InvariantSubset, g: SubsetFunction) -> PointFunction:
             s = s + tilde.values[row[x]]
         vals.append(coeff * s)
     out = PointFunction(vals)
-    assert is_invariant(act, out) is not None
+    if is_invariant(act, out) is None:
+        x, y = next(
+            (c[0], y) for c in act.orbits().cells for y in c if vals[y] != vals[c[0]]
+        )
+        raise InvariantViolated(
+            "induced function is not constant on an orbit",
+            vals[x],
+            vals[y],
+            points=[x, y],
+        )
     return out
 
 
@@ -194,5 +203,6 @@ def reciprocity_check(subset: InvariantSubset, f: SubsetFunction, g: PointFuncti
             lhs=lhs.to_pair(),
             rhs=rhs.to_pair(),
         )
-    assert lhs == rhs, "adjointness identity failed on invariant inputs"
+    if lhs != rhs:
+        raise InvariantViolated("adjointness identity failed on invariant inputs", lhs, rhs)
     return lhs, rhs

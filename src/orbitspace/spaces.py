@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional
 
 from .actions import GroupAction, Partition
-from .errors import ActionIsTrivial, DegreeMismatch, EmptyDomain
+from .errors import ActionIsTrivial, DegreeMismatch, EmptyDomain, InvariantViolated
 from .scalars import GaussianRational, ZERO, ONE
 
 
@@ -195,12 +195,15 @@ def norm_squared(f: PointFunction) -> Fraction:
 
 
 def unitarity_check(act: GroupAction, a: int, f: PointFunction, g: PointFunction):
-    """Both sides of <a*f, a*g> = <f, g>; asserted equal, returned for inspection."""
+    """Both sides of <a*f, a*g> = <f, g>; checked equal, returned for inspection."""
     _check_shapes(act, f)
     _check_shapes(act, g)
     lhs = inner_product(act_on_function(act, a, f), act_on_function(act, a, g))
     rhs = inner_product(f, g)
-    assert lhs == rhs, "group translation failed to preserve the inner product"
+    if lhs != rhs:
+        raise InvariantViolated(
+            "group translation failed to preserve the inner product", lhs, rhs, element=a
+        )
     return lhs, rhs
 
 
@@ -260,7 +263,7 @@ def fourier_coefficients(act: GroupAction, f: PointFunction) -> List[FourierCoef
 def bessel_check(act: GroupAction, f: PointFunction):
     """Both sides of sum_i |sum_{C_i} f|^2 / |C_i|  <=  sum_x |f(x)|^2.
 
-    Returns (lhs, rhs) exactly; asserts the inequality, with equality
+    Returns (lhs, rhs) exactly; checks the inequality, with equality
     exactly when f is invariant.
     """
     _check_shapes(act, f)
@@ -270,8 +273,13 @@ def bessel_check(act: GroupAction, f: PointFunction):
         Fraction(0),
     )
     rhs = sum((v.norm_sq() for v in f.values), Fraction(0))
-    assert lhs <= rhs, "projection norm exceeded the function norm"
-    assert (lhs == rhs) == (is_invariant(act, f) is not None)
+    if lhs > rhs:
+        raise InvariantViolated("projection norm exceeded the function norm", lhs, rhs)
+    invariant = is_invariant(act, f) is not None
+    if (lhs == rhs) != invariant:
+        raise InvariantViolated(
+            "Bessel equality disagrees with the invariance scan", lhs, rhs, invariant=invariant
+        )
     return lhs, rhs
 
 
@@ -281,7 +289,11 @@ def strict_bessel_witness(act: GroupAction) -> PointFunction:
     for cell in act.orbits().cells:
         if len(cell) > 1:
             f = PointFunction.delta(act.degree, cell[0])
-            assert norm_squared(fourier_projection(act, f)) < norm_squared(f)
+            lhs, rhs = norm_squared(fourier_projection(act, f)), norm_squared(f)
+            if lhs >= rhs:
+                raise InvariantViolated(
+                    "projection of a delta did not shrink its norm", lhs, rhs, point=cell[0]
+                )
             return f
     raise ActionIsTrivial(
         "every orbit is a singleton; projection is the identity",
@@ -311,8 +323,10 @@ def decompose(act: GroupAction, f: PointFunction) -> Decomposition:
     mean = value_sum(f) * GaussianRational(Fraction(1, act.degree))
     mean_part = PointFunction.constant(act.degree, mean)
     zero_sum_part = f - mean_part
-    assert value_sum(zero_sum_part).is_zero()
-    assert value_sum(perp_part).is_zero()
+    for name, part in (("zero_sum_part", zero_sum_part), ("perp_part", perp_part)):
+        total = value_sum(part)
+        if not total.is_zero():
+            raise InvariantViolated(f"{name} has a nonzero value sum", total, ZERO, part=name)
     return Decomposition(invariant_part, perp_part, mean_part, zero_sum_part)
 
 
@@ -334,5 +348,9 @@ def perp_zero_sum_check(act: GroupAction):
         if not value_sum(spanner).is_zero():
             is_subset = False
     equality = (n - len(part)) == (n - 1)
-    assert equality == act.is_transitive()
+    transitive = act.is_transitive()
+    if equality != transitive:
+        raise InvariantViolated(
+            "one orbit by count disagrees with the transitivity scan", equality, transitive
+        )
     return is_subset, equality

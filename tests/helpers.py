@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
 from fractions import Fraction
+from itertools import permutations
 
 from orbitspace.actions import GroupAction
 from orbitspace.scalars import GaussianRational
@@ -59,6 +60,17 @@ def orbit_count_oracle(action: GroupAction, members=None) -> int:
         for x in range(action.degree):
             uf.union(x, row[x])
     return len({uf.find(x) for x in range(action.degree)})
+
+
+def count_cell_preserving(partition) -> int:
+    """Brute-force count of cell-preserving permutations (n! scan; keep n small)."""
+    cell_of = partition.cell_of
+    n = partition.degree
+    count = 0
+    for sigma in permutations(range(n)):
+        if all(cell_of[sigma[x]] == cell_of[x] for x in range(n)):
+            count += 1
+    return count
 
 
 def scalar_rank(rows):

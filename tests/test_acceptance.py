@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from helpers import (
+    count_cell_preserving,
     orbit_count_oracle,
     rand_function,
     rand_invariant_values,
@@ -31,7 +32,6 @@ from orbitspace.corpus import (
 )
 from orbitspace.groups import cyclic_group, from_generators
 from orbitspace.partitions import (
-    count_cell_preserving,
     group_from_partition,
     preserves_cells,
     realized_order,

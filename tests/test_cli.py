@@ -1,6 +1,9 @@
 """CLI behavior: golden reports, exit codes, and machine-readable errors."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -219,6 +222,28 @@ def test_corpus_build_unknown_param_exits_3(capsys):
     assert doc["witness"] == {"name": "symmetric", "unknown": "bogus", "accepted": ["n"]}
 
 
+@pytest.mark.parametrize(
+    "name,param,value,expected",
+    [
+        ("symmetric", "n=abc", "abc", "int"),
+        ("gl_on_vectors", "q=x", "x", "int"),
+        ("symmetric", "n=true", True, "int"),
+        ("trivial", "group=3", 3, "str"),
+    ],
+)
+def test_corpus_build_wrong_param_type_exits_3(name, param, value, expected, capsys):
+    code = main(["corpus", "build", name, "--param", param])
+    assert code == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParseError"
+    assert doc["witness"] == {
+        "name": name,
+        "param": param.split("=")[0],
+        "value": value,
+        "expected": expected,
+    }
+
+
 def test_bad_cap_env_var_exits_3(capsys, monkeypatch):
     monkeypatch.setenv("ORBITSPACE_CAP", "abc")
     code = main(["validate", "--input", inp("s3_eval.json")])
@@ -276,3 +301,82 @@ def test_equivalence_unequal_pair(tmp_path, capsys):
     assert main(["equivalence", "--input", str(pa), "--input", str(pb)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"bijection": None, "equivalent": False}
+
+
+# ---------------------------------------------------------------------------
+# each command imports only the layers it runs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ACTION_LAYERS = [
+    "orbitspace",
+    "orbitspace.actions",
+    "orbitspace.cli",
+    "orbitspace.errors",
+    "orbitspace.groups",
+    "orbitspace.jsonio",
+]
+WATCHED = ("inspect", "fractions", "dataclasses")
+
+
+def loaded_modules(code):
+    """The orbitspace modules and the watched stdlib modules that ``code``
+    leaves in ``sys.modules`` of a fresh interpreter."""
+    report = (
+        "import sys\n"
+        "print(' '.join(sorted(m for m in sys.modules"
+        f" if m.split('.')[0] == 'orbitspace' or m in {WATCHED!r})))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\n" + report],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return out.split()
+
+
+def loaded_by_command(argv):
+    code = (
+        "import contextlib, io\n"
+        "from orbitspace.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+    return loaded_modules(code)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbits", "--input", inp("s3_conj.json")],
+        ["dimension", "--input", inp("s3_conj.json"), "--subgroup", "2"],
+        ["free-check", "--input", inp("s3_conj.json")],
+        ["validate", "--input", inp("s3_eval.json")],
+        ["equivalence", "--input", inp("z2_four.json"), "--input", inp("z2_relabeled.json")],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_action_commands_load_only_the_action_layers(argv):
+    assert loaded_by_command(argv) == ACTION_LAYERS
+
+
+def test_corpus_list_loads_no_function_layers():
+    loaded = loaded_by_command(["corpus", "list"])
+    assert "orbitspace.corpus" in loaded
+    assert not {"inspect", "orbitspace.spaces", "orbitspace.resind"} & set(loaded)
+
+
+def test_import_orbitspace_loads_no_submodule():
+    assert loaded_modules("import orbitspace") == ["orbitspace"]
+
+
+def test_every_exported_name_resolves():
+    import orbitspace
+
+    for name in orbitspace.__all__:
+        assert getattr(orbitspace, name) is not None, name
+    assert set(orbitspace.__all__) <= set(dir(orbitspace))
+    assert orbitspace.__all__ == sorted(orbitspace.__all__)
+    with pytest.raises(AttributeError):
+        orbitspace.nope

@@ -108,6 +108,37 @@ def test_validate_constant_table_is_not_latin():
         group_from_table([[0, 0], [0, 0]])
 
 
+@pytest.mark.parametrize(
+    "table,witness",
+    [
+        ([[0, 1], [1]], {"row": 1, "length": 1}),
+        ([[0, 1], [1, 2]], {"row": 1, "col": 1, "value": 2}),
+        ([[0, 1.0], [1, 0]], {"row": 0, "col": 1, "value": 1.0}),
+        ([[0, True], [True, 0]], {"row": 0, "col": 1, "value": True}),
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], {"row": 1, "value": 1}),
+        ([[0, 1, 2], [1, 2, 0], [1, 0, 2]], {"col": 0, "value": 1}),
+    ],
+    ids=["short-row", "out-of-range", "float", "bool", "row-repeat", "column-repeat"],
+)
+def test_latin_failures_name_the_first_offending_entry(table, witness):
+    # {1.0} == {True} == {1} as sets, so the set comparisons alone would pass
+    # the float and bool tables; the type test must catch them.
+    with pytest.raises(NotLatinSquare) as exc:
+        group_from_table(table)
+    assert exc.value.witness == witness
+
+
+def test_s6_latin_check_needs_no_entry_scan(monkeypatch):
+    group, _ = from_generators(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
+    table = [list(row) for row in group.mul_table]
+
+    def scan(rows, m):
+        raise AssertionError("a valid table fell through to the entry scan")
+
+    monkeypatch.setattr(groups, "_raise_not_latin", scan)
+    assert group_from_table(table).order == 720
+
+
 def test_validate_subtraction_table_has_no_identity():
     # a*b = (a-b) mod 5 is a quasigroup with only a right identity
     table = [[(a - b) % 5 for b in range(5)] for a in range(5)]

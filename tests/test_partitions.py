@@ -4,12 +4,12 @@ import math
 
 import pytest
 
+from helpers import count_cell_preserving
 from orbitspace.actions import Partition
 from orbitspace.errors import NotAPermutation, SizeLimitExceeded
 from orbitspace.groups import group_from_table
 from orbitspace.partitions import (
     cell_transpositions,
-    count_cell_preserving,
     group_from_partition,
     preserves_cells,
     realized_order,
