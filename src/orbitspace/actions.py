@@ -9,6 +9,7 @@ deciding when two actions of the same group are the same up to relabeling.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
@@ -74,16 +75,17 @@ class Partition:
 class GroupAction:
     """A finite group acting on points 0..degree-1 via a full table.
 
-    The constructor runs the cheap axioms (identity row, every row a
-    permutation); use ``validate_action`` for untrusted tables, which adds
-    compatibility, act[ab][x] = act[a][act[b][x]], checked on generators.
+    The constructor runs the cheap axioms (every row a permutation of int
+    points, identity row); use ``validate_action`` for untrusted tables,
+    which adds compatibility, act[ab][x] = act[a][act[b][x]], checked on
+    generators.
     """
 
     __slots__ = ("group", "degree", "act")
 
     def __init__(self, group: FiniteGroup, act: Sequence[Sequence[int]]):
         self.group = group
-        self.act = tuple(tuple(map(int, row)) for row in act)
+        self.act = tuple(map(tuple, act))
         if len(self.act) != group.order:
             raise CompatibilityViolated(
                 f"action table has {len(self.act)} rows, group order is {group.order}",
@@ -93,30 +95,17 @@ class GroupAction:
         if not self.act or not self.act[0]:
             raise IdentityAxiomViolated("point set must be nonempty", degree=0)
         self.degree = len(self.act[0])
+        points = set(range(self.degree))
+        if set(map(type, chain.from_iterable(self.act))) != {int} or not all(
+            len(row) == self.degree and set(row) == points for row in self.act
+        ):
+            _raise_not_permutation(group, self.act, self.degree)
         e = group.identity
         for x in range(self.degree):
             if self.act[e][x] != x:
                 raise IdentityAxiomViolated(
                     f"identity moves point {x}", point=x
                 )
-        points = list(range(self.degree))
-        for a, row in enumerate(self.act):
-            if len(row) != self.degree:
-                raise CompatibilityViolated(
-                    f"row {a} has length {len(row)}, expected {self.degree}", a=a
-                )
-            if sorted(row) != points:
-                # A non-bijective row always breaks act[a.a^-1][x] = a.(a^-1.x).
-                b = group.inv(a)
-                for x in range(self.degree):
-                    if self.act[a][self.act[b][x]] != x:
-                        raise CompatibilityViolated(
-                            f"act[{a}] fails to undo act[{b}] at point {x}",
-                            a=a,
-                            b=b,
-                            point=x,
-                        )
-                raise CompatibilityViolated(f"row {a} is not a permutation", a=a)
 
     def apply(self, a: int, x: int) -> int:
         return self.act[a][x]
@@ -257,6 +246,37 @@ class GroupAction:
 
     def __repr__(self):
         return f"GroupAction(order={self.group.order}, degree={self.degree})"
+
+
+def _raise_not_permutation(group: FiniteGroup, table, degree: int):
+    """Scan row by row and raise on the first bad entry or non-bijective row."""
+    for a, row in enumerate(table):
+        if len(row) != degree:
+            raise CompatibilityViolated(
+                f"row {a} has length {len(row)}, expected {degree}", a=a
+            )
+        for x, v in enumerate(row):
+            # bools, floats and strings are refused, never converted
+            if type(v) is not int or not 0 <= v < degree:
+                raise CompatibilityViolated(
+                    f"act[{a}][{x}] = {v!r} is not a point 0..{degree - 1}",
+                    a=a,
+                    point=x,
+                    value=v,
+                )
+    for a, row in enumerate(table):
+        if len(set(row)) != degree:
+            # A non-bijective row always breaks act[a.a^-1][x] = a.(a^-1.x).
+            b = group.inv(a)
+            for x in range(degree):
+                if row[table[b][x]] != x:
+                    raise CompatibilityViolated(
+                        f"act[{a}] fails to undo act[{b}] at point {x}",
+                        a=a,
+                        b=b,
+                        point=x,
+                    )
+            raise CompatibilityViolated(f"row {a} is not a permutation", a=a)
 
 
 def _require_same_group(g1: FiniteGroup, g2: FiniteGroup, message: str):

@@ -161,16 +161,17 @@ def _cmd_fourier(args):
 
 
 def _cmd_bessel(args):
-    from .spaces import bessel_check, is_invariant
+    from .spaces import bessel_check
 
     action = _load_action(args)
     f = _load_function(args, action)
+    # bessel_check raises unless equality agrees with the invariance scan
     lhs, rhs = bessel_check(action, f)
     return {
         "lhs": rational_to_json(lhs),
         "rhs": rational_to_json(rhs),
         "equal": lhs == rhs,
-        "is_invariant": is_invariant(action, f) is not None,
+        "is_invariant": lhs == rhs,
     }
 
 

@@ -16,6 +16,7 @@ from .actions import GroupAction, conjugation_action, coset_action, trivial_acti
 from .errors import InvariantViolated, ParamOutOfRange, ParseError, UnknownCorpusName
 from .groups import (
     FiniteGroup,
+    _closure,
     cyclic_group,
     direct_product,
     from_generators,
@@ -229,49 +230,23 @@ def small_group_catalog(max_order: int = 12) -> List:
 # subgroup searches used by the Sylow family
 
 
-def _close_members(g: FiniteGroup, seed, limit: int):
-    mul = g.mul_table
-    members = set(seed)
-    members.add(g.identity)
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            row_a = mul[a]
-            for b in list(members):
-                for c in (row_a[b], mul[b][a]):
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-                        if len(members) > limit:
-                            return None
-        frontier = nxt
-    return frozenset(members)
-
-
 def _subgroups_of_order(g: FiniteGroup, k: int, pool) -> List:
-    """All subgroups of order exactly k whose elements lie in the pool,
-    found by adjoin-and-close growth with pruning above k."""
-    pool = sorted(set(pool))
-    start = frozenset({g.identity})
-    seen = {start}
-    frontier = [start]
-    found = {start} if len(start) == k else set()
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for x in pool:
-                if x in s:
-                    continue
-                t = _close_members(g, s | {x}, k)
-                if t is None or t in seen:
-                    continue
-                seen.add(t)
-                nxt.append(t)
-                if len(t) == k:
-                    found.add(t)
-        frontier = nxt
-    return sorted(tuple(sorted(s)) for s in found)
+    """All subgroups of order exactly k whose elements lie in the pool.
+
+    A closure over the subgroups of order at most k: adjoining a pool
+    element to one gives the subgroup they generate, or the same subgroup
+    when that would have more than k elements.
+    """
+    mul = g.mul_table
+
+    def adjoin(h, x):
+        if x in h:
+            return h
+        grown = _closure(g.identity, sorted(h | {x}), lambda a, b: mul[a][b], k)
+        return h if grown is None else frozenset(grown)
+
+    subgroups = _closure(frozenset({g.identity}), sorted(set(pool)), adjoin)
+    return sorted(tuple(sorted(h)) for h in subgroups if len(h) == k)
 
 
 def _conjugation_on_sets(g: FiniteGroup, sets: List) -> GroupAction:

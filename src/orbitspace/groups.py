@@ -52,8 +52,12 @@ def default_cap() -> int:
 
 
 def check_permutation(images: Sequence[int], degree: int) -> Perm:
-    """Validate a one-line image array as a bijection on 0..degree-1."""
-    images = tuple(int(x) for x in images)
+    """Validate a one-line image array as a bijection on 0..degree-1.
+
+    Every image must be an ``int``: bools, floats and strings are refused,
+    not converted, so that 1.9 or "1" never passes as 1.
+    """
+    images = tuple(images)
     if len(images) != degree:
         raise NotAPermutation(
             f"expected {degree} images, got {len(images)}",
@@ -62,9 +66,9 @@ def check_permutation(images: Sequence[int], degree: int) -> Perm:
         )
     seen = [False] * degree
     for pos, img in enumerate(images):
-        if img < 0 or img >= degree:
+        if type(img) is not int or not 0 <= img < degree:
             raise NotAPermutation(
-                f"image {img} at position {pos} out of range 0..{degree - 1}",
+                f"image {img!r} at position {pos} is not a point 0..{degree - 1}",
                 position=pos,
                 image=img,
             )
@@ -195,19 +199,8 @@ class FiniteGroup:
         In a finite group, closure under multiplication already yields
         closure under inverses.
         """
-        members = {self.identity}
         gens = sorted(set(int(s) for s in seeds))
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for s in gens:
-                    b = self.mul(a, s)
-                    if b not in members:
-                        members.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return Subgroup(self, members)
+        return Subgroup(self, _closure(self.identity, gens, self.mul))
 
     def is_automorphism(self, sigma: Sequence[int]) -> bool:
         """True iff sigma(ab) = sigma(a)sigma(b) for all a, b (sigma a bijection)."""
@@ -449,25 +442,10 @@ def from_generators(
     if cap is None:
         cap = default_cap()
     gens = [check_permutation(p, degree) for p in generators]
-    ident = tuple(range(degree))
-    index = {ident: 0}
-    elements = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose(p, g)
-                if q not in index:
-                    index[q] = len(elements)
-                    elements.append(q)
-                    nxt.append(q)
-                    if len(elements) > cap:
-                        raise SizeLimitExceeded(
-                            f"closure exceeded cap {cap}", cap=cap, reached=len(elements)
-                        )
-        frontier = nxt
-
+    elements = _closure(tuple(range(degree)), gens, compose, cap)
+    if elements is None:
+        raise SizeLimitExceeded(f"closure exceeded cap {cap}", cap=cap, reached=cap + 1)
+    index = {p: a for a, p in enumerate(elements)}
     inv = [index[invert_perm(p)] for p in elements]
     labels = [cycle_string(p) for p in elements]
     group = FiniteGroup(
@@ -475,6 +453,29 @@ def from_generators(
     )
     act = [list(p) for p in elements]
     return group, act
+
+
+def _closure(start, gens, product, cap=None):
+    """Everything reached from ``start`` by right products with ``gens``.
+
+    A breadth-first closure: the result lists ``start`` first and then each
+    new element in the order it is found, so callers that number elements
+    by position get the same numbering on every run. Returns None as soon
+    as more than ``cap`` elements have been found. In a finite group, the
+    closure of the identity is the subgroup the gens generate.
+    """
+    found = [start]
+    seen = {start}
+    limit = float("inf") if cap is None else cap
+    for p in found:  # appending while iterating visits each level in turn
+        for s in gens:
+            q = product(p, s)
+            if q not in seen:
+                seen.add(q)
+                found.append(q)
+                if len(found) > limit:
+                    return None
+    return found
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -526,29 +527,23 @@ def _generating_set(g: FiniteGroup) -> list:
 
 
 def _extend_hom(g: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
-    """Extend gen -> image to a full endomorphism by closure, or return None."""
+    """Extend gen -> image to an automorphism, or return None.
+
+    The pairs (s, image of s) generate a subgroup of G x G. When the gens
+    generate G, its first coordinates cover G, so it is the graph of a
+    function (then a homomorphism) exactly when it has at most |G| pairs.
+    The map is returned when it is also a bijection.
+    """
     mul = g.mul_table
-    hom = {g.identity: g.identity}
-    for a, b in zip(gens, images):
-        if hom.get(a, b) != b:
-            return None
-        hom[a] = b
-    frontier = [g.identity] + [a for a in gens if a != g.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            fa = hom[a]
-            row_a, row_fa = mul[a], mul[fa]
-            for s, fs in zip(gens, images):
-                b = row_a[s]
-                fb = row_fa[fs]
-                known = hom.get(b)
-                if known is None:
-                    hom[b] = fb
-                    nxt.append(b)
-                elif known != fb:
-                    return None
-        frontier = nxt
+    pairs = _closure(
+        (g.identity, g.identity),
+        list(zip(gens, images)),
+        lambda p, s: (mul[p[0]][s[0]], mul[p[1]][s[1]]),
+        g.order,
+    )
+    if pairs is None:
+        return None
+    hom = dict(pairs)
     if len(hom) != g.order:
         return None
     images_full = [hom[a] for a in range(g.order)]

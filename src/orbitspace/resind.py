@@ -6,6 +6,10 @@ zero-extension over the group with the normalization |X| / (|G| |Y|), which
 always lands in the invariant subspace and makes restriction and induction
 Hermitian adjoints: <Ind f, g> = <f, Res g> for invariant f and g, with the
 inner product on the subset using the same formula over its own points.
+
+The group sum is never formed: sum over b in G of f(b^-1 . x) equals
+(|G| / |Gx|) sum over y in Gx of f(y), so induction is |X| / |Y| times the
+orbit average, at the cost of one orbit scan instead of |G| |X| steps.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Iterable
 from .actions import GroupAction
 from .errors import DegreeMismatch, EmptySubset, InvariantViolated, NotInvariant
 from .scalars import GaussianRational, ZERO
-from .spaces import PointFunction, inner_product, is_invariant
+from .spaces import PointFunction, fourier_projection, inner_product, is_invariant
 
 
 class InvariantSubset:
@@ -144,21 +148,17 @@ def extend_by_zero(g: SubsetFunction) -> PointFunction:
 def induce(subset: InvariantSubset, g: SubsetFunction) -> PointFunction:
     """(|X| / (|G| |Y|)) sum over b in G of the zero-extension at b^-1 . x.
 
-    Defined on all functions on the subset; the group sum symmetrizes, so
-    the output is always invariant.
+    Computed by orbit sums: b^-1 . x runs over the orbit Gx, reaching each
+    point |G| / |Gx| times, so the group sum is (|G| / |Gx|) times the sum
+    over Gx, and Ind g = (|X| / |Y|) times the orbit average of the
+    zero-extension. Defined on all functions on the subset; the average is
+    always invariant.
     """
     act = subset.action
-    group = act.group
-    tilde = extend_by_zero(g)
-    coeff = GaussianRational(Fraction(act.degree, group.order * subset.size))
-    inv_rows = [act.act[group.inv(b)] for b in range(group.order)]
-    vals = []
-    for x in range(act.degree):
-        s = ZERO
-        for row in inv_rows:
-            s = s + tilde.values[row[x]]
-        vals.append(coeff * s)
-    out = PointFunction(vals)
+    out = fourier_projection(act, extend_by_zero(g)).scale(
+        GaussianRational(Fraction(act.degree, subset.size))
+    )
+    vals = out.values
     if is_invariant(act, out) is None:
         x, y = next(
             (c[0], y) for c in act.orbits().cells for y in c if vals[y] != vals[c[0]]

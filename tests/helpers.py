@@ -62,6 +62,25 @@ def orbit_count_oracle(action: GroupAction, members=None) -> int:
     return len({uf.find(x) for x in range(action.degree)})
 
 
+def induce_group_sum(subset, g) -> PointFunction:
+    """Induction by its definition, (|X| / (|G| |Y|)) sum over b in G of the
+    zero-extension at b^-1 . x: O(|G| |X|), independent of the orbit scan."""
+    act = subset.action
+    group = act.group
+    tilde = [GaussianRational(0)] * act.degree
+    for x, v in zip(subset.points, g.values):
+        tilde[x] = v
+    coeff = GaussianRational(Fraction(act.degree, group.order * subset.size))
+    inv_rows = [act.act[group.inv(b)] for b in range(group.order)]
+    vals = []
+    for x in range(act.degree):
+        s = GaussianRational(0)
+        for row in inv_rows:
+            s = s + tilde[row[x]]
+        vals.append(coeff * s)
+    return PointFunction(vals)
+
+
 def count_cell_preserving(partition) -> int:
     """Brute-force count of cell-preserving permutations (n! scan; keep n small)."""
     cell_of = partition.cell_of

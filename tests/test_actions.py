@@ -31,6 +31,7 @@ from orbitspace.groups import (
     cyclic_group,
     direct_product,
     from_generators,
+    group_from_table,
     whole_group,
 )
 
@@ -107,6 +108,38 @@ def test_validate_rejects_non_bijective_row():
     g = cyclic_group(2)
     with pytest.raises(CompatibilityViolated):
         GroupAction(g, [[0, 1], [0, 0]])
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[1.9, 0.2], [1.0, 0], [True, 0], ["1", 0]],
+    ids=["float", "integral_float", "bool", "numeric_string"],
+)
+def test_action_entries_must_be_ints(row):
+    # converting would read [[0, 1], [1.9, 0.2]] as [[0, 1], [1, 0]]
+    with pytest.raises(CompatibilityViolated) as exc:
+        validate_action(cyclic_group(2), [[0, 1], row])
+    w = exc.value.witness
+    assert (w["a"], w["point"], w["value"]) == (1, 0, row[0])
+    assert type(w["value"]) is type(row[0])
+
+
+@pytest.mark.parametrize("bad", [5, -1])
+def test_out_of_range_action_entry_names_row_and_point(bad):
+    g = cyclic_group(3)
+    with pytest.raises(CompatibilityViolated) as exc:
+        GroupAction(g, [[0, 1], [1, 0], [0, bad]])
+    w = exc.value.witness
+    assert (w["a"], w["point"], w["value"]) == (2, 1, bad)
+
+
+def test_short_identity_row_is_a_row_length_error():
+    # element 1 is the identity of this table, and its row is shorter than row 0
+    g = group_from_table([[1, 0], [0, 1]])
+    assert g.identity == 1
+    with pytest.raises(CompatibilityViolated) as exc:
+        GroupAction(g, [[1, 0, 2], [0, 1]])
+    assert exc.value.witness == {"a": 1}
 
 
 def test_validate_rejects_incompatible_rows():

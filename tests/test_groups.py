@@ -90,6 +90,61 @@ def test_from_generators_cap():
     assert exc.value.witness["cap"] == 3
 
 
+def test_from_generators_cap_witness_is_one_past_the_cap():
+    for cap in (1, 3, 5):
+        with pytest.raises(SizeLimitExceeded) as exc:
+            from_generators(3, S3_GENS, cap=cap)
+        assert exc.value.witness == {"cap": cap, "reached": cap + 1}
+    group, _ = from_generators(3, S3_GENS, cap=6)
+    assert group.order == 6
+
+
+@pytest.mark.parametrize(
+    "image", [1.9, 1.0, True, "1"], ids=["float", "integral_float", "bool", "numeric_string"]
+)
+def test_permutation_images_must_be_ints(image):
+    with pytest.raises(NotAPermutation) as exc:
+        groups.check_permutation([0, image, 2], 3)
+    assert exc.value.witness == {"position": 1, "image": image}
+    with pytest.raises(NotAPermutation):
+        from_generators(3, [(image, 0, 2)])
+
+
+def test_closure_lists_breadth_first_and_stops_past_the_cap():
+    def add(a, b):
+        return (a + b) % 6
+
+    assert groups._closure(0, [2, 3], add) == [0, 2, 3, 4, 5, 1]
+    assert groups._closure(0, [2, 3], add, cap=6) == [0, 2, 3, 4, 5, 1]
+    assert groups._closure(0, [2, 3], add, cap=5) is None
+    assert groups._closure(0, [], add, cap=1) == [0]
+
+
+def test_extend_hom_returns_automorphisms_and_none_otherwise():
+    z4 = cyclic_group(4)
+    assert groups._extend_hom(z4, [1], [1]) == (0, 1, 2, 3)
+    assert groups._extend_hom(z4, [1], [3]) == (0, 3, 2, 1)
+    # 1 -> 2 extends to k -> 2k, which is not a bijection
+    assert groups._extend_hom(z4, [1], [2]) is None
+    # 2 = 1 + 1 must go to 1 + 1 = 2, not to 1
+    assert groups._extend_hom(z4, [1, 2], [1, 1]) is None
+    # one generator given two images
+    assert groups._extend_hom(z4, [1, 1], [1, 3]) is None
+    assert groups._extend_hom(z4, [1, 1], [3, 3]) == (0, 3, 2, 1)
+    # the identity must go to the identity
+    assert groups._extend_hom(z4, [0, 1], [2, 1]) is None
+
+
+def test_extend_hom_rejects_images_of_the_wrong_order():
+    group, _ = s3()
+    gens = groups._generating_set(group)
+    assert groups._extend_hom(group, gens, gens) == tuple(range(6))
+    # swapping the images of an involution and a 3-cycle breaks a relation
+    orders = [group.element_order(s) for s in gens]
+    assert sorted(orders) == [2, 3]
+    assert groups._extend_hom(group, gens, gens[::-1]) is None
+
+
 def test_identity_is_element_zero_with_cycle_labels():
     group, _ = s3()
     assert group.identity == 0

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from helpers import rand_function, rand_invariant_values, rand_scalar
+from helpers import induce_group_sum, rand_function, rand_invariant_values, rand_scalar
 from orbitspace.actions import GroupAction, conjugation_action, translation_action
+from orbitspace.corpus import build
 from orbitspace.errors import DegreeMismatch, EmptySubset, NotInvariant
 from orbitspace.groups import cyclic_group, from_generators
 from orbitspace.resind import (
@@ -34,6 +36,31 @@ def z2_on_four():
 def s3_conjugation():
     group, _ = from_generators(3, [(1, 0, 2), (1, 2, 0)])
     return conjugation_action(group)
+
+
+def s4_on_words(length=3):
+    """S4 permuting the letters of the words of a given length over 4 letters."""
+    group, perms = from_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    words = list(product(range(4), repeat=length))
+    index = {w: i for i, w in enumerate(words)}
+    table = [[index[tuple(p[c] for c in w)] for w in words] for p in perms]
+    return GroupAction(group, table)
+
+
+def differential_actions():
+    return (
+        z2_on_four(),
+        s3_conjugation(),
+        translation_action(cyclic_group(5)),
+        build("gl_on_vectors", n=2, q=3).action,
+        s4_on_words(),
+    )
+
+
+def rand_union_of_orbits(rng, act):
+    cells = act.orbits().cells
+    chosen = rng.sample(cells, rng.randint(1, len(cells)))
+    return invariant_subset(act, [x for c in chosen for x in c])
 
 
 def test_invariant_subset_whole_set():
@@ -185,6 +212,32 @@ def test_induce_is_linear():
         alpha = rand_scalar(rng)
         combo = SubsetFunction(y, [alpha * a + b for a, b in zip(f.values, g.values)])
         assert induce(y, combo) == induce(y, f).scale(alpha) + induce(y, g)
+
+
+def test_induce_agrees_with_the_group_sum():
+    """The orbit-sum form against the group sum of the definition, on
+    subsets of one or more orbits, for invariant and non-invariant inputs."""
+    rng = random.Random(47)
+    for act in differential_actions():
+        cells = act.orbits().cells
+        subsets = [invariant_subset(act, cells[-1]), invariant_subset(act, range(act.degree))]
+        subsets += [rand_union_of_orbits(rng, act) for _ in range(4)]
+        for y in subsets:
+            bumpy = SubsetFunction(y, [rand_scalar(rng) for _ in y.points])
+            assert induce(y, bumpy) == induce_group_sum(y, bumpy)
+            flat = restrict(rand_invariant_values(rng, act), y)
+            assert induce(y, flat) == induce_group_sum(y, flat)
+
+
+def test_reciprocity_against_the_group_sum_oracle():
+    rng = random.Random(49)
+    for act in differential_actions():
+        for _ in range(4):
+            y = rand_union_of_orbits(rng, act)
+            f = restrict(rand_invariant_values(rng, act), y)
+            g = rand_invariant_values(rng, act)
+            lhs, rhs = reciprocity_check(y, f, g)
+            assert lhs == rhs == inner_product(induce_group_sum(y, f), g)
 
 
 def test_reciprocity_hand_fixture():
