@@ -20,7 +20,7 @@ from .errors import (
     NotAnInteger,
     NotFree,
 )
-from .groups import FiniteGroup, Subgroup, _generating_set, compose, whole_group
+from .groups import FiniteGroup, Subgroup, _extend_rows, _generators, compose, whole_group
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -298,10 +298,7 @@ def validate_action(group: FiniteGroup, act: Sequence[Sequence[int]]) -> GroupAc
     """
     action = GroupAction(group, act)
     table = action.act
-    gens = group.generators
-    if gens is None:
-        gens = _generating_set(group)
-    for s in gens:
+    for s in _generators(group):
         row_s = table[s]
         for a in range(group.order):
             row_a = table[a]
@@ -323,8 +320,10 @@ def trivial_action(group: FiniteGroup, degree: int) -> GroupAction:
 
 def conjugation_action(group: FiniteGroup) -> GroupAction:
     """The group acting on its own elements by a.x = a x a^-1."""
-    mul, inv = group.mul_table, group.inv_table
-    act = [[mul[ax][inv[a]] for ax in mul[a]] for a in range(group.order)]
+    elements = group.elements()
+    act = _extend_rows(
+        group, group.order, lambda s: [group.conjugate(s, x) for x in elements]
+    )
     return GroupAction(group, act)
 
 
@@ -336,20 +335,17 @@ def translation_action(group: FiniteGroup) -> GroupAction:
 def coset_action(group: FiniteGroup, h: Subgroup) -> GroupAction:
     """Left multiplication on the cosets xH; points ordered by smallest member."""
     _require_same_group(h.parent, group, "subgroup belongs to a different group")
-    mul = group.mul_table
-    members = h.members
+    # scanning upward, the first element not yet placed is the smallest of its coset
     coset_of = [None] * group.order
-    cosets = []
-    for x in range(group.order):
-        if coset_of[x] is not None:
-            continue
-        row = mul[x]
-        cs = sorted(row[m] for m in members)
-        idx = len(cosets)
-        cosets.append(cs)
-        for y in cs:
-            coset_of[y] = idx
-    act = [[coset_of[mul[a][cs[0]]] for cs in cosets] for a in range(group.order)]
+    reps = []
+    for x in group.elements():
+        if coset_of[x] is None:
+            for y in h.members:
+                coset_of[group.mul(x, y)] = len(reps)
+            reps.append(x)
+    act = _extend_rows(
+        group, len(reps), lambda s: [coset_of[group.mul(s, x)] for x in reps]
+    )
     return GroupAction(group, act)
 
 

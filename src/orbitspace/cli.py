@@ -43,7 +43,49 @@ def _read_json(path: str):
 
 
 def _render(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    json's indenting encoder is pure Python, element by element (only
+    ``indent=None`` reaches the C encoder). Here a list of plain ints is one
+    ``str.join``, and keys and other scalars still go through ``json.dumps``.
+    """
+    out = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list):
+    """Append the indented JSON text of value; newline ends with its indent."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                key = json.dumps(key)  # json writes number, bool and null keys as strings
+            out.append(sep + json.dumps(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:  # bools and int subclasses take the long way
+            out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def _emit(doc, output: str | None):
@@ -291,76 +333,80 @@ def _add_io(sub, functions=0):
         sub.add_argument("--function", action="append", help="function JSON file")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="orbitspace",
-        description="Exact analysis of finite group actions and their invariant function spaces.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("validate", help="check a group action table")
-    _add_io(sub)
-    sub.set_defaults(run=_cmd_validate)
-
-    sub = subs.add_parser("orbits", help="orbit partition of an action")
-    _add_io(sub)
-    sub.set_defaults(run=_cmd_orbits)
-
-    sub = subs.add_parser("dimension", help="invariant-space dimension by fixed-point count")
+def _add_subgroup(sub):
     _add_io(sub)
     sub.add_argument("--subgroup", help="comma-separated generating elements")
-    sub.set_defaults(run=_cmd_dimension)
 
-    sub = subs.add_parser("free-check", help="freeness, and the dimension ratio for a subgroup")
-    _add_io(sub)
-    sub.add_argument("--subgroup", help="comma-separated generating elements")
-    sub.set_defaults(run=_cmd_free_check)
 
-    sub = subs.add_parser("fourier", help="orbit-average projection and coefficients")
-    _add_io(sub, functions=1)
-    sub.set_defaults(run=_cmd_fourier)
-
-    sub = subs.add_parser("bessel", help="both sides of the projection norm inequality")
-    _add_io(sub, functions=1)
-    sub.set_defaults(run=_cmd_bessel)
-
-    sub = subs.add_parser("decompose", help="orthogonal splittings of a function")
-    _add_io(sub, functions=1)
-    sub.set_defaults(run=_cmd_decompose)
-
-    sub = subs.add_parser("reciprocity", help="adjointness of induction and restriction")
+def _add_reciprocity(sub):
     _add_io(sub, functions=2)
     sub.add_argument("--subset", help="comma-separated points of the invariant subset")
-    sub.set_defaults(run=_cmd_reciprocity)
 
-    sub = subs.add_parser("from-partition", help="realize partition cells as orbits")
+
+def _add_from_partition(sub):
     _add_io(sub)
     sub.add_argument(
         "--minimal-generators",
         action="store_true",
         help="use adjacent transpositions within each cell",
     )
-    sub.set_defaults(run=_cmd_from_partition)
 
-    sub = subs.add_parser("equivalence", help="search for an equivariant bijection")
-    _add_io(sub)
-    sub.set_defaults(run=_cmd_equivalence)
 
-    sub = subs.add_parser("corpus", help="ready-made example actions")
+def _add_corpus(sub):
     corpus_subs = sub.add_subparsers(dest="corpus_command", required=True)
     sub_list = corpus_subs.add_parser("list", help="list corpus names")
     sub_list.add_argument("--output")
-    sub_list.set_defaults(run=_cmd_corpus, param=None, name=None)
+    sub_list.set_defaults(param=None, name=None)
     sub_build = corpus_subs.add_parser("build", help="build one corpus entry")
     sub_build.add_argument("name")
     sub_build.add_argument("--param", action="append", help="key=value, repeatable")
     sub_build.add_argument("--output")
-    sub_build.set_defaults(run=_cmd_corpus)
+
+
+def _add_functions(sub):
+    _add_io(sub, functions=1)
+
+
+# name, help, command, and the function that adds its arguments
+_COMMANDS = (
+    ("validate", "check a group action table", _cmd_validate, _add_io),
+    ("orbits", "orbit partition of an action", _cmd_orbits, _add_io),
+    ("dimension", "invariant-space dimension by fixed-point count", _cmd_dimension, _add_subgroup),
+    ("free-check", "freeness, and the dimension ratio for a subgroup", _cmd_free_check, _add_subgroup),
+    ("fourier", "orbit-average projection and coefficients", _cmd_fourier, _add_functions),
+    ("bessel", "both sides of the projection norm inequality", _cmd_bessel, _add_functions),
+    ("decompose", "orthogonal splittings of a function", _cmd_decompose, _add_functions),
+    ("reciprocity", "adjointness of induction and restriction", _cmd_reciprocity, _add_reciprocity),
+    ("from-partition", "realize partition cells as orbits", _cmd_from_partition, _add_from_partition),
+    ("equivalence", "search for an equivariant bijection", _cmd_equivalence, _add_io),
+    ("corpus", "ready-made example actions", _cmd_corpus, _add_corpus),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI parser. Every command is listed, so help and usage errors stay
+    the same, but only the command that ``argv`` names (or every command,
+    when it names none) gets its arguments."""
+    parser = argparse.ArgumentParser(
+        prog="orbitspace",
+        description="Exact analysis of finite group actions and their invariant function spaces.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv else None
+    if named not in {name for name, *_ in _COMMANDS}:
+        named = None
+    for name, help_text, run, add_arguments in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(run=run)
+        if named in (None, name):
+            add_arguments(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     output = getattr(args, "output", None)
     try:
         if getattr(args, "cap", None) is None and hasattr(args, "cap"):

@@ -11,13 +11,15 @@ permutations and the ready-made table.
 A product is one composition and one dictionary lookup, so closure, orbits,
 fixed points, stabilizers, Burnside sums and subgroup closure need no m x m
 table. Code that reads on the order of m^2 products reads ``mul_table``,
-which is built once, on first access.
+which is built once, on first access, from the generators' rows
+(``_extend_rows``): the Cayley table is the left-regular action.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -156,11 +158,16 @@ class FiniteGroup:
 
     @property
     def mul_table(self) -> tuple:
-        """The m x m Cayley table; the first access builds it with m^2 compositions."""
+        """The m x m Cayley table, built on first access.
+
+        Row a is the left-regular permutation b -> ab, and these rows compose
+        like the elements (Cayley's theorem), so the generators' rows fix the
+        whole table: m |S| products for those rows, then ``_extend_rows``.
+        """
         if self._mul_table is None:
             index, perms = self.index, self.perms
-            self._mul_table = tuple(
-                tuple([index[compose(p, q)] for q in perms]) for p in perms
+            self._mul_table = _extend_rows(
+                self, self.order, lambda s: [index[compose(perms[s], q)] for q in perms]
             )
         return self._mul_table
 
@@ -478,39 +485,74 @@ def _closure(start, gens, product, cap=None):
     return found
 
 
+def _extend_rows(group: FiniteGroup, degree: int, row_of) -> tuple:
+    """The table of an action of ``group`` on 0..degree-1, from generator rows.
+
+    ``row_of(s)`` is the row x -> s.x of a generator s. In any action
+    row(p.s) = row(p) o row(s), so the closure walk from the identity gives
+    each newly found q = p.s the row row(p) o row(s), read from row(p) by
+    one C-level ``itemgetter`` call: m row compositions plus m |S|
+    products, where an element-by-element build takes m n. Every row holds
+    the identity row's int objects.
+    """
+    if degree == 1:  # the only row is (0,), and itemgetter(0) returns no tuple
+        return ((0,),) * group.order
+    gens = _generators(group)
+    compose_with = {s: itemgetter(*row_of(s)) for s in gens}
+    rows = [None] * group.order
+    rows[group.identity] = tuple(range(degree))
+
+    def step(p, s):
+        q = group.mul(p, s)
+        if rows[q] is None:
+            rows[q] = compose_with[s](rows[p])
+        return q
+
+    found = _closure(group.identity, gens, step)
+    if len(found) != group.order:
+        raise InvariantViolated(
+            "the generators do not generate the group", len(found), group.order
+        )
+    return tuple(rows)
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     """Z_n with additive notation; element k is the residue k."""
     if n < 1:
         raise NoIdentity(f"order must be positive, got {n}")
     mul = [[(a + b) % n for b in range(n)] for a in range(n)]
     inv = [(-a) % n for a in range(n)]
-    return FiniteGroup.from_cayley_rows(mul, 0, inv, labels=[str(a) for a in range(n)])
+    return FiniteGroup.from_cayley_rows(
+        mul, 0, inv, labels=[str(a) for a in range(n)], generators=[1] if n > 1 else []
+    )
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """G x H with element (a, b) encoded as a*|H| + b."""
+    """G x H with element (a, b) encoded as a*|H| + b.
+
+    Element (a, b) carries g's permutation of a followed by h's permutation
+    of b, shifted past it, so the product is backed by permutations like a
+    closure, with generators (s, e) and (e, t), and builds its Cayley table
+    on demand.
+    """
     mh = h.order
-    order = g.order * mh
-
-    def enc(a, b):
-        return a * mh + b
-
-    g_mul, h_mul = g.mul_table, h.mul_table
-    mul = [[0] * order for _ in range(order)]
-    for a1 in range(g.order):
-        g_row = g_mul[a1]
-        for b1 in range(mh):
-            row = mul[enc(a1, b1)]
-            h_row = h_mul[b1]
-            for a2 in range(g.order):
-                ga = g_row[a2]
-                for b2 in range(mh):
-                    row[enc(a2, b2)] = enc(ga, h_row[b2])
-    inv = [enc(g.inv(a), h.inv(b)) for a in range(g.order) for b in range(mh)]
+    shift = len(g.perms[0])
+    h_perms = [tuple([x + shift for x in q]) for q in h.perms]
+    perms = [p + q for p in g.perms for q in h_perms]
+    inv = [a * mh + b for a in g.inv_table for b in h.inv_table]
     labels = [
         f"({g.label(a)},{h.label(b)})" for a in range(g.order) for b in range(mh)
     ]
-    return FiniteGroup.from_cayley_rows(mul, enc(g.identity, h.identity), inv, labels=labels)
+    gens = [s * mh + h.identity for s in _generators(g)]
+    gens += [g.identity * mh + t for t in _generators(h)]
+    return FiniteGroup(
+        perms, g.identity * mh + h.identity, inv, labels=labels, generators=sorted(gens)
+    )
+
+
+def _generators(g: FiniteGroup):
+    """The recorded generators of g, else a greedy generating set."""
+    return g.generators if g.generators is not None else _generating_set(g)
 
 
 def _generating_set(g: FiniteGroup) -> list:

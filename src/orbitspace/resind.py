@@ -20,7 +20,7 @@ from typing import Iterable
 from .actions import GroupAction
 from .errors import DegreeMismatch, EmptySubset, InvariantViolated, NotInvariant
 from .scalars import GaussianRational, ZERO
-from .spaces import PointFunction, fourier_projection, inner_product, is_invariant
+from .spaces import PointFunction, _cell_sums, inner_product, is_invariant
 
 
 class InvariantSubset:
@@ -150,15 +150,18 @@ def induce(subset: InvariantSubset, g: SubsetFunction) -> PointFunction:
 
     Computed by orbit sums: b^-1 . x runs over the orbit Gx, reaching each
     point |G| / |Gx| times, so the group sum is (|G| / |Gx|) times the sum
-    over Gx, and Ind g = (|X| / |Y|) times the orbit average of the
-    zero-extension. Defined on all functions on the subset; the average is
-    always invariant.
+    over Gx, and Ind g is (|X| / (|Y| |Gx|)) times the sum over Gx of the
+    zero-extension: one product per orbit. Defined on all functions on the
+    subset; the result is always invariant.
     """
     act = subset.action
-    out = fourier_projection(act, extend_by_zero(g)).scale(
-        GaussianRational(Fraction(act.degree, subset.size))
-    )
-    vals = out.values
+    part, sums = _cell_sums(act, extend_by_zero(g))
+    vals = [ZERO] * act.degree
+    for cell, s in zip(part.cells, sums):
+        value = s * GaussianRational(Fraction(act.degree, subset.size * len(cell)))
+        for x in cell:
+            vals[x] = value
+    out = PointFunction(vals)
     if is_invariant(act, out) is None:
         x, y = next(
             (c[0], y) for c in act.orbits().cells for y in c if vals[y] != vals[c[0]]

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from orbitspace.actions import GroupAction
+from orbitspace.groups import compose
 from orbitspace.scalars import GaussianRational
 from orbitspace.spaces import PointFunction
 
@@ -79,6 +80,45 @@ def induce_group_sum(subset, g) -> PointFunction:
             s = s + tilde[row[x]]
         vals.append(coeff * s)
     return PointFunction(vals)
+
+
+def mul_table_oracle(group):
+    """The Cayley table by m^2 compositions of the elements' permutations."""
+    index, perms = group.index, group.perms
+    return tuple(tuple([index[compose(p, q)] for q in perms]) for p in perms)
+
+
+def direct_product_oracle(g_table, h_table):
+    """The Cayley table of G x H, with (a, b) as a*|H| + b, from both tables."""
+    mg, mh = len(g_table), len(h_table)
+    mul = [[0] * (mg * mh) for _ in range(mg * mh)]
+    for a1 in range(mg):
+        for b1 in range(mh):
+            row = mul[a1 * mh + b1]
+            for a2 in range(mg):
+                for b2 in range(mh):
+                    row[a2 * mh + b2] = g_table[a1][a2] * mh + h_table[b1][b2]
+    return tuple(map(tuple, mul))
+
+
+def conjugation_oracle(table, inv):
+    """act[a][x] = a x a^-1, read off a Cayley table."""
+    return tuple(tuple(table[ax][inv[a]] for ax in table[a]) for a in range(len(table)))
+
+
+def coset_oracle(table, members):
+    """Left multiplication on the cosets xH, ordered by smallest member."""
+    coset_of = [None] * len(table)
+    cosets = []
+    for x in range(len(table)):
+        if coset_of[x] is None:
+            cs = sorted(table[x][m] for m in members)
+            for y in cs:
+                coset_of[y] = len(cosets)
+            cosets.append(cs)
+    return tuple(
+        tuple(coset_of[table[a][cs[0]]] for cs in cosets) for a in range(len(table))
+    )
 
 
 def count_cell_preserving(partition) -> int:

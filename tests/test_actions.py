@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import conjugation_oracle, coset_oracle, mul_table_oracle
 from orbitspace import actions
 from orbitspace.actions import (
     GroupAction,
@@ -505,3 +506,34 @@ def test_equivalence_transports_invariance():
         for a in h.members:
             for y in range(other.degree):
                 assert transported[other.act[a][y]] == transported[y]
+
+
+# ---------------------------------------------------------------------------
+# tables from generator rows, against the element-by-element builds
+
+
+@st.composite
+def permutation_groups(draw):
+    """A closure of random generators; as often, the same group from its table."""
+    degree = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.permutations(range(degree)), max_size=3))
+    group, _ = from_generators(degree, [tuple(p) for p in gens])
+    if draw(st.booleans()):
+        group = group_from_table(group.mul_table)
+    return group
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_groups())
+def test_conjugation_action_matches_the_table_build(group):
+    table = conjugation_action(group).act
+    assert table == conjugation_oracle(mul_table_oracle(group), group.inv_table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_groups(), st.data())
+def test_coset_action_matches_the_table_build(group, data):
+    seeds = data.draw(st.lists(st.integers(0, group.order - 1), max_size=2))
+    h = group.subgroup_generated(seeds)
+    table = coset_action(group, h).act
+    assert table == coset_oracle(mul_table_oracle(group), h.members)

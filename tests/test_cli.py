@@ -1,5 +1,6 @@
 """CLI behavior: golden reports, exit codes, and machine-readable errors."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,8 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitspace.cli import main
+from orbitspace.cli import _render, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 IN = GOLDEN / "inputs"
@@ -380,3 +383,117 @@ def test_every_exported_name_resolves():
     assert orbitspace.__all__ == sorted(orbitspace.__all__)
     with pytest.raises(AttributeError):
         orbitspace.nope
+
+
+# ---------------------------------------------------------------------------
+# the report writer against json.dumps
+
+
+def json_scalars():
+    return st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=2**64),
+        st.floats(),
+        st.text(),
+        st.fractions().map(str),
+    )
+
+
+def json_documents():
+    int_lists = st.lists(st.integers(-(2**70), 2**70))
+    leaves = st.one_of(
+        json_scalars(),
+        int_lists,
+        int_lists.map(tuple),
+        st.lists(st.booleans()),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(st.text(), inner, max_size=4),
+        ),
+        max_leaves=20,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_documents())
+def test_render_is_json_dumps_with_sorted_keys_and_indent(doc):
+    assert _render(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"a": [], "b": {}, "c": ()},
+        [[0, 1], [1, 0]],
+        {"\u00e9t\u00e9": "na\u00efve", 'q"uo\\te': "tab\there\n"},
+        {"ratio": "-3/4", "pair": ["1/2", "0"]},
+        {True: 1, False: [True, 1]},
+        {1: "one", 10: "ten", 2: None},
+        {None: 0},
+        {1.5: 0, 0.25: 1},
+    ],
+)
+def test_render_examples(doc):
+    assert _render(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (
+            ["symmetric", "--param", "n=6"],
+            "904c650a90ee110e486c46f52e04584cb29753393a40a29fd457c2602773e506",
+        ),
+        (
+            ["two_sided", "--param", "group=s4"],
+            "1b8fd9df684062a9acb23253d07cff649d0b53e0b138c09cc0cb1113638a1b2a",
+        ),
+    ],
+    ids=["symmetric-n6", "two_sided-s4"],
+)
+def test_corpus_table_reports_keep_their_bytes(build, digest, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["corpus", "build", *build, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the parser builds the arguments of the named command only
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--input", "a.json", "--cap", "9"],
+        ["orbits", "--input", "a.json", "--output", "o.json"],
+        ["dimension", "--input", "a.json", "--subgroup", "1,2"],
+        ["free-check", "--input", "a.json", "--subgroup", "2"],
+        ["fourier", "--input", "a.json", "--function", "f.json"],
+        ["bessel", "--input", "a.json", "--function", "f.json"],
+        ["decompose", "--input", "a.json", "--function", "f.json"],
+        ["reciprocity", "--input", "a.json", "--subset", "0,1", "--function", "f", "--function", "g"],
+        ["from-partition", "--input", "p.json", "--minimal-generators"],
+        ["equivalence", "--input", "a.json", "--input", "b.json"],
+        ["corpus", "list"],
+        ["corpus", "build", "coset", "--param", "group=s4", "--output", "o.json"],
+    ],
+    ids=lambda argv: argv[0] if argv[0] != "corpus" else "-".join(argv[:2]),
+)
+def test_parser_for_the_named_command_parses_like_the_full_parser(argv):
+    assert vars(build_parser(argv).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def test_parser_leaves_other_commands_without_arguments(capsys):
+    parser = build_parser(["orbits"])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["validate", "--input", "a.json"])
+    assert "unrecognized arguments: --input" in capsys.readouterr().err

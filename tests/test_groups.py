@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import direct_product_oracle, mul_table_oracle
 from orbitspace import groups
 from orbitspace.cli import main
 from orbitspace.errors import (
+    InvariantViolated,
     NoIdentity,
     NoInverse,
     NotAPermutation,
@@ -623,3 +625,68 @@ def test_s7_commands_compose_linearly_in_the_order(argv, tmp_path, monkeypatch, 
     assert calls[0] <= 2 * order * n_gens
     if argv[0] == "dimension":
         assert report["group_order"] == order
+
+
+# ---------------------------------------------------------------------------
+# tables from generator rows, against the m^2 composition loop
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(), st.booleans())
+def test_mul_table_matches_the_composition_loop(case, recorded):
+    degree, gens = case
+    g, _ = from_generators(degree, gens)
+    if not recorded:  # falls back to a greedy generating set
+        g = FiniteGroup(g.perms, g.identity, g.inv_table)
+    assert g.mul_table == mul_table_oracle(g)
+
+
+def small_factors():
+    perm_groups = generator_sets(max_degree=4).map(lambda case: from_generators(*case)[0])
+    cyclic = st.integers(1, 6).map(cyclic_group)
+    return st.one_of(perm_groups, cyclic, st.builds(direct_product, cyclic, cyclic))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_factors(), small_factors())
+def test_direct_product_matches_the_factor_tables(g, h):
+    gh = direct_product(g, h)
+    assert gh.mul_table == direct_product_oracle(mul_table_oracle(g), mul_table_oracle(h))
+    mh = h.order
+    assert gh.identity == g.identity * mh + h.identity
+    assert gh.inv_table == tuple(a * mh + b for a in g.inv_table for b in h.inv_table)
+    assert gh.subgroup_generated(gh.generators).is_whole_group()
+    assert gh == group_from_table(gh.mul_table)
+
+
+def test_s6_mul_table_composes_linearly_in_the_order(monkeypatch):
+    """The composition loop makes m^2 = 518400 compositions. Generator rows
+    take m |S| products, the closure walk m |S| more, and a row needs none."""
+    group, _ = from_generators(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
+    calls = [0]
+
+    def counted(p, q):
+        calls[0] += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(groups, "compose", counted)
+    table = group.mul_table
+    m, k = group.order, len(group.generators)
+    assert m == 720 and calls[0] <= m * (2 * k + 1)
+    monkeypatch.undo()
+    assert table == mul_table_oracle(group)
+
+
+def test_table_rows_share_the_identity_rows_ints():
+    group, _ = from_generators(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
+    table = group.mul_table
+    identity_row = table[group.identity]
+    assert all(row[b] is identity_row[row[b]] for row in table for b in (0, 300, 719))
+
+
+def test_extend_rows_refuses_generators_that_miss_elements():
+    g, _ = from_generators(3, S3_GENS)
+    short = FiniteGroup(g.perms, g.identity, g.inv_table, generators=[1])
+    with pytest.raises(InvariantViolated) as exc:
+        short.mul_table
+    assert exc.value.witness["rhs"] == 6 and exc.value.witness["lhs"] < 6

@@ -7,9 +7,10 @@ from itertools import product
 import pytest
 
 from helpers import induce_group_sum, rand_function, rand_invariant_values, rand_scalar
-from orbitspace.actions import GroupAction, conjugation_action, translation_action
+from orbitspace import resind
+from orbitspace.actions import GroupAction, Partition, conjugation_action, translation_action
 from orbitspace.corpus import build
-from orbitspace.errors import DegreeMismatch, EmptySubset, NotInvariant
+from orbitspace.errors import DegreeMismatch, EmptySubset, InvariantViolated, NotInvariant
 from orbitspace.groups import cyclic_group, from_generators
 from orbitspace.resind import (
     SubsetFunction,
@@ -200,6 +201,23 @@ def test_induce_always_lands_invariant():
                 g = SubsetFunction(y, [rand_scalar(rng) for _ in y.points])
                 out = induce(y, g)
                 assert is_invariant(act, out) is not None
+
+
+def test_induce_names_two_points_of_an_orbit_where_it_is_not_constant(monkeypatch):
+    """Orbit sums over cells that are not orbits break the invariance check."""
+    act = s3_conjugation()
+    y = invariant_subset(act, range(act.degree))
+    g = SubsetFunction(y, [gr(x) for x in y.points])
+
+    def point_sums(action, f):
+        return Partition(action.degree, [[x] for x in range(action.degree)]), list(f.values)
+
+    monkeypatch.setattr(resind, "_cell_sums", point_sums)
+    with pytest.raises(InvariantViolated) as exc:
+        induce(y, g)
+    x, z = exc.value.witness["points"]
+    assert act.orbits().cell_of[x] == act.orbits().cell_of[z] and x != z
+    assert exc.value.witness["lhs"] == gr(x).to_pair() != exc.value.witness["rhs"]
 
 
 def test_induce_is_linear():

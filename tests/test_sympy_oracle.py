@@ -10,6 +10,7 @@ combinatorics = pytest.importorskip("sympy.combinatorics")
 Permutation = combinatorics.Permutation
 PermutationGroup = combinatorics.PermutationGroup
 
+from orbitspace.actions import GroupAction  # noqa: E402
 from orbitspace.cli import main  # noqa: E402
 from orbitspace.corpus import group_by_name  # noqa: E402
 from orbitspace.groups import from_generators  # noqa: E402
@@ -42,6 +43,33 @@ def test_subgroup_generated_order_matches_sympy():
         ours = group.subgroup_generated(seeds)
         theirs = sympy_group(5, [perms[a] for a in seeds])
         assert ours.order == theirs.order(), seeds
+
+
+def test_orbits_and_stabilizer_orders_match_sympy():
+    rng = random.Random(61)
+    for _ in range(40):
+        degree = rng.randint(1, 7)
+        gens = [rand_perm(rng, degree) for _ in range(rng.randint(0, 3))]
+        action = GroupAction(*from_generators(degree, gens))
+        theirs = sympy_group(degree, gens)
+        cells = sorted(tuple(sorted(orbit)) for orbit in theirs.orbits())
+        assert list(action.orbits().cells) == cells, (degree, gens)
+        for x in range(degree):
+            assert action.stabilizer(x).order == theirs.stabilizer(x).order(), (gens, x)
+
+
+def test_cli_orbits_of_permutation_documents_match_sympy(tmp_path, capsys):
+    rng = random.Random(67)
+    path = tmp_path / "action.json"
+    for _ in range(10):
+        degree = rng.randint(2, 8)
+        gens = [rand_perm(rng, degree) for _ in range(rng.randint(1, 2))]
+        group = {"kind": "permutation", "degree": degree, "generators": [list(g) for g in gens]}
+        path.write_text(json.dumps({"kind": "evaluation", "group": group}))
+        assert main(["orbits", "--input", str(path)]) == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        theirs = sorted(sorted(orbit) for orbit in sympy_group(degree, gens).orbits())
+        assert cells == theirs, (degree, gens)
 
 
 def sylow_count(group, p):
