@@ -3,7 +3,7 @@
 A ``GroupAction`` is a validated m x n table act[a][x] = a.x over a
 ``FiniteGroup``. This module provides orbit/fixed-point/stabilizer scans,
 the Cauchy-Frobenius dimension count for the space of invariant functions,
-its consequences for free actions, and an equivariant-bijection search for
+its consequences for free actions, and an orbit matching by stabilizers for
 deciding when two actions of the same group are the same up to relabeling.
 """
 
@@ -20,7 +20,7 @@ from .errors import (
     NotAnInteger,
     NotFree,
 )
-from .groups import FiniteGroup, Subgroup, _extend_rows, _generators, compose, whole_group
+from .groups import FiniteGroup, Subgroup, _closure, _extend_rows, _generators, compose, whole_group
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -37,7 +37,11 @@ class Partition:
     __slots__ = ("degree", "cells", "cell_of")
 
     def __init__(self, degree: int, cells: Sequence[Sequence[int]]):
-        norm = [tuple(sorted(set(int(x) for x in cell))) for cell in cells]
+        cells = [tuple(cell) for cell in cells]
+        for x in chain.from_iterable(cells):
+            if type(x) is not int:  # bools, floats and strings are refused, never converted
+                raise ValueError(f"point {x!r} is not an int")
+        norm = [tuple(sorted(set(cell))) for cell in cells]
         for cell in norm:
             if not cell:
                 raise ValueError("empty cell in partition")
@@ -81,7 +85,7 @@ class GroupAction:
     generators.
     """
 
-    __slots__ = ("group", "degree", "act")
+    __slots__ = ("group", "degree", "act", "_orbits")
 
     def __init__(self, group: FiniteGroup, act: Sequence[Sequence[int]]):
         self.group = group
@@ -106,26 +110,38 @@ class GroupAction:
                 raise IdentityAxiomViolated(
                     f"identity moves point {x}", point=x
                 )
+        self._orbits = None
 
     def apply(self, a: int, x: int) -> int:
         return self.act[a][x]
 
     def orbit(self, x: int) -> tuple:
         """{a.x : a in G}, sorted."""
-        return tuple(sorted(set(row[x] for row in self.act)))
+        part = self.orbits()
+        return part.cells[part.cell_of[x]]
 
     def orbits(self, subgroup: Optional[Subgroup] = None) -> Partition:
-        """Orbit partition, optionally under a subgroup's inherited action."""
-        rows = self._rows(subgroup)
+        """Orbit partition, optionally under a subgroup's inherited action.
+
+        Each orbit is a closure under the generators' rows, O(n |S|) in all
+        (Holt, Eick & O'Brien, Handbook of CGT, 4.1); the whole group's is kept.
+        """
+        if subgroup is not None and not self._subgroup(subgroup).is_whole_group():
+            return self._orbit_partition(subgroup.generators)
+        if self._orbits is None:
+            self._orbits = self._orbit_partition(_generators(self.group))
+        return self._orbits
+
+    def _orbit_partition(self, gens) -> Partition:
+        rows = [self.act[s] for s in gens]
         seen = [False] * self.degree
         cells = []
         for x in range(self.degree):
-            if seen[x]:
-                continue
-            cell = sorted(set(row[x] for row in rows))
-            for y in cell:
-                seen[y] = True
-            cells.append(cell)
+            if not seen[x]:
+                cell = _closure(x, rows, lambda y, row: row[y])
+                for y in cell:
+                    seen[y] = True
+                cells.append(cell)
         return Partition(self.degree, cells)
 
     def fix(self, a: int) -> tuple:
@@ -138,10 +154,11 @@ class GroupAction:
         return Subgroup(self.group, members)
 
     def is_trivial(self) -> bool:
-        return all(row[x] == x for row in self.act for x in range(self.degree))
+        identity_row = self.act[self.group.identity]
+        return all(self.act[s] == identity_row for s in _generators(self.group))
 
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
+        return len(self.orbits()) == 1
 
     def is_free(self) -> bool:
         """True iff no element besides the identity fixes a point."""
@@ -229,12 +246,6 @@ class GroupAction:
             subgroup.parent, self.group, "subgroup belongs to a different group"
         )
         return subgroup
-
-    def _rows(self, subgroup: Optional[Subgroup]):
-        if subgroup is None:
-            return self.act
-        self._subgroup(subgroup)
-        return [self.act[a] for a in subgroup.members]
 
     def __eq__(self, other):
         if not isinstance(other, GroupAction):
@@ -349,69 +360,42 @@ def coset_action(group: FiniteGroup, h: Subgroup) -> GroupAction:
     return GroupAction(group, act)
 
 
-def _orbit_signature(action: GroupAction, cell) -> tuple:
-    stab_orders = sorted(action.stabilizer(x).order for x in cell)
-    return (len(cell), tuple(stab_orders))
-
-
 def are_equivalent(a1: GroupAction, a2: GroupAction) -> Optional[list]:
-    """Search for an equivariant bijection phi with phi(a.x) = a.phi(x).
+    """An equivariant bijection phi with phi(a.x) = a.phi(x), or None.
 
     Returns the point map as a list, or None when the actions are not
-    equivalent (including the degree-mismatch case). Orbits are matched by
-    (size, stabilizer-order multiset) before the backtracking assignment;
-    within a candidate orbit pair, a match is pinned down by choosing an
-    image for one base point whose stabilizer agrees exactly.
+    equivalent (including the degree-mismatch case). The orbit of x0 is
+    isomorphic to an orbit of a2 exactly when the latter holds a y0 with the
+    stabilizer of x0, and then phi(a.x0) = a.y0. Isomorphism is an equivalence
+    relation, so taking the first unused such orbit finds a pairing whenever
+    one exists. Orbits of one size have stabilizers of one order, so y0 needs
+    only to be fixed by Stab(x0). Equivariance is checked on generators.
     """
     _require_same_group(a1.group, a2.group, "actions must share the same group")
     if a1.degree != a2.degree:
         return None
-    group = a1.group
-    cells1 = list(a1.orbits().cells)
-    cells2 = list(a2.orbits().cells)
+    cells1 = a1.orbits().cells
+    cells2 = a2.orbits().cells
     if len(cells1) != len(cells2):
         return None
-    sig1 = [_orbit_signature(a1, c) for c in cells1]
-    sig2 = [_orbit_signature(a2, c) for c in cells2]
-    if sorted(sig1) != sorted(sig2):
-        return None
-
+    gens = _generators(a1.group)
+    gen_rows = [(a1.act[s], a2.act[s]) for s in gens]
     phi = [None] * a1.degree
     used = [False] * len(cells2)
-
-    def match_pair(c1, c2) -> Optional[dict]:
+    for c1 in cells1:
         x0 = c1[0]
-        s1 = a1.stabilizer(x0).members
-        for y0 in c2:
-            if a2.stabilizer(y0).members != s1:
-                continue
-            local = {}
-            for a in range(group.order):
-                local[a1.act[a][x0]] = a2.act[a][y0]
-            return local
-        return None
-
-    def assign(i) -> bool:
-        if i == len(cells1):
-            return True
-        for j, c2 in enumerate(cells2):
-            if used[j] or sig2[j] != sig1[i]:
-                continue
-            local = match_pair(cells1[i], c2)
-            if local is None:
-                continue
-            used[j] = True
-            for x, y in local.items():
-                phi[x] = y
-            if assign(i + 1):
-                return True
-            used[j] = False
-            for x in local:
-                phi[x] = None
-        return False
-
-    if not assign(0):
-        return None
+        stab_rows = [a2.act[a] for a in a1.stabilizer(x0).members]
+        candidates = (
+            (j, y) for j, c2 in enumerate(cells2) if not used[j] and len(c2) == len(c1) for y in c2
+        )
+        match = next(((j, y) for j, y in candidates if all(r[y] == y for r in stab_rows)), None)
+        if match is None:
+            return None
+        j, y0 = match
+        used[j] = True
+        # phi(s.x) = s.phi(x) carries x0 -> y0 over the orbit
+        for x, y in _closure((x0, y0), gen_rows, lambda p, r: (r[0][p[0]], r[1][p[1]])):
+            phi[x] = y
     if None in phi:
         raise InvariantViolated(
             "matched orbits leave a point unassigned",
@@ -419,11 +403,11 @@ def are_equivalent(a1: GroupAction, a2: GroupAction) -> Optional[list]:
             a1.degree,
             point=phi.index(None),
         )
-    for a in range(group.order):
+    for s, (row1, row2) in zip(gens, gen_rows):
         for x in range(a1.degree):
-            lhs, rhs = phi[a1.act[a][x]], a2.act[a][phi[x]]
+            lhs, rhs = phi[row1[x]], row2[phi[x]]
             if lhs != rhs:
                 raise InvariantViolated(
-                    f"phi({a}.{x}) != {a}.phi({x})", lhs, rhs, element=a, point=x
+                    f"phi({s}.{x}) != {s}.phi({x})", lhs, rhs, element=s, point=x
                 )
     return phi

@@ -207,7 +207,7 @@ class FiniteGroup:
         closure under inverses.
         """
         gens = sorted(set(int(s) for s in seeds))
-        return Subgroup(self, _closure(self.identity, gens, self.mul))
+        return Subgroup(self, _closure(self.identity, gens, self.mul), gens)
 
     def is_automorphism(self, sigma: Sequence[int]) -> bool:
         """True iff sigma(ab) = sigma(a)sigma(b) for all a, b (sigma a bijection)."""
@@ -274,14 +274,16 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """A subgroup as a sorted member set inside a parent group."""
+    """A subgroup as a sorted member set inside a parent group, with
+    ``generators`` that generate it (by default, all the members)."""
 
-    __slots__ = ("parent", "members", "_member_set")
+    __slots__ = ("parent", "members", "generators", "_member_set")
 
-    def __init__(self, parent: FiniteGroup, members: Iterable[int]):
+    def __init__(self, parent: FiniteGroup, members: Iterable[int], generators=None):
         self.parent = parent
         self._member_set = frozenset(members)
         self.members = tuple(sorted(self._member_set))
+        self.generators = self.members if generators is None else tuple(generators)
 
     @property
     def order(self) -> int:
@@ -324,7 +326,7 @@ class Subgroup:
 
 
 def whole_group(g: FiniteGroup) -> Subgroup:
-    return Subgroup(g, range(g.order))
+    return Subgroup(g, range(g.order), g.generators)
 
 
 def group_from_table(mul_table, labels=None) -> FiniteGroup:

@@ -38,8 +38,9 @@ def _expect(obj, key, kinds, where):
 
 
 def _int_list(value, where):
-    # JSON true and false are Python bools, which isinstance counts as ints.
-    if not isinstance(value, list) or not all(type(x) is int for x in value):
+    # JSON true and false are Python bools, which isinstance counts as ints;
+    # one C-level pass over the entries' types refuses them.
+    if not (isinstance(value, list) and {int}.issuperset(map(type, value))):
         raise ParseError(f"{where} must be a list of integers", where=where)
     return value
 

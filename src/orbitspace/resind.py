@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .actions import GroupAction
+from .groups import _generators
 from .errors import DegreeMismatch, EmptySubset, InvariantViolated, NotInvariant
 from .scalars import GaussianRational, ZERO
 from .spaces import PointFunction, _cell_sums, inner_product, is_invariant
@@ -31,13 +32,12 @@ class InvariantSubset:
     is not contiguous.
     """
 
-    __slots__ = ("action", "points", "position", "_restricted")
+    __slots__ = ("action", "points", "position")
 
     def __init__(self, action: GroupAction, points: tuple):
         self.action = action
         self.points = points
         self.position = {x: i for i, x in enumerate(points)}
-        self._restricted = None
 
     @property
     def size(self) -> int:
@@ -45,13 +45,9 @@ class InvariantSubset:
 
     def restricted_action(self) -> GroupAction:
         """The same group acting on the subset's positions."""
-        if self._restricted is None:
-            pos = self.position
-            table = [
-                [pos[row[x]] for x in self.points] for row in self.action.act
-            ]
-            self._restricted = GroupAction(self.action.group, table)
-        return self._restricted
+        pos = self.position
+        table = [[pos[row[x]] for x in self.points] for row in self.action.act]
+        return GroupAction(self.action.group, table)
 
     def __contains__(self, x: int) -> bool:
         return x in self.position
@@ -67,8 +63,14 @@ class InvariantSubset:
 
 
 def invariant_subset(act: GroupAction, points: Iterable[int]) -> InvariantSubset:
-    """Validate closure: every group element must map the subset into itself."""
-    pts = tuple(sorted(set(int(x) for x in points)))
+    """Validate closure: every generator must map the subset into itself,
+    and then so does every product. A failure names a generator."""
+    pts = tuple(points)
+    for x in pts:
+        if type(x) is not int:  # bools, floats and strings are refused, never converted
+            raise DegreeMismatch(f"point {x!r} is not an int", point=x)
+    inside = set(pts)
+    pts = tuple(sorted(inside))
     if not pts:
         raise EmptySubset("invariant subset must be nonempty", points=[])
     for x in pts:
@@ -76,15 +78,14 @@ def invariant_subset(act: GroupAction, points: Iterable[int]) -> InvariantSubset
             raise DegreeMismatch(
                 f"point {x} out of range 0..{act.degree - 1}", point=x
             )
-    inside = set(pts)
-    for a in range(act.group.order):
-        row = act.act[a]
+    for s in _generators(act.group):
+        row = act.act[s]
         for y in pts:
             img = row[y]
             if img not in inside:
                 raise NotInvariant(
-                    f"element {a} maps point {y} to {img}, outside the subset",
-                    element=a,
+                    f"element {s} maps point {y} to {img}, outside the subset",
+                    element=s,
                     point=y,
                     image=img,
                 )
@@ -196,7 +197,9 @@ def reciprocity_check(subset: InvariantSubset, f: SubsetFunction, g: PointFuncti
     act = subset.action
     lhs = inner_product(induce(subset, f), g)
     rhs = subset_inner_product(f, restrict(g, subset))
-    f_ok = is_invariant(subset.restricted_action(), f.as_point_function()) is not None
+    # f is invariant exactly when it is constant on the orbits inside the subset
+    inside = [c for c in act.orbits().cells if c[0] in subset]
+    f_ok = all(f.at_point(x) == f.at_point(c[0]) for c in inside for x in c)
     g_ok = is_invariant(act, g) is not None
     if not f_ok or not g_ok:
         side = "f" if not f_ok else "g"

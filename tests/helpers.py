@@ -53,6 +53,11 @@ class UnionFind:
 
 def orbit_count_oracle(action: GroupAction, members=None) -> int:
     """Orbit counter independent of the library's partition scan."""
+    return len(orbit_cells_oracle(action, members))
+
+
+def orbit_cells_oracle(action: GroupAction, members=None) -> tuple:
+    """Orbit cells by union-find over every member's row, sorted like a Partition."""
     if members is None:
         members = range(action.group.order)
     uf = UnionFind(action.degree)
@@ -60,7 +65,79 @@ def orbit_count_oracle(action: GroupAction, members=None) -> int:
         row = action.act[a]
         for x in range(action.degree):
             uf.union(x, row[x])
-    return len({uf.find(x) for x in range(action.degree)})
+    cells = {}
+    for x in range(action.degree):
+        cells.setdefault(uf.find(x), []).append(x)
+    return tuple(sorted(tuple(c) for c in cells.values()))
+
+
+def disjoint_union(actions) -> GroupAction:
+    """The actions of one group side by side, each shifted past the ones before."""
+    group = actions[0].group
+    rows = [[] for _ in range(group.order)]
+    shift = 0
+    for action in actions:
+        for row, part in zip(rows, action.act):
+            row.extend(x + shift for x in part)
+        shift += action.degree
+    return GroupAction(group, rows)
+
+
+def are_equivalent_oracle(a1: GroupAction, a2: GroupAction):
+    """Equivariant bijection search over every group element: orbits paired
+    by (size, stabilizer-order multiset) signatures with backtracking, and
+    the result checked on all m elements. None when there is none."""
+    if a1.degree != a2.degree:
+        return None
+    group = a1.group
+    cells1 = list(a1.orbits().cells)
+    cells2 = list(a2.orbits().cells)
+    if len(cells1) != len(cells2):
+        return None
+
+    def signature(action, cell):
+        return (len(cell), tuple(sorted(action.stabilizer(x).order for x in cell)))
+
+    sig1 = [signature(a1, c) for c in cells1]
+    sig2 = [signature(a2, c) for c in cells2]
+    if sorted(sig1) != sorted(sig2):
+        return None
+    phi = [None] * a1.degree
+    used = [False] * len(cells2)
+
+    def match_pair(c1, c2):
+        x0 = c1[0]
+        s1 = a1.stabilizer(x0).members
+        for y0 in c2:
+            if a2.stabilizer(y0).members == s1:
+                return {a1.act[a][x0]: a2.act[a][y0] for a in range(group.order)}
+        return None
+
+    def assign(i):
+        if i == len(cells1):
+            return True
+        for j, c2 in enumerate(cells2):
+            if used[j] or sig2[j] != sig1[i]:
+                continue
+            local = match_pair(cells1[i], c2)
+            if local is None:
+                continue
+            used[j] = True
+            for x, y in local.items():
+                phi[x] = y
+            if assign(i + 1):
+                return True
+            used[j] = False
+            for x in local:
+                phi[x] = None
+        return False
+
+    if not assign(0):
+        return None
+    for a in range(group.order):
+        for x in range(a1.degree):
+            assert phi[a1.act[a][x]] == a2.act[a][phi[x]], (a, x)
+    return phi
 
 
 def induce_group_sum(subset, g) -> PointFunction:

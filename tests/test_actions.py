@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import conjugation_oracle, coset_oracle, mul_table_oracle
+from helpers import (
+    are_equivalent_oracle,
+    conjugation_oracle,
+    coset_oracle,
+    disjoint_union,
+    mul_table_oracle,
+    orbit_cells_oracle,
+)
 from orbitspace import actions
 from orbitspace.actions import (
     GroupAction,
@@ -28,6 +35,7 @@ from orbitspace.errors import (
 )
 from orbitspace.corpus import group_by_name
 from orbitspace.groups import (
+    Subgroup,
     compose,
     cyclic_group,
     direct_product,
@@ -537,3 +545,101 @@ def test_coset_action_matches_the_table_build(group, data):
     h = group.subgroup_generated(seeds)
     table = coset_action(group, h).act
     assert table == coset_oracle(mul_table_oracle(group), h.members)
+
+
+# ---------------------------------------------------------------------------
+# orbits and equivalence from generator rows, against the element scans
+
+
+@st.composite
+def coset_unions(draw, group, max_parts=3):
+    """A disjoint union of coset actions G/H, each H generated by random seeds."""
+    parts = []
+    for _ in range(draw(st.integers(1, max_parts))):
+        seeds = draw(st.lists(st.integers(0, group.order - 1), max_size=2))
+        parts.append(coset_action(group, group.subgroup_generated(seeds)))
+    return parts
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_groups(), st.data())
+def test_are_equivalent_matches_the_backtracking_search(group, data):
+    parts = data.draw(coset_unions(group))
+    a1 = disjoint_union(parts)
+    kind = data.draw(st.sampled_from(["twin", "crossed", "conjugate", "other"]))
+    if kind == "crossed":  # the same orbits in another order
+        others = data.draw(st.permutations(parts))
+    elif kind == "conjugate":  # G/H and G/gHg^-1 are isomorphic by a non-identity map
+        g = data.draw(st.integers(0, group.order - 1))
+        others = []
+        for part in parts:
+            h = part.stabilizer(0)
+            conj = group.subgroup_generated([group.conjugate(g, a) for a in h.members])
+            others.append(coset_action(group, conj))
+        others = data.draw(st.permutations(others))
+    elif kind == "other":  # usually inequivalent
+        others = data.draw(coset_unions(group))
+    else:
+        others = parts
+    a2 = disjoint_union(others)
+    rho = data.draw(st.permutations(range(a2.degree)))
+    a2 = relabel(a2, rho)
+    phi = are_equivalent(a1, a2)
+    assert phi == are_equivalent_oracle(a1, a2)
+    if kind != "other":
+        assert phi is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(permutation_groups(), st.data())
+def test_orbits_match_union_find(group, data):
+    action = disjoint_union(data.draw(coset_unions(group)))
+    rho = data.draw(st.permutations(range(action.degree)))
+    action = relabel(action, rho)
+    assert action.orbits().cells == orbit_cells_oracle(action)
+    seeds = data.draw(st.lists(st.integers(0, group.order - 1), max_size=3))
+    h = group.subgroup_generated(seeds)
+    assert action.orbits(h).cells == orbit_cells_oracle(action, h.members)
+    # a hand-built subgroup has no recorded generators and closes its members
+    assert action.orbits(Subgroup(group, h.members)) == action.orbits(h)
+    x = data.draw(st.integers(0, action.degree - 1))
+    assert action.orbit(x) == tuple(sorted({row[x] for row in action.act}))
+    assert action.is_transitive() == (len(orbit_cells_oracle(action)) == 1)
+    identity_row = tuple(range(action.degree))
+    assert action.is_trivial() == all(row == identity_row for row in action.act)
+
+
+def test_whole_group_orbits_are_kept_on_the_action():
+    act = s3_conjugation()
+    assert act.orbits() is act.orbits()
+    assert act.orbits(whole_group(act.group)) is act.orbits()
+    assert whole_group(act.group).generators == act.group.generators
+    assert act.group.subgroup_generated([3, 1, 3]).generators == (1, 3)
+
+
+def test_are_equivalent_scans_one_stabilizer_per_orbit(monkeypatch):
+    group, _ = from_generators(6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)])
+    base = conjugation_action(group)
+    rho = list(range(base.degree))
+    random.Random(11).shuffle(rho)
+    twin = relabel(base, rho)
+    expected = are_equivalent_oracle(base, twin)
+    calls = []
+    stabilizer = GroupAction.stabilizer
+
+    def counted(action, x):
+        calls.append(x)
+        return stabilizer(action, x)
+
+    monkeypatch.setattr(GroupAction, "stabilizer", counted)
+    phi = are_equivalent(base, twin)
+    assert phi == expected
+    assert 0 < len(calls) <= len(base.orbits())
+
+
+@pytest.mark.parametrize("bad", [True, 1.9, "1"], ids=["bool", "float", "numeric-string"])
+def test_partition_refuses_non_int_points(bad):
+    with pytest.raises(ValueError, match="not an int"):
+        Partition(2, [[0, bad]])
+    with pytest.raises(ValueError, match="not an int"):
+        Partition(2, [[bad, 0]])

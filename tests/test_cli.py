@@ -1,10 +1,13 @@
 """CLI behavior: golden reports, exit codes, and machine-readable errors."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -497,3 +500,154 @@ def test_parser_leaves_other_commands_without_arguments(capsys):
     with pytest.raises(SystemExit):
         parser.parse_args(["validate", "--input", "a.json"])
     assert "unrecognized arguments: --input" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract on structured but malformed documents
+
+SMALL = st.integers(-1, 6)  # small, so that no example asks for a large allocation
+# one branch, so that one_of(SMALL, SMALL, SMALL, JUNK) draws ints three times in four
+JUNK = st.sampled_from([True, False, None, 0.0, 1.5, -1.0, "1", "x", "1/0", "", "1/2", [], {}])
+ENTRY = st.one_of(SMALL, SMALL, SMALL, JUNK)
+ROWS = st.lists(st.lists(ENTRY, max_size=6), max_size=6)
+GOOD_SCALAR = st.sampled_from(["0", "1", "-1/2", "2/4", "3"])
+SCALAR = st.one_of(
+    GOOD_SCALAR, GOOD_SCALAR, st.sampled_from(["1/0", "x", "", " 1", "1.5"]), JUNK, SMALL
+)
+CSV = st.one_of(
+    st.lists(SMALL, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["a", "1.5", "0,,2", ",", "0, 1", "--", "1e2"]),
+)
+
+
+def _golden_doc(name):
+    return json.loads((IN / name).read_text())
+
+
+ACTIONS = [
+    _golden_doc(name)
+    for name in ("z2_four.json", "s3_conj.json", "z4_translation.json", "s3_eval.json")
+]
+PARTITIONS = [_golden_doc(name) for name in ("partition.json", "partition_singletons.json")]
+# every command but corpus, with the number of --function files it reads
+COMMANDS = {
+    "validate": 0,
+    "orbits": 0,
+    "dimension": 0,
+    "free-check": 0,
+    "fourier": 1,
+    "bessel": 1,
+    "decompose": 1,
+    "reciprocity": 2,
+    "from-partition": 0,
+    "equivalence": 0,
+}
+
+
+def _paths(doc, path=()):
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, path + (i,))
+
+
+@st.composite
+def mutated(draw, base):
+    """A copy of a valid document with up to three entries replaced or removed."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(base))))
+    for _ in range(draw(st.integers(0, 3))):
+        paths = [p for p in _paths(doc) if p]
+        if not paths:
+            break
+        *parent_path, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in parent_path:
+            parent = parent[step]
+        if draw(st.booleans()):
+            parent[key] = draw(ENTRY)
+        else:
+            del parent[key]
+    return doc
+
+
+def group_docs():
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("table"), "mul": ROWS}),
+        st.fixed_dictionaries(
+            {
+                "kind": st.just("permutation"),
+                "degree": ENTRY,
+                "generators": st.lists(
+                    st.one_of(st.permutations(range(4)), st.lists(ENTRY, max_size=6)),
+                    max_size=3,
+                ),
+            }
+        ),
+        st.fixed_dictionaries({"kind": ENTRY}),
+    )
+
+
+def action_docs():
+    built = st.fixed_dictionaries(
+        {"group": group_docs(), "act": ROWS},
+        optional={"degree": ENTRY, "kind": st.sampled_from(["evaluation", "table", 1])},
+    )
+    return st.one_of(mutated(ACTIONS), mutated(ACTIONS), built, JUNK)
+
+
+def function_docs():
+    value = st.one_of(st.lists(SCALAR, min_size=2, max_size=2), SCALAR)
+    good = st.lists(GOOD_SCALAR, min_size=2, max_size=2)
+    return st.one_of(
+        st.fixed_dictionaries({"values": st.lists(good, min_size=2, max_size=6)}),
+        st.fixed_dictionaries(
+            {"values": st.lists(value, max_size=6)},
+            optional={"subset": st.lists(ENTRY, max_size=4)},
+        ),
+        JUNK,
+    )
+
+
+def partition_docs():
+    built = st.fixed_dictionaries(
+        {"degree": ENTRY, "cells": st.lists(st.lists(ENTRY, max_size=4), max_size=4)}
+    )
+    return st.one_of(mutated(PARTITIONS), built, JUNK)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(sorted(COMMANDS)), st.data())
+def test_every_command_exits_0_2_or_3_with_a_json_report(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def saved(doc):
+            path = os.path.join(tmp, f"doc{len(os.listdir(tmp))}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            return path
+
+        if command == "from-partition":
+            argv = [command, "--input", saved(data.draw(partition_docs()))]
+            if data.draw(st.booleans()):
+                argv.append("--minimal-generators")
+        else:
+            argv = [command, "--input", saved(data.draw(action_docs()))]
+        if command == "equivalence":
+            argv += ["--input", saved(data.draw(action_docs()))]
+        if command in ("dimension", "free-check") and data.draw(st.booleans()):
+            argv.append("--subgroup=" + data.draw(CSV))
+        if command == "reciprocity":
+            argv.append("--subset=" + data.draw(CSV))
+        for _ in range(COMMANDS[command]):
+            argv += ["--function", saved(data.draw(function_docs()))]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code in (0, 2, 3), argv
+    doc = json.loads(out.getvalue())
+    assert (code == 0) == ("error" not in doc), doc
+    if code:
+        assert isinstance(doc["witness"], dict) and doc["error"].isidentifier()

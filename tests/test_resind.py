@@ -361,3 +361,44 @@ def test_subset_inner_product_mismatched_subsets():
     y2 = invariant_subset(act, [2])
     with pytest.raises(DegreeMismatch):
         subset_inner_product(SubsetFunction(y1, [1, 1]), SubsetFunction(y2, [1]))
+
+
+NON_INT_POINTS = [True, 1.5, "1"]
+
+
+@pytest.mark.parametrize("bad", NON_INT_POINTS, ids=["bool", "float", "numeric-string"])
+def test_invariant_subset_refuses_non_int_points(bad):
+    act = translation_action(cyclic_group(4))
+    with pytest.raises(DegreeMismatch) as exc:
+        invariant_subset(act, [0, 1, 2, 3, bad])
+    assert exc.value.witness == {"point": bad}
+
+
+def test_invariant_subset_truncates_nothing():
+    act = translation_action(cyclic_group(4))
+    with pytest.raises(DegreeMismatch) as exc:
+        invariant_subset(act, [0.5, 1, 2, 3.9])
+    assert exc.value.witness == {"point": 0.5}
+    # a bool equal to a listed point is refused, not merged into it
+    with pytest.raises(DegreeMismatch) as exc:
+        invariant_subset(act, [1, 0, 2, 3, True])
+    assert exc.value.witness["point"] is True
+
+
+def test_not_invariant_witness_is_an_escaping_triple():
+    act = s3_conjugation()
+    cells = [set(c) for c in act.orbits().cells]
+    refused = 0
+    for mask in range(1, 2**act.degree):
+        subset = {x for x in range(act.degree) if mask >> x & 1}
+        try:
+            invariant_subset(act, subset)
+        except NotInvariant as exc:
+            w = exc.witness
+            assert w["point"] in subset and w["image"] not in subset
+            assert act.act[w["element"]][w["point"]] == w["image"]
+            refused += 1
+        else:
+            assert all(c <= subset for c in cells if c & subset)
+    # the nonempty unions of the three classes are the only invariant subsets
+    assert refused == 2**act.degree - 2**len(cells)
