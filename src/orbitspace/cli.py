@@ -32,6 +32,8 @@ from .jsonio import (
 
 
 def _read_json(path: str):
+    if not isinstance(path, str):  # argparse reads "--input=--" as an empty list
+        path = "--"
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -97,6 +99,8 @@ def _emit(doc, output: str | None):
 
 
 def _parse_int_csv(text: str, flag: str):
+    if not isinstance(text, str):  # argparse reads "--flag=--" as an empty list
+        text = "--"
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:

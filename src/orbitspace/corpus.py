@@ -10,18 +10,35 @@ count) is reported alongside each entry.
 
 from __future__ import annotations
 
+from itertools import product
+from math import prod
+from operator import itemgetter
 from typing import Dict, List, Optional
 
-from .actions import GroupAction, conjugation_action, coset_action, trivial_action
+from .actions import GroupAction, conjugation_action, coset_action, translation_action, trivial_action
 from .errors import InvariantViolated, ParamOutOfRange, ParseError, UnknownCorpusName
 from .groups import (
     FiniteGroup,
     _closure,
+    _extend_rows,
+    _generators,
     cyclic_group,
     direct_product,
     from_generators,
     group_from_table,
+    invert_perm,
 )
+
+# The largest group order, or point count, a corpus entry is built for: the
+# desk scale, and the order of S7, the largest symmetric family member.
+_ORDER_LIMIT = 5040
+
+
+def _within_limit(key: str, **witness):
+    """Refuse the size ``witness[key]`` past the limit, before it is built."""
+    if witness[key] > _ORDER_LIMIT:
+        message = f"{key} {witness[key]} is beyond the corpus limit {_ORDER_LIMIT}"
+        raise ParamOutOfRange(message, **witness, limit=_ORDER_LIMIT)
 
 
 class CorpusEntry:
@@ -80,6 +97,10 @@ NON_FREE_FAMILIES = (
 
 # ---------------------------------------------------------------------------
 # named groups
+
+
+def _cyclic(n: int):
+    return from_generators(n, [tuple((i + 1) % n for i in range(n))])
 
 
 def _dihedral(n: int):
@@ -158,15 +179,25 @@ def _dicyclic3_table():
     return group_from_table(mul, labels=labels)
 
 
+def _within_family_limit(name: str, prefix: str, n: int):
+    """Refuse c<n>, s<n>, a<n> or d<n> past the corpus limit before it is built."""
+    if prefix in "sa" and n > 7:  # 7! is the limit, and 8!/2 is past it
+        message = f"{name!r} has order at least 20160, beyond the corpus limit {_ORDER_LIMIT}"
+        raise ParamOutOfRange(message, name=name, degree=n, limit=_ORDER_LIMIT)
+    _within_limit("order", name=name, order=2 * n if prefix == "d" and n > 2 else n)
+
+
 def group_by_name(name: str) -> FiniteGroup:
     """Resolve a short group name: c<n>, s<n>, a<n>, d<n>, v4, q8, dic3,
     and x-separated direct products of those (e.g. c2xc4)."""
     key = name.strip().lower()
     if "x" in key:
-        parts = key.split("x")
-        out = group_by_name(parts[0])
+        parts = [group_by_name(part) for part in key.split("x")]
+        order = prod(part.order for part in parts)
+        _within_limit("order", name=name, order=order)
+        out = parts[0]
         for part in parts[1:]:
-            out = direct_product(out, group_by_name(part))
+            out = direct_product(out, part)
         return out
     if key == "v4":
         return direct_product(cyclic_group(2), cyclic_group(2))
@@ -179,6 +210,7 @@ def group_by_name(name: str) -> FiniteGroup:
             n = int(key[len(prefix):])
             if n < 1:
                 raise ParamOutOfRange(f"group size must be positive in {name!r}", name=name)
+            _within_family_limit(name, prefix, n)
             if prefix == "c":
                 return cyclic_group(n)
             group, _ = builder(n)
@@ -189,15 +221,11 @@ def group_by_name(name: str) -> FiniteGroup:
 def natural_action_by_name(name: str):
     """A permutation family with its degree-n evaluation action."""
     key = name.strip().lower()
-    builders = {"s": _symmetric, "a": _alternating, "d": _dihedral}
+    builders = {"c": _cyclic, "s": _symmetric, "a": _alternating, "d": _dihedral}
     if key and key[0] in builders and key[1:].isdigit():
         n = int(key[1:])
+        _within_family_limit(name, key[0], n)
         group, act = builders[key[0]](n)
-        return group, GroupAction(group, act)
-    if key.startswith("c") and key[1:].isdigit():
-        n = int(key[1:])
-        rot = tuple((i + 1) % n for i in range(n))
-        group, act = from_generators(n, [rot])
         return group, GroupAction(group, act)
     raise ParamOutOfRange(f"no natural point action for group {name!r}", name=name)
 
@@ -249,18 +277,21 @@ def _subgroups_of_order(g: FiniteGroup, k: int, pool) -> List:
     return sorted(tuple(sorted(h)) for h in subgroups if len(h) == k)
 
 
+def _conjugate_set(g: FiniteGroup, a: int, s: tuple) -> tuple:
+    """a s a^-1 as a sorted tuple, read off the Cayley table."""
+    mul, a_inv = g.mul_table, g.inv_table[a]
+    row_a = mul[a]
+    return tuple(sorted([mul[row_a[y]][a_inv] for y in s]))
+
+
 def _conjugation_on_sets(g: FiniteGroup, sets: List) -> GroupAction:
-    """g acting on a closed family of element sets by pointwise conjugation."""
-    index = {tuple(s): i for i, s in enumerate(sets)}
-    mul, inv = g.mul_table, g.inv_table
-    act = []
-    for a in range(g.order):
-        row_a, a_inv = mul[a], inv[a]
-        row = []
-        for s in sets:
-            image = tuple(sorted(mul[row_a[y]][a_inv] for y in s))
-            row.append(index[image])
-        act.append(row)
+    """g acting on a closed family of sorted element tuples by pointwise
+    conjugation. The generator rows read ``g.mul_table``, so the table is
+    built before ``_extend_rows`` walks the closure and takes products."""
+    index = {s: i for i, s in enumerate(sets)}
+    act = _extend_rows(
+        g, len(sets), lambda a: [index[_conjugate_set(g, a, s)] for s in sets]
+    )
     return GroupAction(g, act)
 
 
@@ -272,6 +303,7 @@ def _build_trivial(n: int = 3, group: str = "c2") -> CorpusEntry:
     g = group_by_name(group)
     if n < 1:
         raise ParamOutOfRange(f"need at least one point, got {n}", n=n)
+    _within_limit("n", n=n)
     action = trivial_action(g, n)
     expected = {
         "is_trivial": True,
@@ -299,8 +331,8 @@ def _build_symmetric(n: int = 3) -> CorpusEntry:
 def _build_cyclic_translation(n: int = 4) -> CorpusEntry:
     if n < 1:
         raise ParamOutOfRange(f"need n >= 1, got {n}", n=n)
-    g = cyclic_group(n)
-    action = GroupAction(g, g.mul_table)
+    _within_limit("n", n=n)
+    action = translation_action(cyclic_group(n))
     expected = {
         "orbit_count": 1,
         "is_transitive": True,
@@ -352,11 +384,11 @@ def _build_subgroup_conjugates(group: str = "s3", seeds=(1,)) -> CorpusEntry:
         raise ParamOutOfRange(
             "conjugate family needs a nontrivial subgroup", seeds=seeds
         )
-    conjugates = set()
-    for x in range(g.order):
-        conjugates.add(tuple(sorted(g.conjugate(x, y) for y in h.members)))
-    sets = sorted(conjugates)
-    action = _conjugation_on_sets(g, sets)
+    # the conjugates of H are its orbit under conjugation by the generators
+    conjugates = _closure(
+        h.members, _generators(g), lambda s, a: _conjugate_set(g, a, s)
+    )
+    action = _conjugation_on_sets(g, sorted(conjugates))
     expected = {"is_free": False, "is_transitive": True, "orbit_count": 1}
     return CorpusEntry(
         "subgroup_conjugates", action, expected, {"group": group, "seeds": seeds}
@@ -393,15 +425,13 @@ def _is_power_of(n: int, p: int) -> bool:
 
 def _build_order_p(group: str = "s3", p: int = 2) -> CorpusEntry:
     g = group_by_name(group)
-    mul, inv = g.mul_table, g.inv_table
+    g.mul_table  # built first, so that element_order reads table lookups
     points = [a for a in range(g.order) if g.element_order(a) == p]
     if not points:
         raise ParamOutOfRange(
             f"no elements of order {p} in this group", p=p, order=g.order
         )
-    index = {x: i for i, x in enumerate(points)}
-    act = [[index[mul[mul[a][x]][inv[a]]] for x in points] for a in range(g.order)]
-    action = GroupAction(g, act)
+    action = _conjugation_on_sets(g, [(a,) for a in points])
     expected = {"is_free": False}
     return CorpusEntry("order_p", action, expected, {"group": group, "p": p})
 
@@ -413,14 +443,14 @@ def _gl_order(n: int, q: int) -> int:
     return out
 
 
-def _det_mod(mat, n: int, q: int) -> int:
-    if n == 2:
-        return (mat[0] * mat[3] - mat[1] * mat[2]) % q
-    a, b, c, d, e, f, g_, h, i = mat
-    return (a * (e * i - f * h) - b * (d * i - f * g_) + c * (d * h - e * g_)) % q
-
-
 def _build_gl_on_vectors(n: int = 2, q: int = 2, allow_large: bool = False) -> CorpusEntry:
+    """GL(n, q) on the vectors of F_q^n, numbered by base-q value.
+
+    A matrix is invertible exactly when its map on the vectors is a
+    bijection, and these maps compose like the matrices, (MN)v = M(Nv). So
+    the permutations are both the group and its action table, and the
+    Cayley table is built from generator rows on demand.
+    """
     if q < 2 or any(q % d == 0 for d in range(2, q)):
         raise ParamOutOfRange(f"q must be prime, got {q}", q=q)
     if not allow_large and (n != 2 or q not in (2, 3)):
@@ -429,61 +459,26 @@ def _build_gl_on_vectors(n: int = 2, q: int = 2, allow_large: bool = False) -> C
             n=n,
             q=q,
         )
-    if n not in (2, 3) or _gl_order(n, q) > 5000:
+    if n not in (2, 3) or _gl_order(n, q) > _ORDER_LIMIT:
         raise ParamOutOfRange(
             f"GL({n}, {q}) has order {_gl_order(n, q)}, beyond desk scale", n=n, q=q
         )
-    cells = n * n
-    mats = []
-    for code in range(q**cells):
-        mat = []
-        rest = code
-        for _ in range(cells):
-            mat.append(rest % q)
-            rest //= q
-        mat = tuple(mat)
-        if _det_mod(mat, n, q) != 0:
-            mats.append(mat)
-    index = {m: i for i, m in enumerate(mats)}
-
-    def matmul(x, y):
-        out = []
-        for r in range(n):
-            for c in range(n):
-                out.append(sum(x[r * n + k] * y[k * n + c] for k in range(n)) % q)
-        return tuple(out)
-
-    mul = [[index[matmul(x, y)] for y in mats] for x in mats]
-    ident = tuple(1 if r == c else 0 for r in range(n) for c in range(n))
-    ident_idx = index[ident]
-    inv = [row.index(ident_idx) for row in mul]
-    labels = [str([list(m[r * n : (r + 1) * n]) for r in range(n)]) for m in mats]
-    g = FiniteGroup.from_cayley_rows(mul, index[ident], inv, labels=labels)
-
-    def vec_index(vec):
-        out = 0
-        for comp in vec:
-            out = out * q + comp
-        return out
-
-    vectors = []
-    for code in range(q**n):
-        vec = []
-        rest = code
-        for _ in range(n):
-            vec.append(rest % q)
-            rest //= q
-        vectors.append(tuple(reversed(vec)))
-    act = []
-    for m in mats:
-        row = []
-        for vec in vectors:
-            image = tuple(
-                sum(m[r * n + k] * vec[k] for k in range(n)) % q for r in range(n)
-            )
-            row.append(vec_index(image))
-        act.append(row)
-    action = GroupAction(g, act)
+    vectors = list(product(range(q), repeat=n))
+    code = {v: i for i, v in enumerate(vectors)}
+    perms, labels = [], []
+    for digits in product(range(q), repeat=n * n):
+        entries = digits[::-1]  # matrices in entry-code order, first entry least significant
+        rows = [list(entries[r * n : r * n + n]) for r in range(n)]
+        perm = tuple(
+            [code[tuple([sum([a * x for a, x in zip(row, v)]) % q for row in rows])] for v in vectors]
+        )
+        if len(set(perm)) == len(vectors):
+            perms.append(perm)
+            labels.append(str(rows))
+    index = {p: a for a, p in enumerate(perms)}
+    inv = [index[invert_perm(p)] for p in perms]
+    g = FiniteGroup(perms, index[tuple(range(len(vectors)))], inv, labels=labels)
+    action = GroupAction(g, perms)
     expected = {"is_free": False, "is_transitive": False, "orbit_count": 2}
     return CorpusEntry("gl_on_vectors", action, expected, {"n": n, "q": q})
 
@@ -502,19 +497,15 @@ def _build_subset_action(base: str = "s3", allow_large: bool = False) -> CorpusE
             base=base,
             order=group.order,
         )
-    size = 2**n
-    act = []
-    for a in range(group.order):
-        row_base = base_action.act[a]
-        row = []
-        for mask in range(size):
-            image = 0
-            for x in range(n):
-                if mask >> x & 1:
-                    image |= 1 << row_base[x]
-            row.append(image)
-        act.append(row)
-    action = GroupAction(group, act)
+
+    def row_of(s):
+        bits = [1 << y for y in base_action.act[s]]
+        return [
+            sum([bit for x, bit in enumerate(bits) if mask >> x & 1])
+            for mask in range(2**n)
+        ]
+
+    action = GroupAction(group, _extend_rows(group, 2**n, row_of))
     expected = {"is_free": False}
     return CorpusEntry("subset_action", action, expected, {"base": base})
 
@@ -523,14 +514,15 @@ def _build_two_sided(group: str = "c2") -> CorpusEntry:
     g = group_by_name(group)
     if g.order < 2:
         raise ParamOutOfRange("two-sided family needs a group of order >= 2", group=group)
+    _within_limit("order", group=group, order=g.order**2)
     gg = direct_product(g, g)
-    mul, inv = g.mul_table, g.inv_table
-    act = []
-    for a in range(g.order):
-        row_a = mul[a]
-        for b in range(g.order):
-            binv = inv[b]
-            act.append([mul[ax][binv] for ax in row_a])
+    # (a, b).x = (a x) b^-1: row a read through column b^-1. _extend_rows on
+    # G x G would take lazy products, and the report then builds its table.
+    mul = g.mul_table
+    columns = tuple(zip(*mul))
+    act = [
+        itemgetter(*row_a)(columns[b_inv]) for row_a in mul for b_inv in g.inv_table
+    ]
     action = GroupAction(gg, act)
     expected = {"is_free": False}
     return CorpusEntry("two_sided", action, expected, {"group": group})

@@ -522,7 +522,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     """Z_n with additive notation; element k is the residue k."""
     if n < 1:
         raise NoIdentity(f"order must be positive, got {n}")
-    mul = [[(a + b) % n for b in range(n)] for a in range(n)]
+    residues = tuple(range(n))  # row a is them rotated by a, sharing their int objects
+    mul = [residues[a:] + residues[:a] for a in range(n)]
     inv = [(-a) % n for a in range(n)]
     return FiniteGroup.from_cayley_rows(
         mul, 0, inv, labels=[str(a) for a in range(n)], generators=[1] if n > 1 else []

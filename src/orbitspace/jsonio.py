@@ -103,7 +103,7 @@ def action_from_json(obj, cap: Optional[int] = None) -> GroupAction:
     act = _expect(obj, "act", list, "action")
     for i, row in enumerate(act):
         _int_list(row, f"action.act[{i}]")
-    degree = obj.get("degree")
+    degree = _expect(obj, "degree", int, "action") if "degree" in obj else None
     if degree is not None and act and len(act[0]) != degree:
         raise ParseError(
             f"declared degree {degree} does not match table width {len(act[0])}",

@@ -233,3 +233,95 @@ def scalar_rank(rows):
                 ]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# element-by-element corpus builders, the oracles of the generator-row ones
+
+
+def conjugation_on_sets_oracle(table, inv, sets):
+    """act[a][i] = the index of a s_i a^-1, conjugated element by element."""
+    index = {tuple(s): i for i, s in enumerate(sets)}
+    act = []
+    for a in range(len(table)):
+        row_a, a_inv = table[a], inv[a]
+        act.append(tuple(index[tuple(sorted(table[row_a[y]][a_inv] for y in s))] for s in sets))
+    return tuple(act)
+
+
+def subgroup_conjugates_oracle(table, inv, members):
+    """The conjugates x H x^-1 over every element x, as sorted tuples, sorted."""
+    conjugates = set()
+    for x in range(len(table)):
+        conjugates.add(tuple(sorted(table[table[x][y]][inv[x]] for y in members)))
+    return sorted(conjugates)
+
+
+def _det_mod(mat, n, q):
+    if n == 2:
+        return (mat[0] * mat[3] - mat[1] * mat[2]) % q
+    a, b, c, d, e, f, g_, h, i = mat
+    return (a * (e * i - f * h) - b * (d * i - f * g_) + c * (d * h - e * g_)) % q
+
+
+def gl_oracle(n, q):
+    """GL(n, q) on F_q^n by determinants and matrix products: the m x m Cayley
+    table, the labels and the action table, with matrices in entry-code order
+    and vectors by base-q value, first component most significant."""
+    cells = n * n
+    mats = []
+    for code in range(q**cells):
+        mat = tuple(code // q**k % q for k in range(cells))
+        if _det_mod(mat, n, q) != 0:
+            mats.append(mat)
+    index = {m: i for i, m in enumerate(mats)}
+
+    def matmul(x, y):
+        return tuple(
+            sum(x[r * n + k] * y[k * n + c] for k in range(n)) % q
+            for r in range(n)
+            for c in range(n)
+        )
+
+    table = tuple(tuple(index[matmul(x, y)] for y in mats) for x in mats)
+    labels = tuple(str([list(m[r * n : (r + 1) * n]) for r in range(n)]) for m in mats)
+    vectors = [tuple(code // q ** (n - 1 - k) % q for k in range(n)) for code in range(q**n)]
+
+    def vec_index(vec):
+        out = 0
+        for comp in vec:
+            out = out * q + comp
+        return out
+
+    act = tuple(
+        tuple(
+            vec_index([sum(m[r * n + k] * vec[k] for k in range(n)) % q for r in range(n)])
+            for vec in vectors
+        )
+        for m in mats
+    )
+    return table, labels, act
+
+
+def subset_action_oracle(base_act, n):
+    """A permutation action on n points, lifted to the 2^n subset masks bit by bit."""
+    act = []
+    for row_base in base_act:
+        row = []
+        for mask in range(2**n):
+            image = 0
+            for x in range(n):
+                if mask >> x & 1:
+                    image |= 1 << row_base[x]
+            row.append(image)
+        act.append(tuple(row))
+    return tuple(act)
+
+
+def two_sided_oracle(table, inv):
+    """G x G on G by (a, b).x = a x b^-1, with (a, b) as a*|G| + b."""
+    return tuple(
+        tuple(table[ax][inv[b]] for ax in table[a])
+        for a in range(len(table))
+        for b in range(len(table))
+    )

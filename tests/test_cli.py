@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitspace.cli import _render, build_parser, main
+from orbitspace.corpus import corpus_names
 
 GOLDEN = Path(__file__).parent / "golden"
 IN = GOLDEN / "inputs"
@@ -123,6 +124,32 @@ def test_unparseable_input_exits_3(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "ParseError"
     assert "path" in doc["witness"]
+
+
+@pytest.mark.parametrize("degree", [True, 1.0, "1"])
+def test_validate_refuses_a_degree_that_is_not_an_int(degree, tmp_path, capsys):
+    path = tmp_path / "action.json"
+    doc = {"group": {"kind": "table", "mul": [[0]]}, "act": [[0]], "degree": degree}
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--input", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "ParseError"
+    assert report["witness"] == {"where": "action", "key": "degree"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dimension", "--input", inp("z2_four.json"), "--subgroup=--"],
+        ["reciprocity", "--input", inp("z2_four.json"), "--subset=--"],
+        ["orbits", "--input=--"],
+    ],
+    ids=["subgroup", "subset", "input"],
+)
+def test_a_double_dash_value_is_a_parse_error(argv, capsys):
+    # argparse reads "--flag=--" as an empty list, not the string "--"
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
 
 
 def test_missing_file_exits_3(capsys):
@@ -460,8 +487,47 @@ def test_render_examples(doc):
             ["two_sided", "--param", "group=s4"],
             "1b8fd9df684062a9acb23253d07cff649d0b53e0b138c09cc0cb1113638a1b2a",
         ),
+        # the bytes of the element-by-element builders that generator rows replaced
+        (
+            ["gl_on_vectors", "--param", "q=3"],
+            "ab42d7c6b0cd727afeb316d0cdeda56e4d237726ed82edbc25f1a4cbf2ba7737",
+        ),
+        (
+            ["gl_on_vectors", "--param", "q=5", "--param", "allow_large=true"],
+            "9ce9eb9a43f9b714233049d3611189c8807a51fdb656d413a23c03984cc2895e",
+        ),
+        (
+            ["sylow", "--param", "group=s4", "--param", "p=2"],
+            "f1e036fec330b7e9b2b191ba3970a786ebb2e29423981134faa08d8db3877d9c",
+        ),
+        (
+            ["subgroup_conjugates", "--param", "group=s4"],
+            "049999713c1ad57983aeaac8188aaa9ffc5be82cc85095ede478b7fe38b955a9",
+        ),
+        (
+            ["order_p", "--param", "group=s4", "--param", "p=2"],
+            "96fedbd83d39c0e9cbdf338d7eeea5b25c9b6ef2fa6579dcef5af6d0416dfd53",
+        ),
+        (
+            ["subset_action", "--param", "base=s4"],
+            "474f313406609e0506a08f66d236a8d1010343ff49ed40987b24d079facecfe3",
+        ),
+        (
+            ["two_sided", "--param", "group=d12"],
+            "3e0dcfac74239ed4de7bb4b40a9625e618c5dd52ce0a294840603b2f98af2e3d",
+        ),
     ],
-    ids=["symmetric-n6", "two_sided-s4"],
+    ids=[
+        "symmetric-n6",
+        "two_sided-s4",
+        "gl_on_vectors-q3",
+        "gl_on_vectors-q5",
+        "sylow-s4-p2",
+        "subgroup_conjugates-s4",
+        "order_p-s4-p2",
+        "subset_action-s4",
+        "two_sided-d12",
+    ],
 )
 def test_corpus_table_reports_keep_their_bytes(build, digest, tmp_path):
     out = tmp_path / "report.json"
@@ -646,6 +712,48 @@ def test_every_command_exits_0_2_or_3_with_a_json_report(command, data):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
+    assert code in (0, 2, 3), argv
+    doc = json.loads(out.getvalue())
+    assert (code == 0) == ("error" not in doc), doc
+    if code:
+        assert isinstance(doc["witness"], dict) and doc["error"].isidentifier()
+
+
+# ---------------------------------------------------------------------------
+# the contract holds for corpus builds too
+
+SMALL_GROUPS = ["c1", "c2", "c3", "c4", "c5", "c6", "s1", "s2", "s3", "s4", "s5"]
+SMALL_GROUPS += ["a4", "d4", "q8", "dic3", "v4", "c2xc3"]
+CORPUS_VALUES = st.one_of(
+    st.integers(-1, 5).map(str),
+    st.sampled_from(["true", "false"]),
+    st.lists(st.integers(-1, 5), max_size=3).map(lambda seeds: ",".join(map(str, seeds)) + ","),
+    st.sampled_from(SMALL_GROUPS),
+    st.sampled_from(["c6000", "c80xc80", "s4xs4xs4"]),  # past the corpus limit
+    st.sampled_from(["", "x", "s", "c0", "q8x"]),
+)
+CORPUS_PARAMS = st.one_of(
+    st.builds(
+        "{}={}".format,
+        st.sampled_from(["n", "q", "p", "group", "base", "seeds", "allow_large", "bogus"]),
+        CORPUS_VALUES,
+    ),
+    st.sampled_from(["", "n", "=3"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(corpus_names() + ["nope"]),
+    st.lists(CORPUS_PARAMS, max_size=3),
+)
+def test_corpus_build_exits_0_2_or_3_with_a_json_report(name, params):
+    argv = ["corpus", "build", name]
+    for param in params:
+        argv += ["--param", param]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
     assert code in (0, 2, 3), argv
     doc = json.loads(out.getvalue())
     assert (code == 0) == ("error" not in doc), doc

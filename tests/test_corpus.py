@@ -1,7 +1,21 @@
 """Corpus constructors: validity, expected flags, and parameter guards."""
 
+from math import factorial
+
 import pytest
 
+from helpers import (
+    conjugation_on_sets_oracle,
+    conjugation_oracle,
+    coset_oracle,
+    direct_product_oracle,
+    gl_oracle,
+    mul_table_oracle,
+    subgroup_conjugates_oracle,
+    subset_action_oracle,
+    two_sided_oracle,
+)
+from orbitspace import corpus
 from orbitspace.actions import validate_action
 from orbitspace.corpus import (
     NON_FREE_FAMILIES,
@@ -9,6 +23,7 @@ from orbitspace.corpus import (
     corpus_names,
     default_entries,
     group_by_name,
+    natural_action_by_name,
     small_group_catalog,
 )
 from orbitspace.errors import ParamOutOfRange, ParseError, UnknownCorpusName
@@ -234,3 +249,151 @@ def test_automorphisms_of_catalog_groups_form_groups():
         for s in sample:
             for t in sample:
                 assert compose(s, t) in auts, name
+
+
+# ---------------------------------------------------------------------------
+# every family's tables against element-by-element builders
+
+
+def _named(name):
+    g = group_by_name(name)
+    table = mul_table_oracle(g)
+    return g, table, tuple(row.index(g.identity) for row in table)
+
+
+def _element_order(table, identity, a):
+    k, x = 1, a
+    while x != identity:
+        x, k = table[x][a], k + 1
+    return k
+
+
+def _oracle(name, params):
+    """(Cayley table, labels, action table) of a corpus entry, built element by
+    element: m^2 products for each table, and every row from its own element."""
+    if name == "gl_on_vectors":
+        return gl_oracle(params.get("n", 2), params.get("q", 2))
+    if name == "cyclic_translation":
+        n = params.get("n", 4)
+        table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+        return table, tuple(map(str, range(n))), table
+    if name in ("symmetric", "subset_action"):
+        g, base = natural_action_by_name(params.get("base", f"s{params.get('n', 3)}"))
+        act = base.act if name == "symmetric" else subset_action_oracle(base.act, base.degree)
+        return mul_table_oracle(g), g.labels, act
+    g, table, inv = _named(params.get("group", "c2" if name in ("trivial", "two_sided") else "s3"))
+    if name == "two_sided":
+        labels = tuple(f"({a},{b})" for a in g.labels for b in g.labels)
+        return direct_product_oracle(table, table), labels, two_sided_oracle(table, inv)
+    if name == "trivial":
+        act = (tuple(range(params.get("n", 3))),) * g.order
+    elif name == "conjugation":
+        act = conjugation_oracle(table, inv)
+    elif name in ("coset", "subgroup_conjugates"):
+        members = g.subgroup_generated(params.get("seeds", [1])).members
+        if name == "coset":
+            act = coset_oracle(table, members)
+        else:
+            sets = subgroup_conjugates_oracle(table, inv, members)
+            act = conjugation_on_sets_oracle(table, inv, sets)
+    elif name == "order_p":
+        points = [a for a in range(g.order) if _element_order(table, g.identity, a) == params["p"]]
+        act = conjugation_on_sets_oracle(table, inv, [(a,) for a in points])
+    else:  # sylow: each Sylow subgroup of the groups used here has two generators
+        p = params["p"]
+        pk = p ** max(k for k in range(g.order.bit_length()) if g.order % p**k == 0)
+        elements = range(g.order)
+        found = {g.subgroup_generated([x, y]).members for x in elements for y in elements}
+        act = conjugation_on_sets_oracle(table, inv, sorted(h for h in found if len(h) == pk))
+    return table, g.labels, act
+
+
+ORACLE_CASES = [
+    ("trivial", {}),
+    ("trivial", {"n": 2, "group": "s3"}),
+    ("symmetric", {"n": 4}),
+    ("cyclic_translation", {"n": 5}),
+    ("conjugation", {"group": "q8"}),
+    ("coset", {"group": "s4", "seeds": [1]}),
+    ("subgroup_conjugates", {}),
+    ("subgroup_conjugates", {"group": "s4"}),
+    ("subgroup_conjugates", {"group": "s4", "seeds": [1, 2]}),
+    ("subgroup_conjugates", {"group": "d6", "seeds": [3]}),
+    ("sylow", {"group": "s4", "p": 2}),
+    ("sylow", {"group": "s4", "p": 3}),
+    ("sylow", {"group": "a4", "p": 2}),
+    ("sylow", {"group": "dic3", "p": 2}),
+    ("order_p", {"group": "s4", "p": 2}),
+    ("order_p", {"group": "a4", "p": 3}),
+    ("order_p", {"group": "q8", "p": 4}),
+    ("gl_on_vectors", {}),
+    ("gl_on_vectors", {"q": 3}),
+    ("gl_on_vectors", {"n": 3, "q": 2, "allow_large": True}),
+    ("gl_on_vectors", {"n": 2, "q": 5, "allow_large": True}),
+    ("subset_action", {}),
+    ("subset_action", {"base": "s4"}),
+    ("subset_action", {"base": "a4"}),
+    ("two_sided", {}),
+    ("two_sided", {"group": "s3"}),
+    ("two_sided", {"group": "q8"}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    ORACLE_CASES,
+    ids=[f"{n}-" + "-".join(f"{k}{v}" for k, v in p.items()) for n, p in ORACLE_CASES],
+)
+def test_corpus_tables_match_the_element_by_element_builders(name, params):
+    entry = build(name, **params)
+    table, labels, act = _oracle(name, params)
+    assert entry.action.group.mul_table == tuple(map(tuple, table))
+    assert entry.action.group.labels == tuple(labels)
+    assert entry.action.act == tuple(map(tuple, act))
+
+
+@pytest.mark.parametrize(
+    "name, params, witness",
+    [
+        ("conjugation", {"group": "c6000"}, {"name": "c6000", "order": 6000}),
+        ("conjugation", {"group": "c80xc80"}, {"name": "c80xc80", "order": 6400}),
+        ("trivial", {"group": "s4xs4xs4"}, {"name": "s4xs4xs4", "order": 13824}),
+        ("two_sided", {"group": "s5"}, {"group": "s5", "order": 14400}),
+        ("trivial", {"n": 5041}, {"n": 5041}),
+        ("cyclic_translation", {"n": 5041}, {"n": 5041}),
+        ("conjugation", {"group": "a8"}, {"name": "a8", "degree": 8}),
+        ("conjugation", {"group": "s100000"}, {"name": "s100000", "degree": 100000}),
+        ("conjugation", {"group": "d2521"}, {"name": "d2521", "order": 5042}),
+        ("subset_action", {"base": "c100000"}, {"name": "c100000", "order": 100000}),
+        ("subset_action", {"base": "s9"}, {"name": "s9", "degree": 9}),
+    ],
+)
+def test_sizes_past_the_corpus_limit_are_refused_before_construction(
+    name, params, witness, monkeypatch
+):
+    def bounded(build_it, size):
+        def guarded(*args):
+            assert size(*args) <= 5040, (name, params)
+            return build_it(*args)
+
+        return guarded
+
+    for attr, size in (
+        ("cyclic_group", lambda n: n),
+        ("direct_product", lambda g, h: g.order * h.order),
+        ("trivial_action", lambda g, n: n),
+        ("from_generators", lambda n, gens: n),
+        ("_symmetric", factorial),
+        ("_alternating", lambda n: factorial(n) // 2),
+        ("_dihedral", lambda n: 2 * n),
+    ):
+        monkeypatch.setattr(corpus, attr, bounded(getattr(corpus, attr), size))
+    with pytest.raises(ParamOutOfRange) as info:
+        build(name, **params)
+    assert info.value.witness == {**witness, "limit": 5040}
+
+
+def test_sizes_at_the_corpus_limit_are_built():
+    assert build("trivial", n=5040).action.degree == 5040
+    assert group_by_name("c70xc72").order == 5040
+    assert group_by_name("a7").order == 2520

@@ -127,6 +127,14 @@ def test_action_degree_mismatch_detected():
         action_from_json(doc)
 
 
+@pytest.mark.parametrize("degree", [True, 1.0, "1"])
+def test_action_degree_must_be_an_int(degree):
+    doc = {"group": {"kind": "table", "mul": [[0]]}, "act": [[0]], "degree": degree}
+    with pytest.raises(ParseError) as info:
+        action_from_json(doc)
+    assert info.value.witness == {"where": "action", "key": "degree"}
+
+
 def test_function_round_trip():
     f = PointFunction([GaussianRational(Fraction(1, 2), Fraction(-3, 4)), 2])
     doc = function_to_json(f)
