@@ -20,7 +20,8 @@ from .errors import (
     NotAnInteger,
     NotFree,
 )
-from .groups import FiniteGroup, Subgroup, _closure, _extend_rows, _generators, compose, whole_group
+from .groups import FiniteGroup, Subgroup, _are_permutations, _closure, _extend_rows
+from .groups import _generators, compose, whole_group
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -46,20 +47,20 @@ class Partition:
             if not cell:
                 raise ValueError("empty cell in partition")
         norm.sort(key=lambda c: c[0])
-        cell_of = [None] * degree
+        cell_of = {}  # no degree-sized list before the cells are known to cover
         for i, cell in enumerate(norm):
             for x in cell:
                 if x < 0 or x >= degree:
                     raise ValueError(f"point {x} out of range 0..{degree - 1}")
-                if cell_of[x] is not None:
+                if x in cell_of:
                     raise ValueError(f"point {x} appears in two cells")
                 cell_of[x] = i
-        if any(c is None for c in cell_of):
-            missing = next(x for x, c in enumerate(cell_of) if c is None)
+        if len(cell_of) < degree:
+            missing = next(x for x in range(degree) if x not in cell_of)
             raise ValueError(f"point {missing} not covered by any cell")
         self.degree = degree
         self.cells = tuple(norm)
-        self.cell_of = tuple(cell_of)
+        self.cell_of = tuple([cell_of[x] for x in range(degree)])
 
     def __len__(self):
         return len(self.cells)
@@ -99,10 +100,7 @@ class GroupAction:
         if not self.act or not self.act[0]:
             raise IdentityAxiomViolated("point set must be nonempty", degree=0)
         self.degree = len(self.act[0])
-        points = set(range(self.degree))
-        if set(map(type, chain.from_iterable(self.act))) != {int} or not all(
-            len(row) == self.degree and set(row) == points for row in self.act
-        ):
+        if not _are_permutations(self.act, self.degree):
             _raise_not_permutation(group, self.act, self.degree)
         e = group.identity
         for x in range(self.degree):
@@ -111,9 +109,6 @@ class GroupAction:
                     f"identity moves point {x}", point=x
                 )
         self._orbits = None
-
-    def apply(self, a: int, x: int) -> int:
-        return self.act[a][x]
 
     def orbit(self, x: int) -> tuple:
         """{a.x : a in G}, sorted."""

@@ -297,9 +297,9 @@ def _parse_param(text: str):
     value: object
     if raw.lower() in ("true", "false"):
         value = raw.lower() == "true"
-    elif raw.lstrip("-").isdigit():
+    elif raw.removeprefix("-").isdecimal():  # isdigit passes "²", which int refuses
         value = int(raw)
-    elif "," in raw and all(p.lstrip("-").isdigit() for p in raw.split(",") if p):
+    elif "," in raw and all(p.removeprefix("-").isdecimal() for p in raw.split(",") if p):
         value = [int(p) for p in raw.split(",") if p]
     else:
         value = raw

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from itertools import product
 from math import prod
-from operator import itemgetter
 from typing import Dict, List, Optional
 
 from .actions import GroupAction, conjugation_action, coset_action, translation_action, trivial_action
@@ -22,6 +21,7 @@ from .groups import (
     _closure,
     _extend_rows,
     _generators,
+    compose,
     cyclic_group,
     direct_product,
     from_generators,
@@ -179,12 +179,23 @@ def _dicyclic3_table():
     return group_from_table(mul, labels=labels)
 
 
-def _within_family_limit(name: str, prefix: str, n: int):
-    """Refuse c<n>, s<n>, a<n> or d<n> past the corpus limit before it is built."""
+_FAMILIES = {"c": _cyclic, "s": _symmetric, "a": _alternating, "d": _dihedral}
+
+
+def _family(name: str):
+    """The family letter and n of c<n>, s<n>, a<n> or d<n>, or None for another
+    name; n below 1 or past the corpus limit is refused before it is built."""
+    key = name.strip().lower()
+    if key[:1] not in _FAMILIES or not key[1:].isdecimal():
+        return None
+    prefix, n = key[0], int(key[1:])
+    if n < 1:
+        raise ParamOutOfRange(f"group size must be positive in {name!r}", name=name)
     if prefix in "sa" and n > 7:  # 7! is the limit, and 8!/2 is past it
         message = f"{name!r} has order at least 20160, beyond the corpus limit {_ORDER_LIMIT}"
         raise ParamOutOfRange(message, name=name, degree=n, limit=_ORDER_LIMIT)
     _within_limit("order", name=name, order=2 * n if prefix == "d" and n > 2 else n)
+    return prefix, n
 
 
 def group_by_name(name: str) -> FiniteGroup:
@@ -205,29 +216,21 @@ def group_by_name(name: str) -> FiniteGroup:
         return _quaternion_table()
     if key == "dic3":
         return _dicyclic3_table()
-    for prefix, builder in (("c", None), ("s", _symmetric), ("a", _alternating), ("d", _dihedral)):
-        if key.startswith(prefix) and key[len(prefix):].isdigit():
-            n = int(key[len(prefix):])
-            if n < 1:
-                raise ParamOutOfRange(f"group size must be positive in {name!r}", name=name)
-            _within_family_limit(name, prefix, n)
-            if prefix == "c":
-                return cyclic_group(n)
-            group, _ = builder(n)
-            return group
-    raise ParamOutOfRange(f"unknown group name {name!r}", name=name)
+    family = _family(name)
+    if family is None:
+        raise ParamOutOfRange(f"unknown group name {name!r}", name=name)
+    prefix, n = family
+    return cyclic_group(n) if prefix == "c" else _FAMILIES[prefix](n)[0]
 
 
 def natural_action_by_name(name: str):
     """A permutation family with its degree-n evaluation action."""
-    key = name.strip().lower()
-    builders = {"c": _cyclic, "s": _symmetric, "a": _alternating, "d": _dihedral}
-    if key and key[0] in builders and key[1:].isdigit():
-        n = int(key[1:])
-        _within_family_limit(name, key[0], n)
-        group, act = builders[key[0]](n)
-        return group, GroupAction(group, act)
-    raise ParamOutOfRange(f"no natural point action for group {name!r}", name=name)
+    family = _family(name)
+    if family is None:
+        raise ParamOutOfRange(f"no natural point action for group {name!r}", name=name)
+    prefix, n = family
+    group, act = _FAMILIES[prefix](n)
+    return group, GroupAction(group, act)
 
 
 def small_group_catalog(max_order: int = 12) -> List:
@@ -516,13 +519,11 @@ def _build_two_sided(group: str = "c2") -> CorpusEntry:
         raise ParamOutOfRange("two-sided family needs a group of order >= 2", group=group)
     _within_limit("order", group=group, order=g.order**2)
     gg = direct_product(g, g)
-    # (a, b).x = (a x) b^-1: row a read through column b^-1. _extend_rows on
+    # (a, b).x = (a x) b^-1: column b^-1 read through row a. _extend_rows on
     # G x G would take lazy products, and the report then builds its table.
     mul = g.mul_table
     columns = tuple(zip(*mul))
-    act = [
-        itemgetter(*row_a)(columns[b_inv]) for row_a in mul for b_inv in g.inv_table
-    ]
+    act = [compose(columns[b_inv], row_a) for row_a in mul for b_inv in g.inv_table]
     action = GroupAction(gg, act)
     expected = {"is_free": False}
     return CorpusEntry("two_sided", action, expected, {"group": group})

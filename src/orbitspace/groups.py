@@ -12,7 +12,8 @@ A product is one composition and one dictionary lookup, so closure, orbits,
 fixed points, stabilizers, Burnside sums and subgroup closure need no m x m
 table. Code that reads on the order of m^2 products reads ``mul_table``,
 which is built once, on first access, from the generators' rows
-(``_extend_rows``): the Cayley table is the left-regular action.
+(``_extend_rows``): the Cayley table is the left-regular action. Every row
+composition in the package is one C-level ``compose`` call.
 """
 
 from __future__ import annotations
@@ -82,9 +83,11 @@ def check_permutation(images: Sequence[int], degree: int) -> Perm:
     return images
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)(x) = p(q(x))."""
-    return tuple(map(p.__getitem__, q))
+def compose(p: Sequence, q: Sequence[int]) -> tuple:
+    """(p o q)(x) = p(q(x)): p, of any values, read through q in one C-level call."""
+    if len(q) < 2:  # itemgetter with one index returns the item, not a tuple
+        return tuple([p[x] for x in q])
+    return itemgetter(*q)(p)
 
 
 def invert_perm(p: Perm) -> Perm:
@@ -210,16 +213,13 @@ class FiniteGroup:
         return Subgroup(self, _closure(self.identity, gens, self.mul), gens)
 
     def is_automorphism(self, sigma: Sequence[int]) -> bool:
-        """True iff sigma(ab) = sigma(a)sigma(b) for all a, b (sigma a bijection)."""
+        """True iff sigma o row(a) = row(sigma(a)) o sigma for every a, that is,
+        sigma(ab) = sigma(a)sigma(b) for all a, b (sigma a bijection)."""
         sigma = check_permutation(sigma, self.order)
         mul = self.mul_table
-        for a in range(self.order):
-            sa = sigma[a]
-            row = mul[a]
-            for b in range(self.order):
-                if sigma[row[b]] != mul[sa][sigma[b]]:
-                    return False
-        return True
+        return all(
+            compose(sigma, mul[a]) == compose(mul[sigma[a]], sigma) for a in range(self.order)
+        )
 
     def is_abelian(self) -> bool:
         mul = self.mul_table
@@ -373,8 +373,9 @@ def group_from_table(mul_table, labels=None) -> FiniteGroup:
             f"{len(labels)} labels for {m} elements", labels=len(labels)
         )
 
-    gens = _generating_set(FiniteGroup.from_cayley_rows(rows, identity, inv))
-    for s in gens:
+    group = FiniteGroup.from_cayley_rows(rows, identity, inv, labels=labels)
+    group.generators = tuple(_generating_set(group))  # returned only once they pass
+    for s in group.generators:
         row_s = rows[s]
         for a in range(m):
             # (a*s)*c = a*(s*c) for every c: row a*s is row a composed with row s
@@ -385,22 +386,23 @@ def group_from_table(mul_table, labels=None) -> FiniteGroup:
                 raise NotAssociative(
                     f"({a}*{s})*{c} != {a}*({s}*{c})", a=a, b=s, c=c
                 )
-    return FiniteGroup.from_cayley_rows(rows, identity, inv, labels=labels, generators=gens)
+    return group
+
+
+def _are_permutations(rows, n: int) -> bool:
+    """Whether every row is a permutation of 0..n-1 of ints: one type test on
+    all entries (bools and floats fail it, though {True} == {1} == {1.0}), then
+    one set comparison per row. ``rows`` is read twice, so no iterator."""
+    points = set(range(n))
+    return set(map(type, chain.from_iterable(rows))) == {int} and all(
+        len(row) == n and set(row) == points for row in rows
+    )
 
 
 def _is_latin(rows, m: int) -> bool:
-    """Whether every row and every column is a permutation of 0..m-1.
-
-    One set comparison per row and column, after a type test on all entries
-    at once: bools and floats must fail it, since {True} == {1} == {1.0}.
-    """
+    """Whether every row and every column is a permutation of 0..m-1."""
     values = set(range(m))
-    return (
-        all(len(row) == m for row in rows)
-        and set(map(type, chain.from_iterable(rows))) == {int}
-        and all(set(row) == values for row in rows)
-        and all(set(col) == values for col in zip(*rows))
-    )
+    return _are_permutations(rows, m) and all(set(col) == values for col in zip(*rows))
 
 
 def _raise_not_latin(rows, m: int):
@@ -493,21 +495,19 @@ def _extend_rows(group: FiniteGroup, degree: int, row_of) -> tuple:
     ``row_of(s)`` is the row x -> s.x of a generator s. In any action
     row(p.s) = row(p) o row(s), so the closure walk from the identity gives
     each newly found q = p.s the row row(p) o row(s), read from row(p) by
-    one C-level ``itemgetter`` call: m row compositions plus m |S|
-    products, where an element-by-element build takes m n. Every row holds
-    the identity row's int objects.
+    one ``compose``: m row compositions plus m |S| products, where an
+    element-by-element build takes m n. Every row holds the identity row's
+    int objects.
     """
-    if degree == 1:  # the only row is (0,), and itemgetter(0) returns no tuple
-        return ((0,),) * group.order
     gens = _generators(group)
-    compose_with = {s: itemgetter(*row_of(s)) for s in gens}
+    gen_rows = {s: tuple(row_of(s)) for s in gens}
     rows = [None] * group.order
     rows[group.identity] = tuple(range(degree))
 
     def step(p, s):
         q = group.mul(p, s)
         if rows[q] is None:
-            rows[q] = compose_with[s](rows[p])
+            rows[q] = compose(rows[p], gen_rows[s])
         return q
 
     found = _closure(group.identity, gens, step)

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .actions import GroupAction, Partition
 from .errors import InvariantViolated, SizeLimitExceeded
-from .groups import check_permutation, default_cap, from_generators
+from .groups import check_permutation, compose, default_cap, from_generators
 
 
 def cell_transpositions(partition: Partition, minimal: bool = False):
@@ -86,5 +86,4 @@ def group_from_partition(
 def preserves_cells(partition: Partition, sigma) -> bool:
     """True iff sigma maps every cell onto itself."""
     sigma = check_permutation(sigma, partition.degree)
-    cell_of = partition.cell_of
-    return all(cell_of[sigma[x]] == cell_of[x] for x in range(partition.degree))
+    return compose(partition.cell_of, sigma) == partition.cell_of

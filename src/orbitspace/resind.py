@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .actions import GroupAction
-from .groups import _generators
+from .groups import _generators, compose
 from .errors import DegreeMismatch, EmptySubset, InvariantViolated, NotInvariant
 from .scalars import GaussianRational, ZERO
 from .spaces import PointFunction, _cell_sums, inner_product, is_invariant
@@ -135,7 +135,7 @@ def restrict(f: PointFunction, subset: InvariantSubset) -> SubsetFunction:
             function=f.degree,
             action=subset.action.degree,
         )
-    return SubsetFunction(subset, (f.values[x] for x in subset.points))
+    return SubsetFunction(subset, compose(f.values, subset.points))
 
 
 def extend_by_zero(g: SubsetFunction) -> PointFunction:

@@ -19,6 +19,7 @@ from typing import Iterable, List, Optional
 
 from .actions import GroupAction, Partition
 from .errors import ActionIsTrivial, DegreeMismatch, EmptyDomain, InvariantViolated
+from .groups import compose
 from .scalars import GaussianRational, ZERO, ONE
 
 
@@ -150,8 +151,7 @@ def _check_shapes(act: GroupAction, f: PointFunction):
 def act_on_function(act: GroupAction, a: int, f: PointFunction) -> PointFunction:
     """(a * f)(x) = f(a^-1 . x)."""
     _check_shapes(act, f)
-    row = act.act[act.group.inv(a)]
-    return PointFunction(f.values[row[x]] for x in range(act.degree))
+    return PointFunction(compose(f.values, act.act[act.group.inv(a)]))
 
 
 def is_invariant(act: GroupAction, f: PointFunction) -> Optional[InvariantCertificate]:

@@ -165,6 +165,18 @@ def mul_table_oracle(group):
     return tuple(tuple([index[compose(p, q)] for q in perms]) for p in perms)
 
 
+def is_automorphism_oracle(group, sigma) -> bool:
+    """sigma(ab) = sigma(a)sigma(b) checked over all m^2 pairs, one at a time."""
+    mul = group.mul_table
+    for a in range(group.order):
+        sa = sigma[a]
+        row = mul[a]
+        for b in range(group.order):
+            if sigma[row[b]] != mul[sa][sigma[b]]:
+                return False
+    return True
+
+
 def direct_product_oracle(g_table, h_table):
     """The Cayley table of G x H, with (a, b) as a*|H| + b, from both tables."""
     mg, mh = len(g_table), len(h_table)

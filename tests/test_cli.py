@@ -238,7 +238,9 @@ def test_corpus_build_one_seed(family, raw, capsys):
 
 
 @pytest.mark.parametrize("family", ["coset", "subgroup_conjugates"])
-@pytest.mark.parametrize("raw,seed", [("99", 99), ("1,-1", -1), ("x", "x"), ("true", True)])
+@pytest.mark.parametrize(
+    "raw,seed", [("99", 99), ("1,-1", -1), ("x", "x"), ("true", True), ("1,--2", "1,--2")]
+)
 def test_corpus_build_bad_seed_exits_3(family, raw, seed, capsys):
     code = main(["corpus", "build", family, "--param", f"seeds={raw}"])
     assert code == 3
@@ -262,6 +264,8 @@ def test_corpus_build_unknown_param_exits_3(capsys):
         ("gl_on_vectors", "q=x", "x", "int"),
         ("symmetric", "n=true", True, "int"),
         ("trivial", "group=3", 3, "str"),
+        ("symmetric", "n=--1", "--1", "int"),
+        ("symmetric", "n=²", "²", "int"),
     ],
 )
 def test_corpus_build_wrong_param_type_exits_3(name, param, value, expected, capsys):
@@ -284,6 +288,28 @@ def test_bad_cap_env_var_exits_3(capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "ParseError"
     assert doc["witness"] == {"variable": "ORBITSPACE_CAP", "value": "abc"}
+
+
+@pytest.mark.parametrize("family,param", [("conjugation", "group"), ("subset_action", "base")])
+@pytest.mark.parametrize("name", ["s²", "c³"])
+def test_corpus_group_names_with_non_decimal_digits_exit_2(family, param, name, capsys):
+    """str.isdigit accepts superscripts, which int refuses."""
+    code = main(["corpus", "build", family, "--param", f"{param}={name}"])
+    assert code == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParamOutOfRange"
+    assert doc["witness"] == {"name": name}
+
+
+@pytest.mark.parametrize("degree", [10**12, 10**20])
+def test_partition_with_a_huge_degree_exits_3_without_allocating_it(degree, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"degree": degree, "cells": [[0]]}))
+    code = main(["from-partition", "--input", str(path)])
+    assert code == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParseError"
+    assert doc["message"] == "invalid partition: point 1 not covered by any cell"
 
 
 def test_corpus_unknown_name_exits_2(capsys):
@@ -731,6 +757,7 @@ CORPUS_VALUES = st.one_of(
     st.sampled_from(SMALL_GROUPS),
     st.sampled_from(["c6000", "c80xc80", "s4xs4xs4"]),  # past the corpus limit
     st.sampled_from(["", "x", "s", "c0", "q8x"]),
+    st.sampled_from(["--1", "1,--2", "²", "s²", "c³"]),  # str.isdigit passes them, int refuses
 )
 CORPUS_PARAMS = st.one_of(
     st.builds(

@@ -213,6 +213,16 @@ def test_group_by_name():
         group_by_name("foo")
 
 
+@pytest.mark.parametrize("name", ["s0", "c0", "a0", "d0"])
+def test_natural_actions_refuse_size_zero_by_name(name):
+    """Both name resolvers share one family parser, so n = 0 is refused by
+    name before a degree-0 permutation group is attempted."""
+    for resolve in (natural_action_by_name, group_by_name):
+        with pytest.raises(ParamOutOfRange) as exc:
+            resolve(name)
+        assert exc.value.witness == {"name": name}
+
+
 def test_small_group_catalog_is_complete_and_distinct():
     catalog = small_group_catalog()
     assert len(catalog) == 24

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import direct_product_oracle, mul_table_oracle
+from helpers import direct_product_oracle, is_automorphism_oracle, mul_table_oracle
 from orbitspace import groups
 from orbitspace.cli import main
 from orbitspace.errors import (
@@ -34,6 +34,7 @@ from orbitspace.groups import (
     invert_perm,
     whole_group,
 )
+from orbitspace.scalars import GaussianRational
 
 
 def closure_oracle(degree, gens):
@@ -690,3 +691,35 @@ def test_extend_rows_refuses_generators_that_miss_elements():
     with pytest.raises(InvariantViolated) as exc:
         short.mul_table
     assert exc.value.witness["rhs"] == 6 and exc.value.witness["lhs"] < 6
+
+
+# ---------------------------------------------------------------------------
+# one row composition
+
+
+def row_values():
+    fractions = st.fractions(max_denominator=5)
+    scalars = st.builds(GaussianRational, fractions, fractions)
+    return st.one_of(st.integers(-3, 60), st.text(max_size=2), scalars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(row_values(), min_size=1, max_size=50), st.data(), st.booleans(), st.booleans())
+def test_compose_reads_p_through_q(p, data, p_tuple, q_tuple):
+    q = data.draw(st.lists(st.integers(0, len(p) - 1), min_size=1, max_size=50))
+    p, q = (tuple(p) if p_tuple else p), (tuple(q) if q_tuple else q)
+    assert compose(p, q) == tuple(map(p.__getitem__, q))
+
+
+def test_is_automorphism_matches_the_pairwise_check():
+    from orbitspace.corpus import small_group_catalog
+
+    rng = random.Random(11)
+    for name, g in small_group_catalog():
+        maps = automorphism_group(g)
+        for _ in range(20):
+            sigma = list(range(g.order))
+            rng.shuffle(sigma)
+            maps.append(tuple(sigma))
+        for sigma in maps:
+            assert g.is_automorphism(sigma) == is_automorphism_oracle(g, sigma), (name, sigma)
