@@ -62,6 +62,14 @@ class Partition:
         self.cells = tuple(norm)
         self.cell_of = tuple([cell_of[x] for x in range(degree)])
 
+    @classmethod
+    def _trusted(cls, degree: int, cells: tuple, cell_of: tuple) -> "Partition":
+        """A partition already in normal form: sorted cells, ordered by least
+        member, covering 0..degree-1, with ``cell_of`` to match."""
+        part = cls.__new__(cls)
+        part.degree, part.cells, part.cell_of = degree, cells, cell_of
+        return part
+
     def __len__(self):
         return len(self.cells)
 
@@ -129,15 +137,21 @@ class GroupAction:
 
     def _orbit_partition(self, gens) -> Partition:
         rows = [self.act[s] for s in gens]
-        seen = [False] * self.degree
+        cell_of = [-1] * self.degree
         cells = []
         for x in range(self.degree):
-            if not seen[x]:
-                cell = _closure(x, rows, lambda y, row: row[y])
-                for y in cell:
-                    seen[y] = True
-                cells.append(cell)
-        return Partition(self.degree, cells)
+            if cell_of[x] < 0:
+                # x is the least point of its orbit: every smaller one is placed
+                i = cell_of[x] = len(cells)
+                cell = [x]
+                for y in cell:  # appending while iterating walks the orbit breadth-first
+                    for row in rows:
+                        z = row[y]
+                        if cell_of[z] < 0:
+                            cell_of[z] = i
+                            cell.append(z)
+                cells.append(tuple(sorted(cell)))
+        return Partition._trusted(self.degree, tuple(cells), tuple(cell_of))
 
     def fix(self, a: int) -> tuple:
         """Points fixed by a single group element, sorted."""

@@ -38,6 +38,9 @@ Perm = tuple  # image array in one-line notation, 0-based
 
 DEFAULT_CLOSURE_CAP = 20160
 CAP_ENV_VAR = "ORBITSPACE_CAP"
+# the most points a permutation group may act on; the identity alone is a
+# degree-long tuple, and the largest corpus action has 5040 points
+_DEGREE_LIMIT = 1 << 16
 
 
 def default_cap() -> int:
@@ -450,6 +453,12 @@ def from_generators(
     """
     if degree < 1:
         raise NotAPermutation(f"degree must be at least 1, got {degree}", degree=degree)
+    if degree > _DEGREE_LIMIT:
+        raise SizeLimitExceeded(
+            f"degree {degree} is beyond the limit {_DEGREE_LIMIT}",
+            degree=degree,
+            limit=_DEGREE_LIMIT,
+        )
     if cap is None:
         cap = default_cap()
     gens = [check_permutation(p, degree) for p in generators]

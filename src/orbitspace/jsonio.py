@@ -121,13 +121,21 @@ def action_to_json(action: GroupAction) -> dict:
     }
 
 
-def function_from_json(obj, degree: Optional[int] = None) -> PointFunction:
+def _values_from_json(values) -> PointFunction:
+    from .scalars import parse_pairs
     from .spaces import PointFunction
 
-    values = _expect(obj, "values", list, "function")
-    f = PointFunction(
+    columns = parse_pairs(values)
+    if columns is not None:
+        return PointFunction._from_columns(*columns)
+    # some value is off the wire format: read one by one, naming the first bad one
+    return PointFunction(
         scalar_from_json(v, where=f"function.values[{i}]") for i, v in enumerate(values)
     )
+
+
+def function_from_json(obj, degree: Optional[int] = None) -> PointFunction:
+    f = _values_from_json(_expect(obj, "values", list, "function"))
     if degree is not None and f.degree != degree:
         raise ParseError(
             f"function has {f.degree} values, expected {degree}",
@@ -138,7 +146,7 @@ def function_from_json(obj, degree: Optional[int] = None) -> PointFunction:
 
 
 def function_to_json(f: PointFunction) -> dict:
-    return {"values": [scalar_to_json(v) for v in f.values]}
+    return {"values": f.to_pairs()}
 
 
 def subset_function_from_json(obj, subset: InvariantSubset) -> SubsetFunction:
@@ -154,22 +162,20 @@ def subset_function_from_json(obj, subset: InvariantSubset) -> SubsetFunction:
                 declared=sorted(declared),
                 subset=list(subset.points),
             )
-    vals = [
-        scalar_from_json(v, where=f"function.values[{i}]") for i, v in enumerate(values)
-    ]
-    if len(vals) != subset.size:
+    f = _values_from_json(values)
+    if f.degree != subset.size:
         raise ParseError(
-            f"function has {len(vals)} values, subset has {subset.size} points",
-            values=len(vals),
+            f"function has {f.degree} values, subset has {subset.size} points",
+            values=f.degree,
             size=subset.size,
         )
-    return SubsetFunction(subset, vals)
+    return SubsetFunction(subset, f)
 
 
 def subset_function_to_json(g: SubsetFunction) -> dict:
     return {
         "subset": list(g.subset.points),
-        "values": [scalar_to_json(v) for v in g.values],
+        "values": g.as_point_function().to_pairs(),
     }
 
 

@@ -14,14 +14,22 @@ orbit average, at the cost of one orbit scan instead of |G| |X| steps.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import repeat
 from typing import Iterable
 
 from .actions import GroupAction
-from .groups import _generators, compose
+from .groups import _generators
 from .errors import DegreeMismatch, EmptySubset, InvariantViolated, NotInvariant
-from .scalars import GaussianRational, ZERO
-from .spaces import PointFunction, _cell_sums, inner_product, is_invariant
+from .scalars import GaussianRational
+from .spaces import (
+    PointFunction,
+    _cell_averages,
+    _cell_sums,
+    _constant_on_cells,
+    _dot,
+    _same_degree,
+    inner_product,
+)
 
 
 class InvariantSubset:
@@ -93,34 +101,39 @@ def invariant_subset(act: GroupAction, points: Iterable[int]) -> InvariantSubset
 
 
 class SubsetFunction:
-    """A function on an invariant subset, stored by position."""
+    """A function on an invariant subset, stored by position as a
+    ``PointFunction`` on positions 0..|Y|-1."""
 
-    __slots__ = ("subset", "values")
+    __slots__ = ("subset", "_by_position")
 
     def __init__(self, subset: InvariantSubset, values: Iterable):
-        vals = []
-        for v in values:
-            vals.append(v if isinstance(v, GaussianRational) else GaussianRational(v))
         self.subset = subset
-        self.values = tuple(vals)
-        if len(self.values) != subset.size:
+        self._by_position = PointFunction(values)
+        if self._by_position.degree != subset.size:
             raise DegreeMismatch(
-                f"{len(self.values)} values for a subset of size {subset.size}",
-                values=len(self.values),
+                f"{self._by_position.degree} values for a subset of size {subset.size}",
+                values=self._by_position.degree,
                 size=subset.size,
             )
 
+    @property
+    def values(self) -> tuple:
+        return self._by_position.values
+
     def at_point(self, x: int) -> GaussianRational:
-        return self.values[self.subset.position[x]]
+        return self._by_position[self.subset.position[x]]
 
     def as_point_function(self) -> PointFunction:
         """The same values, viewed as a function on the subset's positions."""
-        return PointFunction(self.values)
+        return self._by_position
 
     def __eq__(self, other):
         if not isinstance(other, SubsetFunction):
             return NotImplemented
-        return self.subset.points == other.subset.points and self.values == other.values
+        return (
+            self.subset.points == other.subset.points
+            and self._by_position == other._by_position
+        )
 
     def __repr__(self):
         return f"SubsetFunction({list(map(str, self.values))})"
@@ -135,15 +148,18 @@ def restrict(f: PointFunction, subset: InvariantSubset) -> SubsetFunction:
             function=f.degree,
             action=subset.action.degree,
         )
-    return SubsetFunction(subset, compose(f.values, subset.points))
+    return SubsetFunction(subset, f._gather(subset.points))
 
 
 def extend_by_zero(g: SubsetFunction) -> PointFunction:
     """Zero outside the subset; invariant input stays invariant."""
-    vals = [ZERO] * g.subset.action.degree
-    for x in g.subset.points:
-        vals[x] = g.at_point(x)
-    return PointFunction(vals)
+    points = range(g.subset.action.degree)
+    return PointFunction._from_columns(
+        *(
+            tuple(map(dict(zip(g.subset.points, col)).get, points, repeat(fill)))
+            for col, fill in zip(g._by_position._cols, (0, 1, 0, 1))
+        )
+    )
 
 
 def induce(subset: InvariantSubset, g: SubsetFunction) -> PointFunction:
@@ -157,20 +173,14 @@ def induce(subset: InvariantSubset, g: SubsetFunction) -> PointFunction:
     """
     act = subset.action
     part, sums = _cell_sums(act, extend_by_zero(g))
-    vals = [ZERO] * act.degree
-    for cell, s in zip(part.cells, sums):
-        value = s * GaussianRational(Fraction(act.degree, subset.size * len(cell)))
-        for x in cell:
-            vals[x] = value
-    out = PointFunction(vals)
-    if is_invariant(act, out) is None:
-        x, y = next(
-            (c[0], y) for c in act.orbits().cells for y in c if vals[y] != vals[c[0]]
-        )
+    out = _cell_averages(part, sums, act.degree, subset.size)
+    orbits = act.orbits().cells
+    if not _constant_on_cells(orbits, out):
+        x, y = next((c[0], y) for c in orbits for y in c if out[y] != out[c[0]])
         raise InvariantViolated(
             "induced function is not constant on an orbit",
-            vals[x],
-            vals[y],
+            out[x],
+            out[y],
             points=[x, y],
         )
     return out
@@ -195,12 +205,19 @@ def reciprocity_check(subset: InvariantSubset, f: SubsetFunction, g: PointFuncti
     still shows how far apart they land.
     """
     act = subset.action
-    lhs = inner_product(induce(subset, f), g)
+    induced = induce(subset, f)
+    _same_degree(induced, g)
+    # Ind f is constant on each orbit C, so <Ind f, g> is
+    # (1/n) sum over C of Ind f(C) conj(sum of g over C)
+    part, g_sums = _cell_sums(act, g)
+    cells = part.cells
+    re, im = _dot(induced._gather([c[0] for c in cells])._cols, g_sums._cols)
+    lhs = GaussianRational(re / act.degree, im / act.degree)
     rhs = subset_inner_product(f, restrict(g, subset))
-    # f is invariant exactly when it is constant on the orbits inside the subset
-    inside = [c for c in act.orbits().cells if c[0] in subset]
-    f_ok = all(f.at_point(x) == f.at_point(c[0]) for c in inside for x in c)
-    g_ok = is_invariant(act, g) is not None
+    # the subset is a union of orbits, so f is invariant exactly when its
+    # zero-extension is constant on every orbit
+    f_ok = _constant_on_cells(cells, extend_by_zero(f))
+    g_ok = _constant_on_cells(cells, g)
     if not f_ok or not g_ok:
         side = "f" if not f_ok else "g"
         raise NotInvariant(

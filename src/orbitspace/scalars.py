@@ -2,19 +2,31 @@
 
 All arithmetic in the library runs over this field, so every identity is
 checked as an exact equality. There is no floating-point mode.
+
+Function vectors keep their values as integer columns (numerators and
+denominators) instead; ``parse_pairs`` reads the wire form straight into
+them and ``sum_by_denominator`` adds a column of rationals denominator by
+denominator.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
+from math import gcd
+from operator import floordiv
 
 from .errors import ParseError
 
 # Arbitrary-precision rational, always stored reduced with positive denominator.
 Rational = Fraction
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# [0-9], not \d, which also matches non-ASCII digits such as "٣"; used with
+# fullmatch, since $ also matches before a final newline
+_RAT_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# a column of "num/den" wire rationals, each followed by a comma
+_COLUMN_RE = re.compile(r"(?:[+-]?[0-9]+/[0-9]+,)*")
 
 
 class GaussianRational:
@@ -142,14 +154,91 @@ def _coerce(value):
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "num/den" or the integer shorthand "3". Decimals are rejected."""
-    if isinstance(text, int):
+    """Parse "num/den" or the integer shorthand "3" (a JSON int is taken as is).
+
+    Decimals, bools, non-ASCII digits and surrounding whitespace are refused.
+    """
+    if type(text) is int:
         return Fraction(text)
-    if not isinstance(text, str) or not _RAT_RE.match(text):
+    if type(text) is not str or not _RAT_RE.fullmatch(text):
         raise ParseError(
             f"rational must look like '3' or '-3/4', got {text!r}", value=text
         )
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}", value=text) from None
+        num, den = int(num), int(den or 1)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"rational {text!r} has too many digits", value=text) from None
+    if den == 0:
+        raise ParseError(f"zero denominator in {text!r}", value=text)
+    return Fraction(num, den)
+
+
+def parse_pairs(pairs):
+    """The reduced columns (re_num, re_den, im_num, im_den) of a list of
+    [re, im] wire pairs, read in a few C-level passes.
+
+    Returns None when some pair is off the wire format; ``from_pair`` then
+    names the first bad value.
+    """
+    if not ({list}.issuperset(map(type, pairs)) and {2}.issuperset(map(len, pairs))):
+        return None
+    flat = list(chain.from_iterable(pairs))
+    if not {str, int}.issuperset(map(type, flat)):  # bools are refused here
+        return None
+    flat = [x if type(x) is str and "/" in x else f"{x}/1" for x in flat]
+    flat.append("")
+    text = ",".join(flat)
+    # each match ends in a comma, so as many commas as values means no value held one
+    if text.count(",") != len(flat) - 1 or not _COLUMN_RE.fullmatch(text):
+        return None
+    parts = text.replace("/", ",").split(",")
+    try:
+        nums = list(map(int, parts[0:-1:2]))
+        dens = list(map(int, parts[1::2]))
+    except ValueError:  # more digits than int() converts
+        return None
+    if 0 in dens:
+        return None
+    nums, dens = reduced(nums, dens)
+    return nums[0::2], dens[0::2], nums[1::2], dens[1::2]
+
+
+def reduced(nums, dens):
+    """nums[i]/dens[i] in lowest terms, as two tuples; dens must be positive."""
+    nums, dens = list(nums), list(dens)
+    common = list(map(gcd, nums, dens))
+    return tuple(map(floordiv, nums, common)), tuple(map(floordiv, dens, common))
+
+
+def sum_by_denominator(nums, dens) -> tuple:
+    """The exact sum of nums[i]/dens[i] (positive dens) as (num, den) in
+    lowest terms.
+
+    One dict pass adds the numerators of each distinct denominator. The
+    partial sums then meet as in a binary counter: two sums of 2^j
+    denominators each are added over the lcm of theirs, so the lcm of all
+    of them only appears in the last few additions. Nothing is scaled to
+    the lcm of the whole column: with thousands of distinct prime
+    denominators it has tens of thousands of bits, and adding the partial
+    sums onto it one by one would cost a pass over it each.
+    """
+    by_den = {}
+    get = by_den.get
+    for num, den in zip(nums, dens):
+        by_den[den] = get(den, 0) + num
+    stack = []  # (count, den, num): sums of count denominators, counts decreasing
+    for den, num in by_den.items():
+        count = 1
+        while stack and stack[-1][0] == count:
+            _, d, n = stack.pop()
+            g = gcd(d, den)
+            den, num = d // g * den, n * (den // g) + num * (d // g)
+            count *= 2
+        stack.append((count, den, num))
+    total, common = 0, 1
+    for _, den, num in reversed(stack):
+        g = gcd(common, den)
+        total, common = total * (den // g) + num * (common // g), common // g * den
+    g = gcd(total, common)
+    return total // g, common // g

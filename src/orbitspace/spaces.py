@@ -15,76 +15,112 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add, mul, neg, sub
 from typing import Iterable, List, Optional
 
 from .actions import GroupAction, Partition
 from .errors import ActionIsTrivial, DegreeMismatch, EmptyDomain, InvariantViolated
-from .groups import compose
-from .scalars import GaussianRational, ZERO, ONE
+from .scalars import ZERO, GaussianRational, reduced, sum_by_denominator
+
+
+def _scalar(re_num, re_den, im_num, im_den) -> GaussianRational:
+    return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
 
 
 class PointFunction:
-    """A function on points 0..degree-1, stored as exact scalar values."""
+    """A function on points 0..degree-1 with exact scalar values.
 
-    __slots__ = ("values",)
+    The values are stored as four integer columns: the real numerators and
+    denominators and the imaginary ones, each value in lowest terms with a
+    positive denominator. Sums and inner products run on the columns;
+    ``values``, the tuple of ``GaussianRational``, is built on first use.
+    """
+
+    __slots__ = ("_cols", "_values")
 
     def __init__(self, values: Iterable):
-        vals = []
-        for v in values:
-            if isinstance(v, GaussianRational):
-                vals.append(v)
-            else:
-                vals.append(GaussianRational(v))
-        self.values = tuple(vals)
+        if isinstance(values, PointFunction):
+            self._cols, self._values = values._cols, values._values
+            return
+        vals = tuple(v if isinstance(v, GaussianRational) else GaussianRational(v) for v in values)
+        res, ims = [v.re for v in vals], [v.im for v in vals]
+        self._cols = (
+            tuple(r.numerator for r in res),
+            tuple(r.denominator for r in res),
+            tuple(i.numerator for i in ims),
+            tuple(i.denominator for i in ims),
+        )
+        self._values = vals
+
+    @classmethod
+    def _from_columns(cls, re_num, re_den, im_num, im_den) -> "PointFunction":
+        """From columns already in lowest terms with positive denominators."""
+        f = cls.__new__(cls)
+        f._cols, f._values = (re_num, re_den, im_num, im_den), None
+        return f
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            self._values = tuple(map(_scalar, *self._cols))
+        return self._values
 
     @property
     def degree(self) -> int:
-        return len(self.values)
+        return len(self._cols[0])
 
     @classmethod
     def zero(cls, degree: int) -> "PointFunction":
-        return cls([ZERO] * degree)
+        return cls.constant(degree, 0)
 
     @classmethod
     def constant(cls, degree: int, value) -> "PointFunction":
-        return cls([value] * degree)
+        z = value if isinstance(value, GaussianRational) else GaussianRational(value)
+        parts = (z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator)
+        return cls._from_columns(*((part,) * degree for part in parts))
 
     @classmethod
     def ones(cls, degree: int) -> "PointFunction":
-        return cls([ONE] * degree)
+        return cls.constant(degree, 1)
 
     @classmethod
     def delta(cls, degree: int, point: int) -> "PointFunction":
-        vals = [ZERO] * degree
-        vals[point] = ONE
-        return cls(vals)
+        return cls.indicator(degree, (point,))
 
     @classmethod
     def indicator(cls, degree: int, points: Iterable[int]) -> "PointFunction":
-        vals = [ZERO] * degree
+        nums = [0] * degree
         for x in points:
-            vals[x] = ONE
-        return cls(vals)
+            nums[x] = 1
+        return cls._from_columns(tuple(nums), (1,) * degree, (0,) * degree, (1,) * degree)
+
+    def _gather(self, points) -> "PointFunction":
+        """The values at ``points``, in that order."""
+        return PointFunction._from_columns(
+            *(tuple(map(col.__getitem__, points)) for col in self._cols)
+        )
 
     def __getitem__(self, x: int) -> GaussianRational:
         return self.values[x]
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.degree
 
     def __iter__(self):
         return iter(self.values)
 
     def __add__(self, other: "PointFunction") -> "PointFunction":
         _same_degree(self, other)
-        return PointFunction(a + b for a, b in zip(self.values, other.values))
+        return _combine(add, self._cols, other._cols)
 
     def __sub__(self, other: "PointFunction") -> "PointFunction":
         _same_degree(self, other)
-        return PointFunction(a - b for a, b in zip(self.values, other.values))
+        return _combine(sub, self._cols, other._cols)
 
     def __neg__(self) -> "PointFunction":
-        return PointFunction(-a for a in self.values)
+        rn, rd, in_, id_ = self._cols
+        return PointFunction._from_columns(tuple(map(neg, rn)), rd, tuple(map(neg, in_)), id_)
 
     def scale(self, scalar) -> "PointFunction":
         return PointFunction(scalar * v for v in self.values)
@@ -92,18 +128,55 @@ class PointFunction:
     __rmul__ = scale
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
+        return not any(self._cols[0]) and not any(self._cols[2])
 
     def __eq__(self, other):
         if not isinstance(other, PointFunction):
             return NotImplemented
-        return self.values == other.values
+        return self._cols == other._cols
 
     def __hash__(self):
-        return hash(self.values)
+        return hash(self._cols)
 
     def __repr__(self):
         return f"PointFunction([{', '.join(str(v) for v in self.values)}])"
+
+    def to_pairs(self) -> list:
+        """The wire form: one [re, im] pair of reduced "num/den" strings per point."""
+        rn, rd, in_, id_ = self._cols
+        return list(map(list, zip(map(_text, rn, rd), map(_text, in_, id_))))
+
+
+def _text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for a fraction already in lowest terms."""
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
+def _combine(op, f_cols, g_cols) -> PointFunction:
+    """f op g point by point, for op add or sub, reduced."""
+    an, ad, bn, bd = f_cols
+    cn, cd, en, ed = g_cols
+    re = reduced(map(op, map(mul, an, cd), map(mul, cn, ad)), map(mul, ad, cd))
+    im = reduced(map(op, map(mul, bn, ed), map(mul, en, bd)), map(mul, bd, ed))
+    return PointFunction._from_columns(*re, *im)
+
+
+def _dot(f_cols, g_cols):
+    """sum f(x) conj(g(x)) over the columns of f and g, as (re, im) Fractions."""
+    a, ad, b, bd = f_cols
+    c, cd, e, ed = g_cols
+    # (a + bi)(c - ei) = (ac + be) + (bc - ae)i
+    re = _sum(
+        chain(map(mul, a, c), map(mul, b, e)), chain(map(mul, ad, cd), map(mul, bd, ed))
+    )
+    im = _sum(
+        chain(map(mul, b, c), map(neg, map(mul, a, e))), chain(map(mul, bd, cd), map(mul, ad, ed))
+    )
+    return re, im
+
+
+def _sum(nums, dens) -> Fraction:
+    return Fraction(*sum_by_denominator(nums, dens))
 
 
 @dataclass(frozen=True)
@@ -151,21 +224,23 @@ def _check_shapes(act: GroupAction, f: PointFunction):
 def act_on_function(act: GroupAction, a: int, f: PointFunction) -> PointFunction:
     """(a * f)(x) = f(a^-1 . x)."""
     _check_shapes(act, f)
-    return PointFunction(compose(f.values, act.act[act.group.inv(a)]))
+    return f._gather(act.act[act.group.inv(a)])
 
 
 def is_invariant(act: GroupAction, f: PointFunction) -> Optional[InvariantCertificate]:
     """Certificate iff f is constant on each orbit; decided by an orbit scan."""
     _check_shapes(act, f)
     part = act.orbits()
-    orbit_values = []
-    for cell in part.cells:
-        v = f.values[cell[0]]
-        for x in cell[1:]:
-            if f.values[x] != v:
-                return None
-        orbit_values.append(v)
-    return InvariantCertificate(f, part, tuple(orbit_values))
+    if not _constant_on_cells(part.cells, f):
+        return None
+    firsts = [cell[0] for cell in part.cells]
+    return InvariantCertificate(f, part, f._gather(firsts).values)
+
+
+def _constant_on_cells(cells, f: PointFunction) -> bool:
+    """Whether f takes one value on each cell."""
+    keys = list(zip(*f._cols))
+    return all(len(set(map(keys.__getitem__, cell))) == 1 for cell in cells)
 
 
 def indicator_basis(act: GroupAction) -> List[PointFunction]:
@@ -180,10 +255,8 @@ def inner_product(f: PointFunction, g: PointFunction) -> GaussianRational:
     n = f.degree
     if n == 0:
         raise EmptyDomain("inner product needs a nonempty point set", degree=0)
-    total = ZERO
-    for a, b in zip(f.values, g.values):
-        total = total + a * b.conjugate()
-    return total * GaussianRational(Fraction(1, n))
+    re, im = _dot(f._cols, g._cols)
+    return GaussianRational(re / n, im / n)
 
 
 def norm_squared(f: PointFunction) -> Fraction:
@@ -191,7 +264,17 @@ def norm_squared(f: PointFunction) -> Fraction:
     n = f.degree
     if n == 0:
         raise EmptyDomain("norm needs a nonempty point set", degree=0)
-    return Fraction(sum(v.norm_sq() for v in f.values), n)
+    return _square_sum(f) / n
+
+
+def _square_sum(f: PointFunction, weights=None) -> Fraction:
+    """sum of |f(x)|^2 / weights[x], the weights all 1 when not given."""
+    rn, rd, in_, id_ = f._cols
+    nums, dens = rn + in_, rd + id_
+    squares = map(mul, dens, dens)
+    if weights is not None:
+        squares = map(mul, squares, weights * 2)
+    return _sum(map(mul, nums, nums), squares)
 
 
 def unitarity_check(act: GroupAction, a: int, f: PointFunction, g: PointFunction):
@@ -208,26 +291,30 @@ def unitarity_check(act: GroupAction, a: int, f: PointFunction, g: PointFunction
 
 
 def _cell_sums(act: GroupAction, f: PointFunction):
+    """The orbit partition, and the sum of f over each orbit as a function
+    on the orbits."""
     part = act.orbits()
-    sums = []
+    rn, rd, in_, id_ = f._cols
+    re, im = [], []
     for cell in part.cells:
-        s = ZERO
-        for x in cell:
-            s = s + f.values[x]
-        sums.append(s)
-    return part, sums
+        re.append(sum_by_denominator(map(rn.__getitem__, cell), map(rd.__getitem__, cell)))
+        im.append(sum_by_denominator(map(in_.__getitem__, cell), map(id_.__getitem__, cell)))
+    return part, PointFunction._from_columns(*zip(*re), *zip(*im))
+
+
+def _cell_averages(part: Partition, sums: PointFunction, num=1, den=1) -> PointFunction:
+    """The function equal to (num / den) sums[i] / |C_i| on each cell C_i."""
+    rn, rd, in_, id_ = sums._cols
+    dens = [den * len(cell) for cell in part.cells]
+    re = reduced([num * x for x in rn], map(mul, rd, dens))
+    im = reduced([num * x for x in in_], map(mul, id_, dens))
+    return PointFunction._from_columns(*re, *im)._gather(part.cell_of)
 
 
 def fourier_projection(act: GroupAction, f: PointFunction) -> PointFunction:
     """Orthogonal projection onto the invariant subspace: average over each orbit."""
     _check_shapes(act, f)
-    part, sums = _cell_sums(act, f)
-    vals = [ZERO] * act.degree
-    for cell, s in zip(part.cells, sums):
-        avg = s * GaussianRational(Fraction(1, len(cell)))
-        for x in cell:
-            vals[x] = avg
-    return PointFunction(vals)
+    return _cell_averages(*_cell_sums(act, f))
 
 
 @dataclass(frozen=True)
@@ -248,16 +335,15 @@ def fourier_coefficients(act: GroupAction, f: PointFunction) -> List[FourierCoef
     _check_shapes(act, f)
     part, sums = _cell_sums(act, f)
     n = act.degree
-    out = []
-    for cell, s in zip(part.cells, sums):
-        out.append(
-            FourierCoefficient(
-                cell=cell,
-                raw_sum=s,
-                coef_norm_sq=s.norm_sq() / (n * len(cell)),
-            )
-        )
-    return out
+    # |a/c + (b/d)i|^2 / (n |C|) = (a^2 d^2 + b^2 c^2) / (c^2 d^2 n |C|)
+    norms = [
+        Fraction(a * a * d * d + b * b * c * c, c * c * d * d * n * len(cell))
+        for cell, a, c, b, d in zip(part.cells, *sums._cols)
+    ]
+    return [
+        FourierCoefficient(cell=cell, raw_sum=s, coef_norm_sq=norm)
+        for cell, s, norm in zip(part.cells, sums.values, norms)
+    ]
 
 
 def bessel_check(act: GroupAction, f: PointFunction):
@@ -268,14 +354,11 @@ def bessel_check(act: GroupAction, f: PointFunction):
     """
     _check_shapes(act, f)
     part, sums = _cell_sums(act, f)
-    lhs = sum(
-        (s.norm_sq() / len(cell) for cell, s in zip(part.cells, sums)),
-        Fraction(0),
-    )
-    rhs = sum((v.norm_sq() for v in f.values), Fraction(0))
+    lhs = _square_sum(sums, [len(cell) for cell in part.cells])
+    rhs = _square_sum(f)
     if lhs > rhs:
         raise InvariantViolated("projection norm exceeded the function norm", lhs, rhs)
-    invariant = is_invariant(act, f) is not None
+    invariant = _constant_on_cells(part.cells, f)
     if (lhs == rhs) != invariant:
         raise InvariantViolated(
             "Bessel equality disagrees with the invariance scan", lhs, rhs, invariant=invariant
@@ -304,10 +387,8 @@ def strict_bessel_witness(act: GroupAction) -> PointFunction:
 def value_sum(f: PointFunction) -> GaussianRational:
     """The linear functional f -> sum of all values; its kernel is the
     orthogonal complement of the constants."""
-    total = ZERO
-    for v in f.values:
-        total = total + v
-    return total
+    rn, rd, in_, id_ = f._cols
+    return GaussianRational(_sum(rn, rd), _sum(in_, id_))
 
 
 def decompose(act: GroupAction, f: PointFunction) -> Decomposition:

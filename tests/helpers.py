@@ -3,8 +3,10 @@
 from fractions import Fraction
 from itertools import permutations
 
-from orbitspace.actions import GroupAction
-from orbitspace.groups import compose
+from hypothesis import strategies as st
+
+from orbitspace.actions import GroupAction, coset_action
+from orbitspace.groups import compose, from_generators, group_from_table
 from orbitspace.scalars import GaussianRational
 from orbitspace.spaces import PointFunction
 
@@ -83,6 +85,39 @@ def disjoint_union(actions) -> GroupAction:
     return GroupAction(group, rows)
 
 
+def relabel(action, rho):
+    """Transport an action along a point relabeling rho."""
+    inv = [0] * len(rho)
+    for x, y in enumerate(rho):
+        inv[y] = x
+    table = [
+        [rho[action.act[a][inv[y]]] for y in range(action.degree)]
+        for a in range(action.group.order)
+    ]
+    return GroupAction(action.group, table)
+
+
+@st.composite
+def permutation_groups(draw):
+    """A closure of random generators; as often, the same group from its table."""
+    degree = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.permutations(range(degree)), max_size=3))
+    group, _ = from_generators(degree, [tuple(p) for p in gens])
+    if draw(st.booleans()):
+        group = group_from_table(group.mul_table)
+    return group
+
+
+@st.composite
+def coset_unions(draw, group, max_parts=3):
+    """A disjoint union of coset actions G/H, each H generated by random seeds."""
+    parts = []
+    for _ in range(draw(st.integers(1, max_parts))):
+        seeds = draw(st.lists(st.integers(0, group.order - 1), max_size=2))
+        parts.append(coset_action(group, group.subgroup_generated(seeds)))
+    return parts
+
+
 def are_equivalent_oracle(a1: GroupAction, a2: GroupAction):
     """Equivariant bijection search over every group element: orbits paired
     by (size, stabilizer-order multiset) signatures with backtracking, and
@@ -138,6 +173,74 @@ def are_equivalent_oracle(a1: GroupAction, a2: GroupAction):
         for x in range(a1.degree):
             assert phi[a1.act[a][x]] == a2.act[a][phi[x]], (a, x)
     return phi
+
+
+# ---------------------------------------------------------------------------
+# the function layer value by value: GaussianRational loops, the oracles of
+# the integer-column paths. Cells come from orbit_cells_oracle.
+
+
+def _sum_values(values):
+    total = GaussianRational(0)
+    for v in values:
+        total = total + v
+    return total
+
+
+def inner_product_oracle(f_values, g_values) -> GaussianRational:
+    total = GaussianRational(0)
+    for a, b in zip(f_values, g_values):
+        total = total + a * b.conjugate()
+    return total * GaussianRational(Fraction(1, len(f_values)))
+
+
+def norm_squared_oracle(values) -> Fraction:
+    return Fraction(sum(v.norm_sq() for v in values), len(values))
+
+
+def cell_sums_oracle(cells, values) -> list:
+    return [_sum_values(values[x] for x in cell) for cell in cells]
+
+
+def fourier_projection_oracle(cells, values) -> list:
+    out = [None] * len(values)
+    for cell, s in zip(cells, cell_sums_oracle(cells, values)):
+        avg = s * GaussianRational(Fraction(1, len(cell)))
+        for x in cell:
+            out[x] = avg
+    return out
+
+
+def fourier_coefficients_oracle(cells, values) -> list:
+    """(cell, raw_sum, coef_norm_sq) per cell."""
+    n = len(values)
+    sums = cell_sums_oracle(cells, values)
+    return [(cell, s, s.norm_sq() / (n * len(cell))) for cell, s in zip(cells, sums)]
+
+
+def bessel_oracle(cells, values) -> tuple:
+    sums = cell_sums_oracle(cells, values)
+    lhs = sum((s.norm_sq() / len(cell) for cell, s in zip(cells, sums)), Fraction(0))
+    return lhs, sum((v.norm_sq() for v in values), Fraction(0))
+
+
+def decompose_oracle(cells, values) -> tuple:
+    """(invariant, perp, mean, zero-sum) parts, each a list of values."""
+    invariant = fourier_projection_oracle(cells, values)
+    mean = _sum_values(values) * GaussianRational(Fraction(1, len(values)))
+    return (
+        invariant,
+        [a - b for a, b in zip(values, invariant)],
+        [mean] * len(values),
+        [a - mean for a in values],
+    )
+
+
+def reciprocity_oracle(subset, f, g_values) -> tuple:
+    """Both sides of <Ind f, g> = <f, Res g>, Ind f by its group sum."""
+    lhs = inner_product_oracle(induce_group_sum(subset, f).values, g_values)
+    rhs = inner_product_oracle(f.values, [g_values[x] for x in subset.points])
+    return lhs, rhs
 
 
 def induce_group_sum(subset, g) -> PointFunction:

@@ -11,9 +11,12 @@ from helpers import (
     are_equivalent_oracle,
     conjugation_oracle,
     coset_oracle,
+    coset_unions,
     disjoint_union,
     mul_table_oracle,
     orbit_cells_oracle,
+    permutation_groups,
+    relabel,
 )
 from orbitspace import actions
 from orbitspace.actions import (
@@ -401,18 +404,6 @@ def test_free_ratio_examples():
     assert "element" in exc.value.witness
 
 
-def relabel(action, rho):
-    """Transport an action along a point relabeling rho."""
-    inv = [0] * len(rho)
-    for x, y in enumerate(rho):
-        inv[y] = x
-    table = [
-        [rho[action.act[a][inv[y]]] for y in range(action.degree)]
-        for a in range(action.group.order)
-    ]
-    return GroupAction(action.group, table)
-
-
 def test_are_equivalent_identity():
     act = s3_conjugation()
     assert are_equivalent(act, act) == list(range(act.degree))
@@ -520,17 +511,6 @@ def test_equivalence_transports_invariance():
 # tables from generator rows, against the element-by-element builds
 
 
-@st.composite
-def permutation_groups(draw):
-    """A closure of random generators; as often, the same group from its table."""
-    degree = draw(st.integers(1, 5))
-    gens = draw(st.lists(st.permutations(range(degree)), max_size=3))
-    group, _ = from_generators(degree, [tuple(p) for p in gens])
-    if draw(st.booleans()):
-        group = group_from_table(group.mul_table)
-    return group
-
-
 @settings(max_examples=40, deadline=None)
 @given(permutation_groups())
 def test_conjugation_action_matches_the_table_build(group):
@@ -549,16 +529,6 @@ def test_coset_action_matches_the_table_build(group, data):
 
 # ---------------------------------------------------------------------------
 # orbits and equivalence from generator rows, against the element scans
-
-
-@st.composite
-def coset_unions(draw, group, max_parts=3):
-    """A disjoint union of coset actions G/H, each H generated by random seeds."""
-    parts = []
-    for _ in range(draw(st.integers(1, max_parts))):
-        seeds = draw(st.lists(st.integers(0, group.order - 1), max_size=2))
-        parts.append(coset_action(group, group.subgroup_generated(seeds)))
-    return parts
 
 
 @settings(max_examples=60, deadline=None)
@@ -597,6 +567,7 @@ def test_orbits_match_union_find(group, data):
     rho = data.draw(st.permutations(range(action.degree)))
     action = relabel(action, rho)
     assert action.orbits().cells == orbit_cells_oracle(action)
+    assert action.orbits().cell_of == Partition(action.degree, action.orbits().cells).cell_of
     seeds = data.draw(st.lists(st.integers(0, group.order - 1), max_size=3))
     h = group.subgroup_generated(seeds)
     assert action.orbits(h).cells == orbit_cells_oracle(action, h.members)

@@ -312,6 +312,32 @@ def test_partition_with_a_huge_degree_exits_3_without_allocating_it(degree, tmp_
     assert doc["message"] == "invalid partition: point 1 not covered by any cell"
 
 
+def test_permutation_group_with_a_huge_degree_exits_2_before_building_it(tmp_path, capsys):
+    from orbitspace.groups import _DEGREE_LIMIT
+
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"group": {"kind": "permutation", "degree": 10**12, "generators": []}}))
+    assert main(["orbits", "--input", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "SizeLimitExceeded"
+    assert doc["witness"] == {"degree": 10**12, "limit": _DEGREE_LIMIT}
+
+
+@pytest.mark.parametrize(
+    "bad", [True, "3\n", "\u0663"], ids=["bool", "trailing-newline", "non-ascii-digit"]
+)
+def test_a_scalar_off_the_wire_format_exits_3_naming_the_value(bad, tmp_path, capsys):
+    values = [["0", "0"]] * 6
+    values[2] = [bad, "0"]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"values": values}))
+    argv = ["bessel", "--input", inp("s3_conj.json"), "--function", str(path)]
+    assert main(argv) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParseError"
+    assert doc["witness"] == {"where": "function.values[2]", "value": bad}
+
+
 def test_corpus_unknown_name_exits_2(capsys):
     code = main(["corpus", "build", "nope"])
     assert code == 2
@@ -409,6 +435,7 @@ def loaded_by_command(argv):
     "argv",
     [
         ["orbits", "--input", inp("s3_conj.json")],
+        pytest.param(["dimension", "--input", inp("s3_conj.json")], id="dimension-whole-group"),
         ["dimension", "--input", inp("s3_conj.json"), "--subgroup", "2"],
         ["free-check", "--input", inp("s3_conj.json")],
         ["validate", "--input", inp("s3_eval.json")],

@@ -210,7 +210,7 @@ def test_induce_names_two_points_of_an_orbit_where_it_is_not_constant(monkeypatc
     g = SubsetFunction(y, [gr(x) for x in y.points])
 
     def point_sums(action, f):
-        return Partition(action.degree, [[x] for x in range(action.degree)]), list(f.values)
+        return Partition(action.degree, [[x] for x in range(action.degree)]), f
 
     monkeypatch.setattr(resind, "_cell_sums", point_sums)
     with pytest.raises(InvariantViolated) as exc:

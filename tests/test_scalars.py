@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orbitspace.errors import ParseError
-from orbitspace.scalars import GaussianRational, parse_rational
+from orbitspace.scalars import GaussianRational, parse_pairs, parse_rational, sum_by_denominator
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 scalars = st.builds(GaussianRational, fractions, fractions)
@@ -96,12 +96,55 @@ def test_parse_rational_shorthand():
     assert parse_rational("3") == Fraction(3)
     assert parse_rational("-3/4") == Fraction(-3, 4)
     assert parse_rational("6/4") == Fraction(3, 2)
+    assert parse_rational(-3) == Fraction(-3)  # JSON ints are taken as they are
 
 
-@pytest.mark.parametrize("bad", ["1.5", "3/0", "a", "", "1e3", ["1", "2"]])
+@pytest.mark.parametrize(
+    "bad",
+    ["1.5", "3/0", "a", "", "1e3", ["1", "2"], True, False, "3\n", "\u0663", " 3", "1_0", "3/-4"],
+)
 def test_parse_rational_rejects(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_rational(bad)
+    assert exc.value.witness["value"] == bad
+
+
+def test_parse_rational_refuses_more_digits_than_int_converts():
+    with pytest.raises(ParseError):
+        parse_rational("1" * 5000)
+
+
+def test_parse_pairs_reduces_and_takes_json_ints():
+    pairs = [["2/4", "0"], [-3, "+6"], ["0/7", "-10/4"]]
+    assert parse_pairs(pairs) == ((1, -3, 0), (2, 1, 1), (0, 6, -5), (1, 1, 2))
+    assert parse_pairs([]) == ((), (), (), ())
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [[True, "0"]],
+        [["3\n", "0"]],
+        [["\u0663", "0"]],
+        [["1,2", "0"]],
+        [["1/2,3/4", "0"]],
+        [["1/0", "0"]],
+        [["1/2/3", "0"]],
+        [["1", "0", "0"]],
+        [("1", "0")],
+        [[1.5, "0"]],
+        [["1" * 5000, "0"]],
+    ],
+)
+def test_parse_pairs_leaves_values_off_the_wire_format_to_the_value_parser(pairs):
+    assert parse_pairs(pairs) is None
+
+
+@given(st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(1, 10**30)), max_size=30))
+def test_sum_by_denominator_is_the_fraction_sum(terms):
+    nums, dens = [n for n, _ in terms], [d for _, d in terms]
+    total = sum((Fraction(n, d) for n, d in terms), Fraction(0))
+    assert sum_by_denominator(nums, dens) == (total.numerator, total.denominator)
 
 
 def test_pair_round_trip():
