@@ -35,12 +35,11 @@ def _read_json(path: str):
     if not isinstance(path, str):  # argparse reads "--input=--" as an empty list
         path = "--"
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}", path=path) from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # undecodable bytes, ints past the digit limit and deep nesting too
         raise ParseError(f"{path} is not valid JSON: {exc}", path=path) from None
 
 

@@ -26,7 +26,6 @@ from .groups import (
     direct_product,
     from_generators,
     group_from_table,
-    invert_perm,
 )
 
 # The largest group order, or point count, a corpus entry is built for: the
@@ -478,9 +477,7 @@ def _build_gl_on_vectors(n: int = 2, q: int = 2, allow_large: bool = False) -> C
         if len(set(perm)) == len(vectors):
             perms.append(perm)
             labels.append(str(rows))
-    index = {p: a for a, p in enumerate(perms)}
-    inv = [index[invert_perm(p)] for p in perms]
-    g = FiniteGroup(perms, index[tuple(range(len(vectors)))], inv, labels=labels)
+    g = FiniteGroup(perms, perms.index(tuple(range(len(vectors)))), labels=labels)
     action = GroupAction(g, perms)
     expected = {"is_free": False, "is_transitive": False, "orbit_count": 2}
     return CorpusEntry("gl_on_vectors", action, expected, {"n": n, "q": q})

@@ -129,6 +129,10 @@ class FiniteGroup:
     came from ``from_cayley_rows``. ``generators`` names elements that generate
     the group; it lets equality be decided on O(m |S|) products.
 
+    ``inv_table`` and ``labels`` are built on first read, since orbits and
+    fixed-point counts read neither: inverses by inverting each permutation
+    when none were given, and labels from the iterable given, if any.
+
     Instances are immutable; construction is expected to go through
     ``group_from_table`` (validating) or ``from_generators`` (closure).
     """
@@ -138,19 +142,19 @@ class FiniteGroup:
         "perms",
         "index",
         "identity",
-        "inv_table",
-        "labels",
         "generators",
+        "_inv_table",
+        "_labels",
         "_mul_table",
     )
 
-    def __init__(self, perms, identity, inv_table, labels=None, generators=None):
+    def __init__(self, perms, identity, inv_table=None, labels=None, generators=None):
         self.perms = tuple(map(tuple, perms))
         self.order = len(self.perms)
         self.index = {p: a for a, p in enumerate(self.perms)}
         self.identity = identity
-        self.inv_table = tuple(inv_table)
-        self.labels = tuple(labels) if labels is not None else None
+        self._inv_table = None if inv_table is None else tuple(inv_table)
+        self._labels = labels
         self.generators = tuple(generators) if generators is not None else None
         self._mul_table = None
 
@@ -161,6 +165,19 @@ class FiniteGroup:
         group = cls(mul_table, identity, inv_table, labels=labels, generators=generators)
         group._mul_table = group.perms
         return group
+
+    @property
+    def inv_table(self) -> tuple:
+        if self._inv_table is None:
+            index = self.index
+            self._inv_table = tuple([index[invert_perm(p)] for p in self.perms])
+        return self._inv_table
+
+    @property
+    def labels(self) -> Optional[tuple]:
+        if self._labels is not None and type(self._labels) is not tuple:
+            self._labels = tuple(self._labels)
+        return self._labels
 
     @property
     def mul_table(self) -> tuple:
@@ -448,8 +465,8 @@ def from_generators(
 
     The group elements are the distinct permutations found by breadth-first
     closure starting from the identity; element 0 is the identity. The second
-    return value is the evaluation action table act[a][x] = perm_a(x).
-    Labels carry cycle notation for display.
+    return value is the evaluation action table act[a][x] = perm_a(x), which
+    is the group's own ``perms``. Labels carry cycle notation for display.
     """
     if degree < 1:
         raise NotAPermutation(f"degree must be at least 1, got {degree}", degree=degree)
@@ -465,14 +482,9 @@ def from_generators(
     elements = _closure(tuple(range(degree)), gens, compose, cap)
     if elements is None:
         raise SizeLimitExceeded(f"closure exceeded cap {cap}", cap=cap, reached=cap + 1)
-    index = {p: a for a, p in enumerate(elements)}
-    inv = [index[invert_perm(p)] for p in elements]
-    labels = [cycle_string(p) for p in elements]
-    group = FiniteGroup(
-        elements, 0, inv, labels=labels, generators=sorted({index[g] for g in gens})
-    )
-    act = [list(p) for p in elements]
-    return group, act
+    group = FiniteGroup(elements, 0, labels=map(cycle_string, elements))
+    group.generators = tuple(sorted({group.index[g] for g in gens}))
+    return group, group.perms
 
 
 def _closure(start, gens, product, cap=None):
@@ -551,14 +563,11 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     shift = len(g.perms[0])
     h_perms = [tuple([x + shift for x in q]) for q in h.perms]
     perms = [p + q for p in g.perms for q in h_perms]
-    inv = [a * mh + b for a in g.inv_table for b in h.inv_table]
-    labels = [
-        f"({g.label(a)},{h.label(b)})" for a in range(g.order) for b in range(mh)
-    ]
+    labels = (f"({g.label(a)},{h.label(b)})" for a in range(g.order) for b in range(mh))
     gens = [s * mh + h.identity for s in _generators(g)]
     gens += [g.identity * mh + t for t in _generators(h)]
     return FiniteGroup(
-        perms, g.identity * mh + h.identity, inv, labels=labels, generators=sorted(gens)
+        perms, g.identity * mh + h.identity, labels=labels, generators=sorted(gens)
     )
 
 

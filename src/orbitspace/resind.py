@@ -51,12 +51,6 @@ class InvariantSubset:
     def size(self) -> int:
         return len(self.points)
 
-    def restricted_action(self) -> GroupAction:
-        """The same group acting on the subset's positions."""
-        pos = self.position
-        table = [[pos[row[x]] for x in self.points] for row in self.action.act]
-        return GroupAction(self.action.group, table)
-
     def __contains__(self, x: int) -> bool:
         return x in self.position
 
@@ -119,9 +113,6 @@ class SubsetFunction:
     @property
     def values(self) -> tuple:
         return self._by_position.values
-
-    def at_point(self, x: int) -> GaussianRational:
-        return self._by_position[self.subset.position[x]]
 
     def as_point_function(self) -> PointFunction:
         """The same values, viewed as a function on the subset's positions."""

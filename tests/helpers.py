@@ -73,6 +73,13 @@ def orbit_cells_oracle(action: GroupAction, members=None) -> tuple:
     return tuple(sorted(tuple(c) for c in cells.values()))
 
 
+def restricted_action_oracle(subset) -> GroupAction:
+    """The subset's group acting on the subset's positions, row by row."""
+    pos = subset.position
+    table = [[pos[row[x]] for x in subset.points] for row in subset.action.act]
+    return GroupAction(subset.action.group, table)
+
+
 def disjoint_union(actions) -> GroupAction:
     """The actions of one group side by side, each shifted past the ones before."""
     group = actions[0].group

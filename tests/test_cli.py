@@ -159,6 +159,20 @@ def test_missing_file_exits_3(capsys):
     assert doc["error"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[" + b"7" * 5000 + b"]", b"\xff\xfe", b"[" * 2000],
+    ids=["int-past-digit-limit", "not-utf-8", "nested-past-recursion-limit"],
+)
+def test_input_json_cannot_decode_exits_3_naming_the_path(content, tmp_path, capsys):
+    path = tmp_path / "action.json"
+    path.write_bytes(content)
+    assert main(["orbits", "--input", str(path)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParseError"
+    assert doc["witness"] == {"path": str(path)}
+
+
 def test_free_check_reports_witness_on_non_free(capsys):
     code = main(["free-check", "--input", inp("s3_conj.json")])
     assert code == 0
@@ -445,6 +459,20 @@ def loaded_by_command(argv):
 )
 def test_action_commands_load_only_the_action_layers(argv):
     assert loaded_by_command(argv) == ACTION_LAYERS
+
+
+@pytest.mark.parametrize("command", ["orbits", "dimension"])
+def test_evaluation_commands_build_no_labels_or_inverses(command, monkeypatch):
+    from orbitspace import groups
+
+    calls = []
+    for name in ("cycle_string", "invert_perm"):
+        original = getattr(groups, name)
+        monkeypatch.setattr(
+            groups, name, lambda p, name=name, original=original: calls.append(name) or original(p)
+        )
+    assert main([command, "--input", inp("s3_eval.json")]) == 0
+    assert calls == []
 
 
 def test_corpus_list_loads_no_function_layers():

@@ -65,7 +65,7 @@ def test_from_generators_s3_is_all_six_permutations():
 def test_from_generators_empty_is_trivial():
     group, act = from_generators(4, [])
     assert group.order == 1
-    assert act == [[0, 1, 2, 3]]
+    assert act == ((0, 1, 2, 3),)
 
 
 def test_from_generators_four_cycle():

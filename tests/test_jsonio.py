@@ -41,6 +41,14 @@ def test_group_permutation_form():
     assert evaluation is not None
 
 
+def test_evaluation_action_shares_the_group_rows():
+    gens = [[1, 2, 3, 0], [3, 2, 1, 0]]
+    doc = {"kind": "evaluation", "group": {"kind": "permutation", "degree": 4, "generators": gens}}
+    action = action_from_json(doc)
+    assert action.group.order == 8
+    assert all(action.act[a] is action.group.perms[a] for a in range(8))
+
+
 def test_group_bad_kind():
     with pytest.raises(ParseError):
         group_from_json({"kind": "words"})

@@ -2,7 +2,11 @@
 group library (used by the tests only)."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,3 +93,61 @@ def test_corpus_sylow_degree_matches_sympy(name, p, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["degree"] == sylow_count(group_by_name(name), p)
+
+
+
+# D2520, order 5040 on 2520 points: a dihedral group at the corpus order limit
+D2520 = 2520
+D2520_GENS = [[(i + 1) % D2520 for i in range(D2520)], [(-i) % D2520 for i in range(D2520)]]
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs CLI orbits and dimension, each in its own child, and reports their
+# largest peak RSS. RUSAGE_CHILDREN of this fresh process counts only those
+# two, not what pytest ran before.
+RSS_WRAPPER = """
+import json, resource, subprocess, sys
+reports = {
+    command: json.loads(subprocess.run(
+        [sys.executable, "-m", "orbitspace", command, "--input", sys.argv[1]],
+        capture_output=True, check=True,
+    ).stdout)
+    for command in ("orbits", "dimension")
+}
+peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps({"reports": reports, "peak_mb": peak_kb / 1024}))
+"""
+
+
+@pytest.fixture(scope="module")
+def d2520_cli(tmp_path_factory):
+    path = tmp_path_factory.mktemp("d2520") / "d2520.json"
+    group = {"kind": "permutation", "degree": D2520, "generators": D2520_GENS}
+    path.write_text(json.dumps({"kind": "evaluation", "group": group}))
+    out = subprocess.run(
+        [sys.executable, "-c", RSS_WRAPPER, str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def test_d2520_order_orbits_burnside_and_stabilizer_match_sympy(d2520_cli):
+    theirs = sympy_group(D2520, D2520_GENS)
+    order = theirs.order()
+    # Schreier-Sims with base point 0 yields the stabilizer of 0 as its next
+    # basic stabilizer, without a second closure over the Schreier generators
+    assert theirs.base[0] == 0
+    stabilizer_order = theirs.basic_stabilizers[1].order()
+    cells = sorted(sorted(orbit) for orbit in theirs.orbits())
+    orbits, dimension = d2520_cli["reports"]["orbits"], d2520_cli["reports"]["dimension"]
+    assert dimension["group_order"] == order == 2 * D2520
+    assert orbits["cells"] == cells
+    # Cauchy-Frobenius: the fixed points summed over G are |G| per orbit
+    assert dimension["burnside_sum"] == order * len(cells)
+    action = GroupAction(*from_generators(D2520, D2520_GENS))
+    assert action.stabilizer(0).order == stabilizer_order == 2
+
+
+def test_d2520_cli_orbits_and_dimension_peak_below_150_mb(d2520_cli):
+    assert d2520_cli["peak_mb"] < 150, d2520_cli["peak_mb"]
