@@ -95,7 +95,6 @@ def test_corpus_sylow_degree_matches_sympy(name, p, capsys):
     assert doc["degree"] == sylow_count(group_by_name(name), p)
 
 
-
 # D2520, order 5040 on 2520 points: a dihedral group at the corpus order limit
 D2520 = 2520
 D2520_GENS = [[(i + 1) % D2520 for i in range(D2520)], [(-i) % D2520 for i in range(D2520)]]
