@@ -20,8 +20,8 @@ from .errors import (
     NotAnInteger,
     NotFree,
 )
-from .groups import FiniteGroup, Subgroup, _are_permutations, _closure, _extend_rows
-from .groups import _generators, compose, whole_group
+from .groups import FiniteGroup, Subgroup, _are_permutations, _broken_product, _closure
+from .groups import _extend_rows, whole_group
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -132,7 +132,7 @@ class GroupAction:
         if subgroup is not None and not self._subgroup(subgroup).is_whole_group():
             return self._orbit_partition(subgroup.generators)
         if self._orbits is None:
-            self._orbits = self._orbit_partition(_generators(self.group))
+            self._orbits = self._orbit_partition(self.group.generators)
         return self._orbits
 
     def _orbit_partition(self, gens) -> Partition:
@@ -164,7 +164,7 @@ class GroupAction:
 
     def is_trivial(self) -> bool:
         identity_row = self.act[self.group.identity]
-        return all(self.act[s] == identity_row for s in _generators(self.group))
+        return all(self.act[s] == identity_row for s in self.group.generators)
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
@@ -314,23 +314,15 @@ def validate_action(group: FiniteGroup, act: Sequence[Sequence[int]]) -> GroupAc
     if it holds for b = w and for every generator s, then
     act[a(ws)] = act[(aw)s] = act[aw] o act[s] = act[a] o act[w] o act[s]
     = act[a] o act[ws], and every b is a word in S. A failure names a
-    failing (a, b, point).
+    failing (a, b, point), from ``groups._broken_product``.
     """
     action = GroupAction(group, act)
-    table = action.act
-    for s in _generators(group):
-        row_s = table[s]
-        for a in range(group.order):
-            row_a = table[a]
-            row_as = table[group.mul(a, s)]
-            if row_as != compose(row_a, row_s):
-                x = next(x for x in range(action.degree) if row_as[x] != row_a[row_s[x]])
-                raise CompatibilityViolated(
-                    f"act[{a}*{s}][{x}] != act[{a}][act[{s}][{x}]]",
-                    a=a,
-                    b=s,
-                    point=x,
-                )
+    broken = _broken_product(group, action.act)
+    if broken is not None:
+        a, s, x = broken
+        raise CompatibilityViolated(
+            f"act[{a}*{s}][{x}] != act[{a}][act[{s}][{x}]]", a=a, b=s, point=x
+        )
     return action
 
 
@@ -387,7 +379,7 @@ def are_equivalent(a1: GroupAction, a2: GroupAction) -> Optional[list]:
     cells2 = a2.orbits().cells
     if len(cells1) != len(cells2):
         return None
-    gens = _generators(a1.group)
+    gens = a1.group.generators
     gen_rows = [(a1.act[s], a2.act[s]) for s in gens]
     phi = [None] * a1.degree
     used = [False] * len(cells2)

@@ -412,8 +412,11 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     output = getattr(args, "output", None)
     try:
-        if getattr(args, "cap", None) is None and hasattr(args, "cap"):
+        cap = getattr(args, "cap", 1)
+        if cap is None:
             args.cap = default_cap()
+        elif cap < 1:
+            raise ParseError(f"--cap must be positive, got {cap}", flag="--cap", value=cap)
         doc = args.run(args)
     except ParseError as exc:
         _emit({"error": exc.kind, "message": str(exc), "witness": exc.witness}, output)

@@ -20,7 +20,6 @@ from .groups import (
     FiniteGroup,
     _closure,
     _extend_rows,
-    _generators,
     compose,
     cyclic_group,
     direct_product,
@@ -388,7 +387,7 @@ def _build_subgroup_conjugates(group: str = "s3", seeds=(1,)) -> CorpusEntry:
         )
     # the conjugates of H are its orbit under conjugation by the generators
     conjugates = _closure(
-        h.members, _generators(g), lambda s, a: _conjugate_set(g, a, s)
+        h.members, g.generators, lambda s, a: _conjugate_set(g, a, s)
     )
     action = _conjugation_on_sets(g, sorted(conjugates))
     expected = {"is_free": False, "is_transitive": True, "orbit_count": 1}

@@ -126,12 +126,13 @@ class FiniteGroup:
     permutation back to its element, so that
     ``index[compose(perms[a], perms[b])]`` is the product ab. The Cayley
     table ``mul_table`` is built from them on first access, unless the group
-    came from ``from_cayley_rows``. ``generators`` names elements that generate
-    the group; it lets equality be decided on O(m |S|) products.
+    came from ``from_cayley_rows``. ``generators``, elements that generate
+    the group, decide equality, automorphisms, tables and the action law in
+    O(m |S|) products.
 
-    ``inv_table`` and ``labels`` are built on first read, since orbits and
-    fixed-point counts read neither: inverses by inverting each permutation
-    when none were given, and labels from the iterable given, if any.
+    ``generators`` and ``inv_table``, when not given, are built on first
+    read (a greedy generating set; each permutation inverted), and so is
+    ``labels``, from the iterable given, if any.
 
     Instances are immutable; construction is expected to go through
     ``group_from_table`` (validating) or ``from_generators`` (closure).
@@ -142,7 +143,7 @@ class FiniteGroup:
         "perms",
         "index",
         "identity",
-        "generators",
+        "_generators",
         "_inv_table",
         "_labels",
         "_mul_table",
@@ -155,7 +156,7 @@ class FiniteGroup:
         self.identity = identity
         self._inv_table = None if inv_table is None else tuple(inv_table)
         self._labels = labels
-        self.generators = tuple(generators) if generators is not None else None
+        self._generators = None if generators is None else tuple(generators)
         self._mul_table = None
 
     @classmethod
@@ -165,6 +166,12 @@ class FiniteGroup:
         group = cls(mul_table, identity, inv_table, labels=labels, generators=generators)
         group._mul_table = group.perms
         return group
+
+    @property
+    def generators(self) -> tuple:
+        if self._generators is None:
+            self._generators = tuple(_generating_set(self))
+        return self._generators
 
     @property
     def inv_table(self) -> tuple:
@@ -233,12 +240,13 @@ class FiniteGroup:
         return Subgroup(self, _closure(self.identity, gens, self.mul), gens)
 
     def is_automorphism(self, sigma: Sequence[int]) -> bool:
-        """True iff sigma o row(a) = row(sigma(a)) o sigma for every a, that is,
-        sigma(ab) = sigma(a)sigma(b) for all a, b (sigma a bijection)."""
+        """True iff sigma o row(s) = row(sigma(s)) o sigma, sigma(sb) = sigma(s)sigma(b)
+        for all b, for every generator s. The s that pass are closed under
+        products (evaluate at t: sigma(st) = sigma(s)sigma(t)), so all a pass."""
         sigma = check_permutation(sigma, self.order)
         mul = self.mul_table
         return all(
-            compose(sigma, mul[a]) == compose(mul[sigma[a]], sigma) for a in range(self.order)
+            compose(sigma, mul[s]) == compose(mul[sigma[s]], sigma) for s in self.generators
         )
 
     def is_abelian(self) -> bool:
@@ -253,8 +261,8 @@ class FiniteGroup:
         """None when both groups have the same Cayley table, else a witness.
 
         The witness is the pair of orders, or a pair (a, b) with the two
-        products. Without both tables at hand, b runs over the generators S
-        of one side only: if a*s agrees for every a and every s in S, then
+        products. Without both tables at hand, b runs over this group's
+        generators S only: if a*s agrees for every a and every s in S, then
         a*(s1...sk) agrees too by associativity in each group, and every b
         is such a word. That is O(m |S|) products instead of m^2.
         """
@@ -267,12 +275,8 @@ class FiniteGroup:
             if self._mul_table == other._mul_table:
                 return None
             right = range(m)
-        elif self.generators is not None:
-            right = self.generators
-        elif other.generators is not None:
-            right = other.generators
         else:
-            right = range(m)
+            right = self.generators
         for a in range(m):
             for b in right:
                 ours, theirs = self.mul(a, b), other.mul(a, b)
@@ -362,8 +366,9 @@ def group_from_table(mul_table, labels=None) -> FiniteGroup:
     steps instead of O(m^3). The elements s that pass for all a and c are
     closed under products, since (a*(st))*c = ((a*s)*t)*c = (a*s)*(t*c)
     = a*(s*(t*c)) = a*((s*t)*c), and ``_generating_set`` stops only once the
-    left-associated words (...(s1*s2)*...)*sk reach every element. S becomes
-    the group's ``generators``.
+    left-associated words (...(s1*s2)*...)*sk reach every element. S is
+    the group's ``generators``, and the test is ``_broken_product``: row a*s
+    is row a composed with row s, the law of the left-regular action.
     """
     rows = [tuple(row) for row in mul_table]
     m = len(rows)
@@ -394,19 +399,26 @@ def group_from_table(mul_table, labels=None) -> FiniteGroup:
         )
 
     group = FiniteGroup.from_cayley_rows(rows, identity, inv, labels=labels)
-    group.generators = tuple(_generating_set(group))  # returned only once they pass
-    for s in group.generators:
-        row_s = rows[s]
-        for a in range(m):
-            # (a*s)*c = a*(s*c) for every c: row a*s is row a composed with row s
-            row_a = rows[a]
-            row_as = rows[row_a[s]]
-            if row_as != compose(row_a, row_s):
-                c = next(c for c in range(m) if row_as[c] != row_a[row_s[c]])
-                raise NotAssociative(
-                    f"({a}*{s})*{c} != {a}*({s}*{c})", a=a, b=s, c=c
-                )
+    broken = _broken_product(group, rows)
+    if broken is not None:
+        a, s, c = broken
+        raise NotAssociative(f"({a}*{s})*{c} != {a}*({s}*{c})", a=a, b=s, c=c)
     return group
+
+
+def _broken_product(group: FiniteGroup, table) -> Optional[tuple]:
+    """The first (a, s, x), s over the generators and then a over the elements,
+    with table[a*s][x] != table[a][table[s][x]], or None: the action law of
+    ``table`` on generators, one ``compose`` per (a, s)."""
+    for s in group.generators:
+        row_s = table[s]
+        for a in range(group.order):
+            row_a = table[a]
+            row_as = table[group.mul(a, s)]
+            if row_as != compose(row_a, row_s):
+                x = next(x for x in range(len(row_s)) if row_as[x] != row_a[row_s[x]])
+                return a, s, x
+    return None
 
 
 def _are_permutations(rows, n: int) -> bool:
@@ -483,7 +495,7 @@ def from_generators(
     if elements is None:
         raise SizeLimitExceeded(f"closure exceeded cap {cap}", cap=cap, reached=cap + 1)
     group = FiniteGroup(elements, 0, labels=map(cycle_string, elements))
-    group.generators = tuple(sorted({group.index[g] for g in gens}))
+    group._generators = tuple(sorted({group.index[g] for g in gens}))
     return group, group.perms
 
 
@@ -520,7 +532,7 @@ def _extend_rows(group: FiniteGroup, degree: int, row_of) -> tuple:
     element-by-element build takes m n. Every row holds the identity row's
     int objects.
     """
-    gens = _generators(group)
+    gens = group.generators
     gen_rows = {s: tuple(row_of(s)) for s in gens}
     rows = [None] * group.order
     rows[group.identity] = tuple(range(degree))
@@ -564,16 +576,11 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     h_perms = [tuple([x + shift for x in q]) for q in h.perms]
     perms = [p + q for p in g.perms for q in h_perms]
     labels = (f"({g.label(a)},{h.label(b)})" for a in range(g.order) for b in range(mh))
-    gens = [s * mh + h.identity for s in _generators(g)]
-    gens += [g.identity * mh + t for t in _generators(h)]
+    gens = [s * mh + h.identity for s in g.generators]
+    gens += [g.identity * mh + t for t in h.generators]
     return FiniteGroup(
         perms, g.identity * mh + h.identity, labels=labels, generators=sorted(gens)
     )
-
-
-def _generators(g: FiniteGroup):
-    """The recorded generators of g, else a greedy generating set."""
-    return g.generators if g.generators is not None else _generating_set(g)
 
 
 def _generating_set(g: FiniteGroup) -> list:

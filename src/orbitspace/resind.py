@@ -18,7 +18,6 @@ from itertools import repeat
 from typing import Iterable
 
 from .actions import GroupAction
-from .groups import _generators
 from .errors import DegreeMismatch, EmptySubset, InvariantViolated, NotInvariant
 from .scalars import GaussianRational
 from .spaces import (
@@ -80,7 +79,7 @@ def invariant_subset(act: GroupAction, points: Iterable[int]) -> InvariantSubset
             raise DegreeMismatch(
                 f"point {x} out of range 0..{act.degree - 1}", point=x
             )
-    for s in _generators(act.group):
+    for s in act.group.generators:
         row = act.act[s]
         for y in pts:
             img = row[y]

@@ -287,6 +287,48 @@ def is_automorphism_oracle(group, sigma) -> bool:
     return True
 
 
+def greedy_generators_oracle(table) -> tuple:
+    """The generating set a Cayley table is checked on: each element, in
+    turn, that the ones before it do not reach from the identity by right
+    products. ``table`` need only be a Latin square with an identity."""
+    m = len(table)
+    e = next(e for e in range(m) if all(table[e][a] == a == table[a][e] for a in range(m)))
+    gens, reached = [], {e}
+    for a in range(m):
+        if a not in reached:
+            gens.append(a)
+            while True:
+                more = reached | {table[p][s] for p in reached for s in gens}
+                if more == reached:
+                    break
+                reached = more
+    return tuple(gens)
+
+
+def light_test_oracle(table, gens):
+    """Light's associativity test as a loop over triples: the first (a, s, c),
+    s over gens, then a, then c, with (a*s)*c != a*(s*c), or None."""
+    m = len(table)
+    for s in gens:
+        for a in range(m):
+            for c in range(m):
+                if table[table[a][s]][c] != table[a][table[s][c]]:
+                    return a, s, c
+    return None
+
+
+def compatibility_oracle(group, act, gens):
+    """The action law on generators as a loop over triples: the first
+    (a, s, x), s over gens, then a, then x, with act[a*s][x] != act[a][act[s][x]],
+    or None."""
+    for s in gens:
+        for a in range(group.order):
+            for x in range(len(act[s])):
+                if act[group.mul(a, s)][x] != act[a][act[s][x]]:
+                    return a, s, x
+    return None
+
+
 def direct_product_oracle(g_table, h_table):
     """The Cayley table of G x H, with (a, b) as a*|H| + b, from both tables."""
     mg, mh = len(g_table), len(h_table)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     are_equivalent_oracle,
+    compatibility_oracle,
     conjugation_oracle,
     coset_oracle,
     coset_unions,
@@ -18,7 +19,7 @@ from helpers import (
     permutation_groups,
     relabel,
 )
-from orbitspace import actions
+from orbitspace import groups
 from orbitspace.actions import (
     GroupAction,
     Partition,
@@ -189,8 +190,8 @@ def compatibility_violation(group, act):
     return None
 
 
-# C4 and V4 carry no generators, S3 those of its closure, Q8 those of its
-# table check: every branch of validate_action's choice of generating set.
+# C4 records the generator 1, V4 those of its factors, S3 those of its
+# closure, Q8 the greedy set of its table check.
 ACTION_GROUPS = {name: group_by_name(name) for name in ("c4", "s3", "q8", "v4")}
 
 
@@ -243,6 +244,7 @@ def test_generator_compatibility_agrees_with_the_full_loop(case):
         assert violation is not None
         a, b, x = exc.witness["a"], exc.witness["b"], exc.witness["point"]
         assert rows[group.mul(a, b)][x] != rows[a][rows[b][x]]
+        assert (a, b, x) == compatibility_oracle(group, rows, group.generators)
     else:
         assert violation is None
 
@@ -250,13 +252,14 @@ def test_generator_compatibility_agrees_with_the_full_loop(case):
 def test_s5_compatibility_composes_rows_once_per_element_and_generator(monkeypatch):
     group = group_by_name("s5")
     table = conjugation_action(group).act
+    group.mul_table  # built first, so that products are table reads
     calls = [0]
 
     def counted(p, q):
         calls[0] += 1
         return compose(p, q)
 
-    monkeypatch.setattr(actions, "compose", counted)
+    monkeypatch.setattr(groups, "compose", counted)
     validate_action(group, table)
     assert group.order <= calls[0] <= group.order * len(group.generators)
 

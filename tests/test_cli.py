@@ -218,6 +218,21 @@ def test_cap_flag_is_honored(capsys):
     assert doc["error"] == "SizeLimitExceeded"
 
 
+@pytest.mark.parametrize("cap,trivial", [(0, False), (-3, False), (-1, True)])
+def test_cap_below_one_exits_3_naming_the_flag(cap, trivial, tmp_path, capsys):
+    """Refused before any closure, also where the closure never grows."""
+    path = inp("s3_eval.json")
+    if trivial:
+        path = tmp_path / "trivial.json"
+        group = {"kind": "permutation", "degree": 1, "generators": []}
+        path.write_text(json.dumps({"group": group, "kind": "evaluation"}))
+    code = main(["orbits", "--input", str(path), f"--cap={cap}"])
+    assert code == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParseError"
+    assert doc["witness"] == {"flag": "--cap", "value": cap}
+
+
 def test_cap_env_var_sets_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ORBITSPACE_CAP", "4")
     code = main(["validate", "--input", inp("s3_eval.json")])

@@ -1,5 +1,6 @@
 """Group construction and validation against small independent oracles."""
 
+import hashlib
 import json
 import random
 from itertools import permutations
@@ -8,8 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import direct_product_oracle, is_automorphism_oracle, mul_table_oracle
+from helpers import (
+    direct_product_oracle,
+    greedy_generators_oracle,
+    is_automorphism_oracle,
+    light_test_oracle,
+    mul_table_oracle,
+)
 from orbitspace import groups
+from orbitspace.actions import validate_action
 from orbitspace.cli import main
 from orbitspace.errors import (
     InvariantViolated,
@@ -49,6 +57,8 @@ def closure_oracle(degree, gens):
 
 
 S3_GENS = [(1, 0, 2), (1, 2, 0)]
+# the report of ``corpus build gl_on_vectors --param q=3``
+GL_Q3_SHA256 = "ab42d7c6b0cd727afeb316d0cdeda56e4d237726ed82edbc25f1a4cbf2ba7737"
 
 
 def s3():
@@ -342,11 +352,13 @@ def test_generator_associativity_agrees_with_the_triple_loop(table):
         assert violation is not None
         a, b, c = (exc.witness[k] for k in "abc")
         assert table[table[a][b]][c] != table[a][table[b][c]]
+        assert (a, b, c) == light_test_oracle(table, greedy_generators_oracle(table))
     except NoInverse:
         # an associative Latin square with identity is a group, so has inverses
         assert violation is not None
     else:
         assert violation is None
+        assert group.generators == greedy_generators_oracle(table)
         assert group.subgroup_generated(group.generators).is_whole_group()
 
 
@@ -371,6 +383,46 @@ def test_table_groups_record_the_checked_generators():
     group = group_from_table(cyclic_group(6).mul_table)
     assert group.generators == (1,)
     assert group_from_table([[0]]).generators == ()
+
+
+def test_the_greedy_generating_set_is_built_once_and_only_when_none_is_given(
+    monkeypatch, capsys
+):
+    calls = [0]
+    greedy = groups._generating_set
+
+    def counted(g):
+        calls[0] += 1
+        return greedy(g)
+
+    monkeypatch.setattr(groups, "_generating_set", counted)
+
+    def calls_to_build_and_use(make):
+        calls[0] = 0
+        group = make()
+        group.generators, group.mul_table
+        validate_action(group, group.mul_table).orbits()
+        return group, calls[0]
+
+    s3_group, n = calls_to_build_and_use(lambda: s3()[0])
+    assert n == 0
+    assert calls_to_build_and_use(lambda: cyclic_group(6))[1] == 0
+    assert calls_to_build_and_use(lambda: direct_product(s3()[0], cyclic_group(2)))[1] == 0
+    assert calls_to_build_and_use(lambda: group_from_table(s3_group.mul_table))[1] == 1
+
+    # without recorded generators, the greedy set is built on first read
+    bare, n = calls_to_build_and_use(lambda: FiniteGroup(s3_group.perms, s3_group.identity))
+    assert n == 1
+    assert bare.subgroup_generated(bare.generators).is_whole_group()
+    bare = FiniteGroup(s3_group.perms, s3_group.identity)
+    assert bare.table_mismatch(group_from_table(s3_group.mul_table)) is None
+
+    calls[0] = 0
+    capsys.readouterr()
+    assert main(["corpus", "build", "gl_on_vectors", "--param", "q=3"]) == 0
+    assert calls[0] == 1
+    report = capsys.readouterr().out.encode()
+    assert hashlib.sha256(report).hexdigest() == GL_Q3_SHA256
 
 
 def test_default_cap_reads_a_positive_integer(monkeypatch):
