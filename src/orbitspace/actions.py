@@ -20,7 +20,7 @@ from .errors import (
     NotAnInteger,
     NotFree,
 )
-from .groups import FiniteGroup, Subgroup, _are_permutations, _broken_product, _closure
+from .groups import FiniteGroup, Subgroup, _bad_entry, _broken_product, _closure
 from .groups import _extend_rows, whole_group
 
 if TYPE_CHECKING:
@@ -91,7 +91,9 @@ class GroupAction:
     The constructor runs the cheap axioms (every row a permutation of int
     points, identity row); use ``validate_action`` for untrusted tables,
     which adds compatibility, act[ab][x] = act[a][act[b][x]], checked on
-    generators.
+    generators. A row that is not a permutation is reported at its first
+    problem, rows in order: its wrong length, or the first entry that is not
+    an int point or that repeats an image earlier in its row.
     """
 
     __slots__ = ("group", "degree", "act", "_orbits")
@@ -108,8 +110,15 @@ class GroupAction:
         if not self.act or not self.act[0]:
             raise IdentityAxiomViolated("point set must be nonempty", degree=0)
         self.degree = len(self.act[0])
-        if not _are_permutations(self.act, self.degree):
-            _raise_not_permutation(group, self.act, self.degree)
+        bad = _bad_entry(self.act, self.degree)
+        if bad is not None:
+            a, x, v, repeat = bad
+            if x is None:
+                raise CompatibilityViolated(
+                    f"row {a} has length {v}, expected {self.degree}", a=a
+                )
+            problem = "repeats an image" if repeat else f"is not a point 0..{self.degree - 1}"
+            raise CompatibilityViolated(f"act[{a}][{x}] = {v!r} {problem}", a=a, point=x, value=v)
         e = group.identity
         for x in range(self.degree):
             if self.act[e][x] != x:
@@ -266,37 +275,6 @@ class GroupAction:
 
     def __repr__(self):
         return f"GroupAction(order={self.group.order}, degree={self.degree})"
-
-
-def _raise_not_permutation(group: FiniteGroup, table, degree: int):
-    """Scan row by row and raise on the first bad entry or non-bijective row."""
-    for a, row in enumerate(table):
-        if len(row) != degree:
-            raise CompatibilityViolated(
-                f"row {a} has length {len(row)}, expected {degree}", a=a
-            )
-        for x, v in enumerate(row):
-            # bools, floats and strings are refused, never converted
-            if type(v) is not int or not 0 <= v < degree:
-                raise CompatibilityViolated(
-                    f"act[{a}][{x}] = {v!r} is not a point 0..{degree - 1}",
-                    a=a,
-                    point=x,
-                    value=v,
-                )
-    for a, row in enumerate(table):
-        if len(set(row)) != degree:
-            # A non-bijective row always breaks act[a.a^-1][x] = a.(a^-1.x).
-            b = group.inv(a)
-            for x in range(degree):
-                if row[table[b][x]] != x:
-                    raise CompatibilityViolated(
-                        f"act[{a}] fails to undo act[{b}] at point {x}",
-                        a=a,
-                        b=b,
-                        point=x,
-                    )
-            raise CompatibilityViolated(f"row {a} is not a permutation", a=a)
 
 
 def _require_same_group(g1: FiniteGroup, g2: FiniteGroup, message: str):

@@ -119,14 +119,7 @@ def _load_action(args):
 def _load_subgroup(action, args):
     if args.subgroup is None:
         return None
-    seeds = _parse_int_csv(args.subgroup, "--subgroup")
-    for a in seeds:
-        if a < 0 or a >= action.group.order:
-            raise ParseError(
-                f"--subgroup element {a} out of range 0..{action.group.order - 1}",
-                element=a,
-            )
-    return action.group.subgroup_generated(seeds)
+    return action.group.subgroup_generated(_parse_int_csv(args.subgroup, "--subgroup"))
 
 
 def _load_function(args, action, position: int = 0):

@@ -64,26 +64,23 @@ def check_permutation(images: Sequence[int], degree: int) -> Perm:
     not converted, so that 1.9 or "1" never passes as 1.
     """
     images = tuple(images)
-    if len(images) != degree:
+    bad = _bad_entry((images,), degree)
+    if bad is None:
+        return images
+    _, pos, img, repeat = bad
+    if pos is None:
         raise NotAPermutation(
-            f"expected {degree} images, got {len(images)}",
-            degree=degree,
-            length=len(images),
+            f"expected {degree} images, got {len(images)}", degree=degree, length=len(images)
         )
-    seen = [False] * degree
-    for pos, img in enumerate(images):
-        if type(img) is not int or not 0 <= img < degree:
-            raise NotAPermutation(
-                f"image {img!r} at position {pos} is not a point 0..{degree - 1}",
-                position=pos,
-                image=img,
-            )
-        if seen[img]:
-            raise NotAPermutation(
-                f"repeated image {img} at position {pos}", position=pos, image=img
-            )
-        seen[img] = True
-    return images
+    if repeat:
+        raise NotAPermutation(
+            f"repeated image {img} at position {pos}", position=pos, image=img
+        )
+    raise NotAPermutation(
+        f"image {img!r} at position {pos} is not a point 0..{degree - 1}",
+        position=pos,
+        image=img,
+    )
 
 
 def compose(p: Sequence, q: Sequence[int]) -> tuple:
@@ -234,9 +231,18 @@ class FiniteGroup:
         """Smallest subgroup containing the seeds (closure under products).
 
         In a finite group, closure under multiplication already yields
-        closure under inverses.
+        closure under inverses. Every seed must be an ``int`` element index:
+        1.9, True and -1 are refused, not read as 1, 1 and the last element.
         """
-        gens = sorted(set(int(s) for s in seeds))
+        seeds = list(seeds)
+        for seed in seeds:
+            if type(seed) is not int or not 0 <= seed < self.order:
+                raise ParseError(
+                    f"seed {seed!r} is not an element index 0..{self.order - 1}",
+                    seed=seed,
+                    order=self.order,
+                )
+        gens = sorted(set(seeds))
         return Subgroup(self, _closure(self.identity, gens, self.mul), gens)
 
     def is_automorphism(self, sigma: Sequence[int]) -> bool:
@@ -356,54 +362,84 @@ def whole_group(g: FiniteGroup) -> Subgroup:
 def group_from_table(mul_table, labels=None) -> FiniteGroup:
     """Validate a Cayley table and derive identity and inverses.
 
-    Checks, in order: entries in range with every row and column a
-    permutation (Latin square), a two-sided identity, two-sided inverses,
-    and associativity. Each failure names the first offending element or a
-    failing triple.
+    Checks, in order: every row a permutation of 0..m-1 of ints, a
+    two-sided identity, two-sided inverses, the label count and
+    associativity. Each failure names the first offending entry, element or
+    triple. Columns are read only when a later check fails: rows that pass
+    all of these make a group, whose columns are permutations too (x*a = b
+    has the one solution b*a^-1). A column that repeats a value is then
+    reported as ``NotLatinSquare`` in place of the later failure, so that a
+    table that is not a Latin square is always refused as one.
 
     Associativity is checked on a generating set S only (Light's test):
     (a*s)*c = a*(s*c) for every a, c and every s in S, which is O(m^2 |S|)
     steps instead of O(m^3). The elements s that pass for all a and c are
     closed under products, since (a*(st))*c = ((a*s)*t)*c = (a*s)*(t*c)
-    = a*(s*(t*c)) = a*((s*t)*c), and ``_generating_set`` stops only once the
+    = a*(s*(t*c)) = a*((s*t)*c), and ``_generating_set`` stops once the
     left-associated words (...(s1*s2)*...)*sk reach every element. S is
     the group's ``generators``, and the test is ``_broken_product``: row a*s
     is row a composed with row s, the law of the left-regular action.
+
+    ``_generating_set`` also stops at a step that does not double the words
+    reached, so a table that is no group costs O(log m) closures there. If
+    every s in S passed, the words before and after that step would be
+    groups: closed and associative as above, finite, and left-cancellative
+    since rows are permutations. A group properly inside another is at most half
+    its size, so some s in S fails. The first failing triple is the one the
+    full greedy set would give, since that set begins with S.
     """
     rows = [tuple(row) for row in mul_table]
     m = len(rows)
     if m == 0:
         raise NoIdentity("empty multiplication table")
-    if not _is_latin(rows, m):
-        _raise_not_latin(rows, m)
-
-    identity = None
-    for e in range(m):
-        if all(rows[e][a] == a and rows[a][e] == a for a in range(m)):
-            identity = e
-            break
-    if identity is None:
-        raise NoIdentity("no two-sided identity element")
-
-    inv = [None] * m
-    for a in range(m):
-        b = rows[a].index(identity)
-        if rows[b][a] != identity:
-            raise NoInverse(
-                f"element {a} has no two-sided inverse", element=a
-            )
-        inv[a] = b
-    if labels is not None and len(labels) != m:
+    bad = _bad_entry(rows, m)
+    if bad is not None:
+        i, j, v, repeat = bad
+        if j is None:
+            raise NotLatinSquare(f"row {i} has length {v}, expected {m}", row=i, length=v)
+        if repeat:
+            raise NotLatinSquare(f"value {v} repeats in row {i}", row=i, value=v)
         raise NotLatinSquare(
-            f"{len(labels)} labels for {m} elements", labels=len(labels)
+            f"entry ({i},{j}) = {v!r} out of range 0..{m - 1}", row=i, col=j, value=v
         )
 
-    group = FiniteGroup.from_cayley_rows(rows, identity, inv, labels=labels)
-    broken = _broken_product(group, rows)
-    if broken is not None:
-        a, s, c = broken
-        raise NotAssociative(f"({a}*{s})*{c} != {a}*({s}*{c})", a=a, b=s, c=c)
+    try:
+        identity = None
+        for e in range(m):
+            if all(rows[e][a] == a and rows[a][e] == a for a in range(m)):
+                identity = e
+                break
+        if identity is None:
+            raise NoIdentity("no two-sided identity element")
+
+        inv = [None] * m
+        for a in range(m):
+            b = rows[a].index(identity)
+            if rows[b][a] != identity:
+                raise NoInverse(f"element {a} has no two-sided inverse", element=a)
+            inv[a] = b
+        if labels is not None and len(labels) != m:
+            raise NotLatinSquare(f"{len(labels)} labels for {m} elements", labels=len(labels))
+
+        group = FiniteGroup.from_cayley_rows(rows, identity, inv, labels=labels)
+        broken = _broken_product(group, rows)
+        if broken is not None:
+            a, s, c = broken
+            raise NotAssociative(f"({a}*{s})*{c} != {a}*({s}*{c})", a=a, b=s, c=c)
+    except (NoIdentity, NoInverse, NotLatinSquare, NotAssociative) as exc:
+        raise _or_column_repeat(rows, exc) from None
     return group
+
+
+def _or_column_repeat(rows, error: Exception) -> Exception:
+    """The first column repeat of ``rows``, as ``NotLatinSquare``, else ``error``.
+    The rows are permutations of 0..m-1 of ints, so a column can fail only by
+    a repeat."""
+    bad = _bad_entry(tuple(zip(*rows)), len(rows))
+    if bad is None:
+        return error
+    j, _, v, _ = bad
+    return NotLatinSquare(f"value {v} repeats in column {j}", col=j, value=v)
 
 
 def _broken_product(group: FiniteGroup, table) -> Optional[tuple]:
@@ -431,43 +467,27 @@ def _are_permutations(rows, n: int) -> bool:
     )
 
 
-def _is_latin(rows, m: int) -> bool:
-    """Whether every row and every column is a permutation of 0..m-1."""
-    values = set(range(m))
-    return _are_permutations(rows, m) and all(set(col) == values for col in zip(*rows))
+def _bad_entry(rows, n: int) -> Optional[tuple]:
+    """None when every row is a permutation of 0..n-1 of ints, else the first
+    problem in row order as (row, position, value, repeat): position None and
+    value the length for a row of the wrong length, repeat True for a value
+    earlier in its row, False for an entry that is not an int 0..n-1.
 
-
-def _raise_not_latin(rows, m: int):
-    """Scan entry by entry and raise on the first offending one."""
+    Bools, floats and strings are problems, never converted. Valid rows cost
+    one ``_are_permutations``; the entry scan runs only on a failure."""
+    if _are_permutations(rows, n):
+        return None
     for i, row in enumerate(rows):
-        if len(row) != m:
-            raise NotLatinSquare(
-                f"row {i} has length {len(row)}, expected {m}", row=i, length=len(row)
-            )
-        seen = [False] * m
+        if len(row) != n:
+            return i, None, len(row), False
+        seen = [False] * n
         for j, v in enumerate(row):
-            if type(v) is not int or v < 0 or v >= m:
-                raise NotLatinSquare(
-                    f"entry ({i},{j}) = {v!r} out of range 0..{m - 1}",
-                    row=i,
-                    col=j,
-                    value=v,
-                )
+            if type(v) is not int or not 0 <= v < n:
+                return i, j, v, False
             if seen[v]:
-                raise NotLatinSquare(
-                    f"value {v} repeats in row {i}", row=i, value=v
-                )
+                return i, j, v, True
             seen[v] = True
-    for j in range(m):
-        seen = [False] * m
-        for i in range(m):
-            v = rows[i][j]
-            if seen[v]:
-                raise NotLatinSquare(
-                    f"value {v} repeats in column {j}", col=j, value=v
-                )
-            seen[v] = True
-    raise NotLatinSquare("table is not a Latin square of integers")
+    return None  # no rows, or rows of no points
 
 
 def from_generators(
@@ -584,14 +604,23 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 
 def _generating_set(g: FiniteGroup) -> list:
-    """Greedy small generating set (empty for the trivial group)."""
+    """Greedy small generating set (empty for the trivial group).
+
+    In a group each new generator at least doubles the members (Lagrange),
+    so there are at most log2 |G| of them. The loop also stops at a step
+    that does not double them. That happens only when ``g`` is a table under
+    validation that is no group, where the set could otherwise grow one
+    element at a time, at some |G|^3/3 products; ``group_from_table``
+    explains why Light's test then fails on the set as it stands.
+    """
     gens = []
     members = g.subgroup_generated([])
     for a in range(g.order):
         if a not in members:
             gens.append(a)
+            reached = members.order
             members = g.subgroup_generated(gens)
-            if members.is_whole_group():
+            if members.is_whole_group() or members.order < 2 * reached:
                 break
     return gens
 

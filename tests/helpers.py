@@ -489,3 +489,41 @@ def two_sided_oracle(table, inv):
         for a in range(len(table))
         for b in range(len(table))
     )
+
+
+def latin_oracle(table):
+    """The first defect of a table as a ``NotLatinSquare`` witness, or None:
+    each row in turn (its length, then entry by entry an int 0..m-1 not
+    earlier in the row), then each column for a repeated value."""
+    m = len(table)
+    for i, row in enumerate(table):
+        if len(row) != m:
+            return {"row": i, "length": len(row)}
+        for j, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < m:
+                return {"row": i, "col": j, "value": v}
+            if v in row[:j]:
+                return {"row": i, "value": v}
+    for j in range(m):
+        column = [row[j] for row in table]
+        for i, v in enumerate(column):
+            if v in column[:i]:
+                return {"col": j, "value": v}
+    return None
+
+
+def first_bad_row_entry_oracle(rows, n):
+    """The first problem of rows meant as permutations of 0..n-1, rows in
+    order: (row, None, length, False) for a row of the wrong length, else
+    (row, position, value, repeat) for the first entry that is not an int
+    point (repeat False) or that is earlier in its row (repeat True); None
+    when every row is a permutation."""
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            return i, None, len(row), False
+        for j, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < n:
+                return i, j, v, False
+            if v in row[:j]:
+                return i, j, v, True
+    return None

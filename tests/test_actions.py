@@ -1,5 +1,6 @@
 """Actions: orbits, stabilizers, dimension counts, freeness, equivalence."""
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from helpers import (
     coset_oracle,
     coset_unions,
     disjoint_union,
+    first_bad_row_entry_oracle,
     mul_table_oracle,
     orbit_cells_oracle,
     permutation_groups,
@@ -119,8 +121,18 @@ def test_validate_rejects_identity_violation():
 
 def test_validate_rejects_non_bijective_row():
     g = cyclic_group(2)
-    with pytest.raises(CompatibilityViolated):
+    with pytest.raises(CompatibilityViolated) as exc:
         GroupAction(g, [[0, 1], [0, 0]])
+    assert exc.value.witness == {"a": 1, "point": 1, "value": 0}
+
+
+def test_the_first_bad_row_is_named_even_when_a_later_row_has_junk():
+    # row 1 repeats an image, row 2 holds a float: rows are read in order
+    table = [[0, 1, 2], [1, 1, 0], [2.0, 0, 1]]
+    assert first_bad_row_entry_oracle(table, 3) == (1, 1, 1, True)
+    with pytest.raises(CompatibilityViolated) as exc:
+        GroupAction(cyclic_group(3), table)
+    assert exc.value.witness == {"a": 1, "point": 1, "value": 1}
 
 
 @pytest.mark.parametrize(
@@ -247,6 +259,48 @@ def test_generator_compatibility_agrees_with_the_full_loop(case):
         assert (a, b, x) == compatibility_oracle(group, rows, group.generators)
     else:
         assert violation is None
+
+
+@st.composite
+def bad_action_tables(draw):
+    """A valid action table with one or two changes: an entry set to another
+    point or to junk (1.0, True, "1", -1 or the degree), or a row other than
+    the first cut short, so that the degree stays that of the first row."""
+    group = ACTION_GROUPS[draw(st.sampled_from(sorted(ACTION_GROUPS)))]
+    action = draw(st.sampled_from(actions_of(group)))
+    rows = [list(row) for row in action.act]
+    n = action.degree
+    for _ in range(draw(st.integers(1, 2))):
+        a = draw(st.integers(0, group.order - 1))
+        row = rows[a]
+        if not row:
+            continue
+        x = draw(st.integers(0, len(row) - 1))
+        if a and draw(st.booleans()):
+            del row[x:]
+        else:
+            row[x] = draw(st.integers(0, n - 1) | st.sampled_from([1.0, True, "1", -1, n]))
+    return group, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad_action_tables())
+def test_action_rows_are_reported_at_their_first_bad_entry(case):
+    group, rows = case
+    bad = first_bad_row_entry_oracle(rows, len(rows[0]))
+    if bad is None:
+        # rows that stay permutations may still move a point under the identity
+        with contextlib.suppress(IdentityAxiomViolated):
+            GroupAction(group, rows)
+        return
+    with pytest.raises(CompatibilityViolated) as exc:
+        GroupAction(group, rows)
+    a, x, value, _ = bad
+    if x is None:
+        assert exc.value.witness == {"a": a}
+    else:
+        assert exc.value.witness == {"a": a, "point": x, "value": value}
+        assert type(exc.value.witness["value"]) is type(value)
 
 
 def test_s5_compatibility_composes_rows_once_per_element_and_generator(monkeypatch):

@@ -152,6 +152,15 @@ def test_a_double_dash_value_is_a_parse_error(argv, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("seed", [99, -1])
+def test_subgroup_seed_out_of_range_names_seed_and_order(seed, capsys):
+    argv = ["dimension", "--input", inp("s3_conj.json"), f"--subgroup={seed}"]
+    assert main(argv) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParseError"
+    assert doc["witness"] == {"seed": seed, "order": 6}
+
+
 def test_missing_file_exits_3(capsys):
     code = main(["orbits", "--input", inp("no_such_file.json")])
     assert code == 3

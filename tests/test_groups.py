@@ -1,5 +1,6 @@
 """Group construction and validation against small independent oracles."""
 
+import contextlib
 import hashlib
 import json
 import random
@@ -11,14 +12,17 @@ from hypothesis import strategies as st
 
 from helpers import (
     direct_product_oracle,
+    first_bad_row_entry_oracle,
     greedy_generators_oracle,
     is_automorphism_oracle,
+    latin_oracle,
     light_test_oracle,
     mul_table_oracle,
 )
 from orbitspace import groups
 from orbitspace.actions import validate_action
 from orbitspace.cli import main
+from orbitspace.corpus import group_by_name
 from orbitspace.errors import (
     InvariantViolated,
     NoIdentity,
@@ -123,6 +127,43 @@ def test_permutation_images_must_be_ints(image):
         from_generators(3, [(image, 0, 2)])
 
 
+IMAGES = st.lists(st.one_of(st.integers(-1, 4), st.sampled_from([1.0, True, "1"])), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(IMAGES, st.integers(0, 4))
+def test_check_permutation_names_the_first_bad_image(images, degree):
+    bad = first_bad_row_entry_oracle([images], degree)
+    if bad is None:
+        assert groups.check_permutation(images, degree) == tuple(images)
+        return
+    with pytest.raises(NotAPermutation) as exc:
+        groups.check_permutation(images, degree)
+    _, pos, value, _ = bad
+    if pos is None:
+        assert exc.value.witness == {"degree": degree, "length": value}
+    else:
+        assert exc.value.witness == {"position": pos, "image": value}
+        assert type(exc.value.witness["image"]) is type(value)
+
+
+def test_check_permutation_reports_a_repeat_before_a_later_bad_image():
+    with pytest.raises(NotAPermutation) as exc:
+        groups.check_permutation([0, 0, 5], 3)
+    assert exc.value.witness == {"position": 1, "image": 0}
+    assert str(exc.value) == "repeated image 0 at position 1"
+
+
+@pytest.mark.parametrize("seed", [1.9, True, -1, 6], ids=["float", "bool", "negative", "order"])
+def test_subgroup_seeds_must_be_element_indices(seed):
+    # 1.9 and True were read as 1, -1 as the last element, and 6 escaped as an IndexError
+    group, _ = s3()
+    with pytest.raises(ParseError) as exc:
+        group.subgroup_generated([1, seed])
+    assert exc.value.witness == {"seed": seed, "order": 6}
+    assert type(exc.value.witness["seed"]) is type(seed)
+
+
 def test_closure_lists_breadth_first_and_stops_past_the_cap():
     def add(a, b):
         return (a + b) % 6
@@ -196,15 +237,96 @@ def test_latin_failures_name_the_first_offending_entry(table, witness):
     assert exc.value.witness == witness
 
 
+# a column repeat in these reaches each later check: identity, inverses and
+# Light's test all fail first on some swap
+LATIN_GROUPS = [group_by_name(name) for name in ("c4", "s3", "q8", "v4")]
+
+
+@st.composite
+def near_latin_tables(draw):
+    """A Cayley table with one or two changes: an entry set to another point,
+    an entry set to junk (1.0, True, "1", -1 or m), a row cut short, or two
+    entries swapped inside one row, which keeps rows permutations and makes
+    columns repeat."""
+    group = draw(st.sampled_from(LATIN_GROUPS))
+    m = group.order
+    rows = [list(row) for row in group.mul_table]
+    for _ in range(draw(st.integers(1, 2))):
+        row = rows[draw(st.integers(0, m - 1))]
+        if not row:
+            continue
+        j, k = (draw(st.integers(0, len(row) - 1)) for _ in range(2))
+        kind = draw(st.sampled_from(["point", "junk", "short", "swap"]))
+        if kind == "point":
+            row[j] = draw(st.integers(0, m - 1))
+        elif kind == "junk":
+            row[j] = draw(st.sampled_from([1.0, True, "1", -1, m]))
+        elif kind == "short":
+            del row[j:]
+        else:
+            row[j], row[k] = row[k], row[j]
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_latin_tables())
+def test_near_latin_tables_get_the_witness_of_the_row_then_column_scan(rows):
+    witness = latin_oracle(rows)
+    if witness is None:
+        # a Latin square may still fail a later check, but never as NotLatinSquare
+        with contextlib.suppress(NoIdentity, NoInverse, NotAssociative):
+            group_from_table(rows)
+        return
+    with pytest.raises(NotLatinSquare) as exc:
+        group_from_table(rows)
+    assert exc.value.witness == witness
+    if "value" in witness:
+        assert type(exc.value.witness["value"]) is type(witness["value"])
+
+
 def test_s6_latin_check_needs_no_entry_scan(monkeypatch):
+    # a valid table is scanned by rows once and its columns are never read;
+    # a table that fails a later check has its columns scanned before the raise
     group, _ = from_generators(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
     table = [list(row) for row in group.mul_table]
+    scanned = []
+    bad_entry = groups._bad_entry
 
-    def scan(rows, m):
-        raise AssertionError("a valid table fell through to the entry scan")
+    def counted(rows, n):
+        scanned.append(len(rows))
+        return bad_entry(rows, n)
 
-    monkeypatch.setattr(groups, "_raise_not_latin", scan)
+    monkeypatch.setattr(groups, "_bad_entry", counted)
     assert group_from_table(table).order == 720
+    assert scanned == [720]
+    scanned.clear()
+    with pytest.raises(NotLatinSquare) as exc:
+        group_from_table([[0, 1, 2], [1, 2, 0], [1, 0, 2]])
+    assert exc.value.witness == {"col": 0, "value": 1}
+    assert scanned == [3, 3]
+
+
+def test_a_table_that_is_no_group_takes_few_greedy_steps(monkeypatch):
+    # x*0 = x, x*x = 0 and x*y = y otherwise: the rows are permutations with
+    # a two-sided identity and inverses, and {0..k} is closed for every k, so
+    # a greedy set left to run would take m - 1 generators and ~m^3/3 products
+    m = 300
+    table = [list(range(m))]
+    table += [[x] + [0 if y == x else y for y in range(1, m)] for x in range(1, m)]
+    calls = {"_generating_set": 0, "_closure": 0}
+    for name in calls:
+        wrapped = getattr(groups, name)
+
+        def counted(*args, name=name, wrapped=wrapped, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(groups, name, counted)
+    with pytest.raises(NotLatinSquare) as exc:
+        group_from_table(table)
+    assert exc.value.witness == {"col": 1, "value": 1}
+    assert calls["_generating_set"] <= 1
+    assert calls["_closure"] <= m.bit_length() + 1
 
 
 def test_validate_subtraction_table_has_no_identity():
