@@ -2,16 +2,17 @@
 
 Every command reads schema-checked JSON, runs one analysis, and emits a
 canonical report (sorted keys, two-space indent, trailing newline). Exit
-codes: 0 success, 2 a named invariant failed (the report carries the error
-kind and witness), 3 unparseable input.
+codes: 0 success (``-h``/``--help`` writes a JSON usage report), 2 a named
+invariant failed (the report carries the error kind and witness), 3
+unparseable input or a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .actions import are_equivalent
 from .errors import OrbitspaceError, ParseError
@@ -32,8 +33,6 @@ from .jsonio import (
 
 
 def _read_json(path: str):
-    if not isinstance(path, str):  # argparse reads "--input=--" as an empty list
-        path = "--"
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -98,8 +97,6 @@ def _emit(doc, output: str | None):
 
 
 def _parse_int_csv(text: str, flag: str):
-    if not isinstance(text, str):  # argparse reads "--flag=--" as an empty list
-        text = "--"
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
@@ -301,7 +298,7 @@ def _parse_param(text: str):
 def _cmd_corpus(args):
     from . import corpus as corpus_mod
 
-    if args.corpus_command == "list":
+    if args.command == "corpus list":
         return {"names": corpus_mod.corpus_names()}
     params = dict(_parse_param(p) for p in (args.param or []))
     entry = corpus_mod.build(args.name, **params)
@@ -320,97 +317,105 @@ def _cmd_corpus(args):
 # ---------------------------------------------------------------------------
 # wiring
 
+# Flag kinds: "value" (the last one given counts), "integer", "repeatable"
+# (collected into a list) and "switch"; a key without dashes is positional.
+_IO = {"--input": "repeatable", "--output": "value", "--cap": "integer"}
+_SUBGROUP = {**_IO, "--subgroup": "value"}
+_FUNCTIONS = {**_IO, "--function": "repeatable"}
+_RECIPROCITY = {**_FUNCTIONS, "--subset": "value"}
+_PARTITION = {**_IO, "--minimal-generators": "switch"}
+_BUILD = {"name": "positional", "--param": "repeatable", "--output": "value"}
 
-def _add_io(sub, functions=0):
-    sub.add_argument("--input", action="append", help="input JSON file")
-    sub.add_argument("--output", help="write the report here instead of stdout")
-    sub.add_argument("--cap", type=int, default=None, help="closure size cap")
-    if functions:
-        sub.add_argument("--function", action="append", help="function JSON file")
-
-
-def _add_subgroup(sub):
-    _add_io(sub)
-    sub.add_argument("--subgroup", help="comma-separated generating elements")
-
-
-def _add_reciprocity(sub):
-    _add_io(sub, functions=2)
-    sub.add_argument("--subset", help="comma-separated points of the invariant subset")
-
-
-def _add_from_partition(sub):
-    _add_io(sub)
-    sub.add_argument(
-        "--minimal-generators",
-        action="store_true",
-        help="use adjacent transpositions within each cell",
-    )
+# command -> (handler, help line, flags)
+_COMMANDS = {
+    "validate": (_cmd_validate, "check a group action table", _IO),
+    "orbits": (_cmd_orbits, "orbit partition of an action", _IO),
+    "dimension": (_cmd_dimension, "invariant-space dimension by fixed-point count", _SUBGROUP),
+    "free-check": (_cmd_free_check, "freeness, and the dimension ratio for a subgroup", _SUBGROUP),
+    "fourier": (_cmd_fourier, "orbit-average projection and coefficients", _FUNCTIONS),
+    "bessel": (_cmd_bessel, "both sides of the projection norm inequality", _FUNCTIONS),
+    "decompose": (_cmd_decompose, "orthogonal splittings of a function", _FUNCTIONS),
+    "reciprocity": (_cmd_reciprocity, "adjointness of induction and restriction", _RECIPROCITY),
+    "from-partition": (_cmd_from_partition, "realize partition cells as orbits", _PARTITION),
+    "equivalence": (_cmd_equivalence, "search for an equivariant bijection", _IO),
+    "corpus list": (_cmd_corpus, "list corpus names", {"--output": "value"}),
+    "corpus build": (_cmd_corpus, "build one corpus entry", _BUILD),
+}
 
 
-def _add_corpus(sub):
-    corpus_subs = sub.add_subparsers(dest="corpus_command", required=True)
-    sub_list = corpus_subs.add_parser("list", help="list corpus names")
-    sub_list.add_argument("--output")
-    sub_list.set_defaults(param=None, name=None)
-    sub_build = corpus_subs.add_parser("build", help="build one corpus entry")
-    sub_build.add_argument("name")
-    sub_build.add_argument("--param", action="append", help="key=value, repeatable")
-    sub_build.add_argument("--output")
+def _usage():
+    commands = {name: {"help": entry[1], "flags": entry[2]} for name, entry in _COMMANDS.items()}
+    return {"usage": "orbitspace COMMAND [--flag VALUE | --flag=VALUE]...", "commands": commands}
 
 
-def _add_functions(sub):
-    _add_io(sub, functions=1)
+def _parse_args(argv):
+    """Parse argv against ``_COMMANDS``; every usage error is a ``ParseError``.
 
-
-# name, help, command, and the function that adds its arguments
-_COMMANDS = (
-    ("validate", "check a group action table", _cmd_validate, _add_io),
-    ("orbits", "orbit partition of an action", _cmd_orbits, _add_io),
-    ("dimension", "invariant-space dimension by fixed-point count", _cmd_dimension, _add_subgroup),
-    ("free-check", "freeness, and the dimension ratio for a subgroup", _cmd_free_check, _add_subgroup),
-    ("fourier", "orbit-average projection and coefficients", _cmd_fourier, _add_functions),
-    ("bessel", "both sides of the projection norm inequality", _cmd_bessel, _add_functions),
-    ("decompose", "orthogonal splittings of a function", _cmd_decompose, _add_functions),
-    ("reciprocity", "adjointness of induction and restriction", _cmd_reciprocity, _add_reciprocity),
-    ("from-partition", "realize partition cells as orbits", _cmd_from_partition, _add_from_partition),
-    ("equivalence", "search for an equivariant bijection", _cmd_equivalence, _add_io),
-    ("corpus", "ready-made example actions", _cmd_corpus, _add_corpus),
-)
-
-
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The CLI parser. Every command is listed, so help and usage errors stay
-    the same, but only the command that ``argv`` names (or every command,
-    when it names none) gets its arguments."""
-    parser = argparse.ArgumentParser(
-        prog="orbitspace",
-        description="Exact analysis of finite group actions and their invariant function spaces.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv else None
-    if named not in {name for name, *_ in _COMMANDS}:
-        named = None
-    for name, help_text, run, add_arguments in _COMMANDS:
-        sub = subs.add_parser(name, help=help_text)
-        sub.set_defaults(run=run)
-        if named in (None, name):
-            add_arguments(sub)
-    return parser
+    ``--flag value`` takes the next token unless it starts with ``--``, and
+    ``--flag=value`` takes the rest of the token as it is. Flags match whole,
+    never by prefix.
+    """
+    command, rest = (argv[0], argv[1:]) if argv else (None, [])
+    if command not in _COMMANDS and rest and f"{command} {rest[0]}" in _COMMANDS:
+        command, rest = f"{command} {rest[0]}", rest[1:]
+    if command not in _COMMANDS:
+        problem = f"unknown command {command!r}" if argv else "missing command"
+        raise ParseError(f"{problem}; known: {', '.join(_COMMANDS)}", command=command)
+    flags = _COMMANDS[command][2]
+    values = {key: False if kind == "switch" else None for key, kind in flags.items()}
+    positional = [key for key, kind in flags.items() if kind == "positional"]
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            if not positional:
+                raise ParseError(f"unexpected argument {token!r}", command=command, argument=token)
+            values[positional.pop(0)] = token
+            continue
+        flag, has_value, value = token.partition("=")
+        kind = flags.get(flag)
+        if kind is None:  # --help lists the flags of every command
+            raise ParseError(f"{command} has no flag {flag!r}", command=command, flag=flag)
+        if kind == "switch":
+            if has_value:
+                raise ParseError(f"{flag} takes no value", flag=flag, value=value)
+            value = True
+        elif not has_value:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ParseError(f"{flag} needs a value", flag=flag, value=value)
+        if kind == "integer":
+            try:
+                value = int(value)
+            except ValueError:
+                message = f"{flag} expects an integer, got {value!r}"
+                raise ParseError(message, flag=flag, value=value) from None
+        elif kind == "repeatable":
+            value = (values[flag] or []) + [value]
+        values[flag] = value
+    if positional:
+        raise ParseError(f"{command} needs {positional[0].upper()}", command=command)
+    values = {key.lstrip("-").replace("-", "_"): value for key, value in values.items()}
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
-    output = getattr(args, "output", None)
+    output = None
     try:
-        cap = getattr(args, "cap", 1)
-        if cap is None:
-            args.cap = default_cap()
-        elif cap < 1:
-            raise ParseError(f"--cap must be positive, got {cap}", flag="--cap", value=cap)
-        doc = args.run(args)
+        if "-h" in argv or "--help" in argv:
+            doc = _usage()
+        else:
+            args = _parse_args(argv)
+            output = args.output
+            run, _, flags = _COMMANDS[args.command]
+            # commands without --cap never read ORBITSPACE_CAP
+            if "--cap" in flags and args.cap is None:
+                args.cap = default_cap()
+            elif "--cap" in flags and args.cap < 1:
+                message = f"--cap must be positive, got {args.cap}"
+                raise ParseError(message, flag="--cap", value=args.cap)
+            doc = run(args)
     except ParseError as exc:
         _emit({"error": exc.kind, "message": str(exc), "witness": exc.witness}, output)
         return 3

@@ -544,25 +544,24 @@ def build(name: str, **params) -> CorpusEntry:
     exactly that type (so True is not the integer 1); seed lists are checked
     by the builders that take them.
     """
-    import inspect
-
     builder = _BUILDERS.get(name)
     if builder is None:
         raise UnknownCorpusName(
             f"unknown corpus name {name!r}; known: {', '.join(corpus_names())}",
             name=name,
         )
-    signature = inspect.signature(builder).parameters
-    accepted = sorted(signature)
+    code = builder.__code__  # every builder parameter has a default
+    defaults = dict(zip(code.co_varnames[: code.co_argcount], builder.__defaults__))
+    accepted = sorted(defaults)
     for key in sorted(params):
-        if key not in signature:
+        if key not in defaults:
             raise ParseError(
                 f"unknown parameter {key!r} for {name}; accepted: {', '.join(accepted)}",
                 name=name,
                 unknown=key,
                 accepted=accepted,
             )
-        default, value = signature[key].default, params[key]
+        default, value = defaults[key], params[key]
         if isinstance(default, (bool, int, str)) and type(value) is not type(default):
             expected = type(default).__name__
             raise ParseError(

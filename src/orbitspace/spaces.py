@@ -13,11 +13,10 @@ indicator is never materialized, keeping every statement exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import add, mul, neg, sub
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from .actions import GroupAction, Partition
 from .errors import ActionIsTrivial, DegreeMismatch, EmptyDomain, InvariantViolated
@@ -179,8 +178,7 @@ def _sum(nums, dens) -> Fraction:
     return Fraction(*sum_by_denominator(nums, dens))
 
 
-@dataclass(frozen=True)
-class InvariantCertificate:
+class InvariantCertificate(NamedTuple):
     """Witness that a function is constant on every orbit cell."""
 
     function: PointFunction
@@ -188,8 +186,7 @@ class InvariantCertificate:
     orbit_values: tuple
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """The orthogonal splittings of a function in one bundle.
 
     invariant_part + perp_part and mean_part + zero_sum_part both recover
@@ -317,8 +314,7 @@ def fourier_projection(act: GroupAction, f: PointFunction) -> PointFunction:
     return _cell_averages(*_cell_sums(act, f))
 
 
-@dataclass(frozen=True)
-class FourierCoefficient:
+class FourierCoefficient(NamedTuple):
     """Per-cell Fourier data in square-root-free form.
 
     ``raw_sum`` is sum of f over the cell; ``coef_norm_sq`` is the squared

@@ -1,5 +1,6 @@
 """CLI behavior: golden reports, exit codes, and machine-readable errors."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitspace.cli import _render, build_parser, main
+from orbitspace.cli import _COMMANDS, _parse_args, _render, main
 from orbitspace.corpus import corpus_names
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -147,7 +148,7 @@ def test_validate_refuses_a_degree_that_is_not_an_int(degree, tmp_path, capsys):
     ids=["subgroup", "subset", "input"],
 )
 def test_a_double_dash_value_is_a_parse_error(argv, capsys):
-    # argparse reads "--flag=--" as an empty list, not the string "--"
+    # "--flag=--" passes the string "--", which no flag's reader accepts
     assert main(argv) == 3
     assert json.loads(capsys.readouterr().out)["error"] == "ParseError"
 
@@ -438,7 +439,9 @@ ACTION_LAYERS = [
     "orbitspace.groups",
     "orbitspace.jsonio",
 ]
-WATCHED = ("inspect", "fractions", "dataclasses")
+# stdlib modules that no command needs at start-up, and fractions
+STARTUP = ("argparse", "dataclasses", "gettext", "inspect", "locale")
+WATCHED = STARTUP + ("fractions",)
 
 
 def loaded_modules(code):
@@ -497,6 +500,50 @@ def test_evaluation_commands_build_no_labels_or_inverses(command, monkeypatch):
         )
     assert main([command, "--input", inp("s3_eval.json")]) == 0
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbits", "--input", inp("s3_conj.json")],
+        ["validate", "--input", inp("s3_eval.json")],
+        ["corpus", "list"],
+        ["corpus", "build", "two_sided", "--param", "group=s4"],
+        ["decompose", "--input", inp("z2_four.json"), "--function", inp("f_mixed.json")],
+        [
+            "reciprocity",
+            "--input",
+            inp("z2_four.json"),
+            "--subset",
+            "0,1",
+            "--function",
+            inp("f_on_y.json"),
+            "--function",
+            inp("g_inv.json"),
+        ],
+    ],
+    ids=lambda argv: "-".join(argv[:2]) if argv[0] == "corpus" else argv[0],
+)
+def test_commands_load_no_startup_only_stdlib(argv):
+    assert not set(STARTUP) & set(loaded_by_command(argv))
+
+
+def test_library_imports_no_argparse_inspect_or_dataclasses():
+    found = []
+    for path in sorted((SRC / "orbitspace").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] in ("argparse", "inspect", "dataclasses")
+            ]
+    assert found == []
 
 
 def test_corpus_list_loads_no_function_layers():
@@ -641,36 +688,223 @@ def test_corpus_table_reports_keep_their_bytes(build, digest, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the parser builds the arguments of the named command only
+# the command table and its parser
+
+
+def parsed(command, **flags):
+    """The namespace _parse_args returns: every flag of the command unset
+    except those given."""
+    unset = {
+        key.lstrip("-").replace("-", "_"): False if kind == "switch" else None
+        for key, kind in _COMMANDS[command][2].items()
+    }
+    return {"command": command, **unset, **flags}
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ["validate", "--input", "a.json", "--cap", "9"],
+            parsed("validate", input=["a.json"], cap=9),
+        ),
+        (
+            ["orbits", "--input", "a.json", "--output", "o.json"],
+            parsed("orbits", input=["a.json"], output="o.json"),
+        ),
+        (
+            ["dimension", "--input", "a.json", "--subgroup", "1,2"],
+            parsed("dimension", input=["a.json"], subgroup="1,2"),
+        ),
+        (
+            ["free-check", "--input", "a.json", "--subgroup", "2"],
+            parsed("free-check", input=["a.json"], subgroup="2"),
+        ),
+        (
+            ["fourier", "--input", "a.json", "--function", "f.json"],
+            parsed("fourier", input=["a.json"], function=["f.json"]),
+        ),
+        (
+            ["bessel", "--input", "a.json", "--function", "f.json"],
+            parsed("bessel", input=["a.json"], function=["f.json"]),
+        ),
+        (
+            ["decompose", "--input", "a.json", "--function", "f.json"],
+            parsed("decompose", input=["a.json"], function=["f.json"]),
+        ),
+        (
+            ["reciprocity", "--input", "a.json", "--subset", "0,1"]
+            + ["--function", "f", "--function", "g"],
+            parsed("reciprocity", input=["a.json"], subset="0,1", function=["f", "g"]),
+        ),
+        (
+            ["from-partition", "--input", "p.json", "--minimal-generators"],
+            parsed("from-partition", input=["p.json"], minimal_generators=True),
+        ),
+        (
+            ["equivalence", "--input", "a.json", "--input", "b.json"],
+            parsed("equivalence", input=["a.json", "b.json"]),
+        ),
+        (["corpus", "list"], parsed("corpus list")),
+        (
+            ["corpus", "build", "coset", "--param", "group=s4", "--output", "o.json"],
+            parsed("corpus build", name="coset", param=["group=s4"], output="o.json"),
+        ),
+    ],
+    ids=[
+        "validate",
+        "orbits",
+        "dimension",
+        "free-check",
+        "fourier",
+        "bessel",
+        "decompose",
+        "reciprocity",
+        "from-partition",
+        "equivalence",
+        "corpus-list",
+        "corpus-build",
+    ],
+)
+def test_parse_args_reads_the_flags_of_each_command(argv, expected):
+    assert vars(_parse_args(argv)) == expected
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ["validate", "--input=a.json", "--cap=9", "--output=o.json"],
+            parsed("validate", input=["a.json"], cap=9, output="o.json"),
+        ),
+        (
+            ["dimension", "--subgroup=--", "--input=a=b"],
+            parsed("dimension", subgroup="--", input=["a=b"]),
+        ),
+        (
+            ["orbits", "--output", "a", "--cap", "3", "--output", "b", "--cap=5"],
+            parsed("orbits", output="b", cap=5),
+        ),
+        (["dimension", "--subgroup", "-1"], parsed("dimension", subgroup="-1")),
+        (
+            ["from-partition", "--input", "p.json"],
+            parsed("from-partition", input=["p.json"], minimal_generators=False),
+        ),
+        (
+            ["corpus", "build", "--param", "group=s4", "coset", "--param", "seeds=1,2"],
+            parsed("corpus build", name="coset", param=["group=s4", "seeds=1,2"]),
+        ),
+    ],
+    ids=[
+        "equals-form",
+        "equals-keeps-the-rest",
+        "last-value-wins",
+        "negative-value",
+        "switch-unset",
+        "name-after-flags",
+    ],
+)
+def test_parse_args_forms(argv, expected):
+    assert vars(_parse_args(argv)) == expected
+
+
+S3 = inp("s3_conj.json")
+
+
+def usage_error(argv, capsys):
+    assert main(argv) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParseError"
+    return doc
+
+
+def test_a_flag_of_another_command_is_a_parse_error(capsys):
+    doc = usage_error(["validate", "--subgroup", "1"], capsys)
+    assert doc["witness"] == {"command": "validate", "flag": "--subgroup"}
+    assert "--subgroup" in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "argv,witness",
+    [
+        (["bogus", "--input", "a.json"], {"command": "bogus"}),
+        ([], {"command": None}),
+        (["orbits", "--input", S3, "--bogus"], {"command": "orbits", "flag": "--bogus"}),
+        (["orbits", "--inp", S3], {"command": "orbits", "flag": "--inp"}),
+        (["orbits", "-i", S3], {"command": "orbits", "flag": "-i"}),
+        (["orbits", "--input"], {"flag": "--input", "value": None}),
+        (["orbits", "--input", "--cap", "3"], {"flag": "--input", "value": "--cap"}),
+        (["orbits", "--input", S3, "--cap", "x"], {"flag": "--cap", "value": "x"}),
+        (["orbits", "--input", S3, "--cap=1.5"], {"flag": "--cap", "value": "1.5"}),
+        (["orbits", "--input", S3, "extra"], {"command": "orbits", "argument": "extra"}),
+        (
+            ["from-partition", "--input", inp("partition.json"), "--minimal-generators=yes"],
+            {"flag": "--minimal-generators", "value": "yes"},
+        ),
+        (["corpus"], {"command": "corpus"}),
+        (["corpus", "symmetric"], {"command": "corpus"}),
+        (["corpus", "build"], {"command": "corpus build"}),
+        (["corpus", "build", "--param", "n=3"], {"command": "corpus build"}),
+        (["corpus", "list", "--param", "n=3"], {"command": "corpus list", "flag": "--param"}),
+        (
+            ["corpus", "build", "symmetric", "cyclic"],
+            {"command": "corpus build", "argument": "cyclic"},
+        ),
+    ],
+    ids=[
+        "unknown-command",
+        "no-command",
+        "unknown-flag",
+        "abbreviation",
+        "short-flag",
+        "missing-value-at-end",
+        "missing-value-before-a-flag",
+        "bad-cap",
+        "fractional-cap",
+        "stray-argument",
+        "switch-with-value",
+        "corpus-alone",
+        "corpus-without-list-or-build",
+        "corpus-build-without-name",
+        "corpus-build-flags-without-name",
+        "corpus-list-with-param",
+        "corpus-build-two-names",
+    ],
+)
+def test_usage_errors_exit_3_naming_the_token(argv, witness, capsys):
+    assert usage_error(argv, capsys)["witness"] == witness
+
+
+def test_a_usage_error_is_reported_on_stdout_even_with_output(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    usage_error(["orbits", "--output", str(out), "--bogus"], capsys)
+    assert not out.exists()
+
+
+def test_commands_without_cap_never_read_the_cap_env_var(monkeypatch, capsys):
+    monkeypatch.setenv("ORBITSPACE_CAP", "abc")
+    assert main(["corpus", "list"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"names": corpus_names()}
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["validate", "--input", "a.json", "--cap", "9"],
-        ["orbits", "--input", "a.json", "--output", "o.json"],
-        ["dimension", "--input", "a.json", "--subgroup", "1,2"],
-        ["free-check", "--input", "a.json", "--subgroup", "2"],
-        ["fourier", "--input", "a.json", "--function", "f.json"],
-        ["bessel", "--input", "a.json", "--function", "f.json"],
-        ["decompose", "--input", "a.json", "--function", "f.json"],
-        ["reciprocity", "--input", "a.json", "--subset", "0,1", "--function", "f", "--function", "g"],
-        ["from-partition", "--input", "p.json", "--minimal-generators"],
-        ["equivalence", "--input", "a.json", "--input", "b.json"],
-        ["corpus", "list"],
-        ["corpus", "build", "coset", "--param", "group=s4", "--output", "o.json"],
+        ["-h"],
+        ["--help"],
+        ["orbits", "--input", "a.json", "-h"],
+        ["corpus", "build", "--help"],
+        ["bogus", "-h"],
     ],
-    ids=lambda argv: argv[0] if argv[0] != "corpus" else "-".join(argv[:2]),
 )
-def test_parser_for_the_named_command_parses_like_the_full_parser(argv):
-    assert vars(build_parser(argv).parse_args(argv)) == vars(build_parser().parse_args(argv))
-
-
-def test_parser_leaves_other_commands_without_arguments(capsys):
-    parser = build_parser(["orbits"])
-    with pytest.raises(SystemExit):
-        parser.parse_args(["validate", "--input", "a.json"])
-    assert "unrecognized arguments: --input" in capsys.readouterr().err
+def test_help_writes_a_json_usage_report_from_the_command_table(argv, capsys):
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text == _render(json.loads(text))
+    commands = json.loads(text)["commands"]
+    assert list(commands) == sorted(_COMMANDS)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        assert commands[name] == {"help": help_text, "flags": flags}
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +1053,61 @@ def test_every_command_exits_0_2_or_3_with_a_json_report(command, data):
             code = main(argv)
     assert code in (0, 2, 3), argv
     doc = json.loads(out.getvalue())
+    assert (code == 0) == ("error" not in doc), doc
+    if code:
+        assert isinstance(doc["witness"], dict) and doc["error"].isidentifier()
+
+
+# ---------------------------------------------------------------------------
+# the contract holds for any argv
+
+ARGV_COMMANDS = [name.split() for name in _COMMANDS if name != "corpus build"]
+ARGV_COMMANDS += [["corpus"], ["bogus"], []]
+ARGV_FLAGS = sorted({key for *_, flags in _COMMANDS.values() for key in flags if key[0] == "-"})
+ARGV_FLAGS.remove("--output")  # drawn only as --output=REPORT, a scratch file
+ARGV_FLAGS += ["--bogus", "--inp", "--sub", "-i", "--"]
+ARGV_ACTIONS = [
+    inp(name)
+    for name in ("z2_four.json", "s3_conj.json", "s3_eval.json", "bad_assoc_action.json")
+]
+ARGV_VALUES = ARGV_ACTIONS + [
+    inp(name)
+    for name in ("partition.json", "f_delta.json", "f_on_y.json", "g_inv.json", "not_json.json")
+]
+ARGV_VALUES += ["missing.json", "0,1", "2", "-1", "1,x", "", "0", "x", "n=3", "--"]
+ARGV_FLAG = st.sampled_from(ARGV_FLAGS)
+ARGV_VALUE = st.sampled_from(ARGV_VALUES)
+ARGV_PAIR = st.tuples(ARGV_FLAG, ARGV_VALUE).map(list)
+# one or two tokens at a time, so that flags often meet a value
+ARGV_PIECES = st.one_of(
+    ARGV_PAIR,
+    ARGV_PAIR,
+    ARGV_PAIR,
+    st.builds("{}={}".format, ARGV_FLAG, ARGV_VALUE).map(lambda token: [token]),
+    ARGV_FLAG.map(lambda token: [token]),
+    ARGV_VALUE.map(lambda token: [token]),
+    st.sampled_from([["-h"], ["--help"], ["--output=REPORT"]]),
+)
+# an action first, half the time, so that some draws get to run
+ARGV_INPUT = st.one_of(
+    st.just([]), st.sampled_from(ARGV_ACTIONS).map(lambda path: ["--input", path])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ARGV_COMMANDS), ARGV_INPUT, st.lists(ARGV_PIECES, max_size=4))
+def test_any_argv_exits_0_2_or_3_with_one_json_report(command, first, pieces):
+    """No corpus build is drawn, and --output only names a scratch file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report.json"
+        tokens = first + [token for piece in pieces for token in piece]
+        argv = command + [token.replace("REPORT", str(report)) for token in tokens]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        text = out.getvalue() + (report.read_text() if report.exists() else "")
+    assert code in (0, 2, 3), argv
+    doc = json.loads(text)
     assert (code == 0) == ("error" not in doc), doc
     if code:
         assert isinstance(doc["witness"], dict) and doc["error"].isidentifier()

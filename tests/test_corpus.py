@@ -114,6 +114,14 @@ def test_seed_lists_and_single_seeds():
                 build(family, seeds=bad)
 
 
+def test_every_builder_parameter_has_a_default():
+    """build reads defaults from the code object, which needs one for each."""
+    for name, builder in corpus._BUILDERS.items():
+        code = builder.__code__
+        assert code.co_kwonlyargcount == 0, name
+        assert len(builder.__defaults__ or ()) == code.co_argcount, name
+
+
 def test_unknown_parameters_are_named():
     with pytest.raises(ParseError) as exc:
         build("coset", group="s3", seed=1)

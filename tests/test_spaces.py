@@ -23,6 +23,9 @@ from orbitspace.errors import ActionIsTrivial, DegreeMismatch, EmptyDomain
 from orbitspace.groups import cyclic_group, from_generators
 from orbitspace.scalars import GaussianRational
 from orbitspace.spaces import (
+    Decomposition,
+    FourierCoefficient,
+    InvariantCertificate,
     PointFunction,
     act_on_function,
     bessel_check,
@@ -331,6 +334,25 @@ def test_decompose_z2_swap():
     # transitive action: the perp and zero-sum parts coincide
     assert d.mean_part == d.invariant_part
     assert d.zero_sum_part == d.perp_part
+
+
+def test_result_types_keep_their_fields_and_are_read_only():
+    act = z2_swap()
+    f = PointFunction([1, 0])
+    results = [
+        (is_invariant(act, PointFunction.ones(2)), ("function", "partition", "orbit_values")),
+        (decompose(act, f), ("invariant_part", "perp_part", "mean_part", "zero_sum_part")),
+        (fourier_coefficients(act, f)[0], ("cell", "raw_sum", "coef_norm_sq")),
+    ]
+    for result, fields in results:
+        assert type(result) in (InvariantCertificate, Decomposition, FourierCoefficient)
+        assert type(result)._fields == fields
+        assert tuple(getattr(result, name) for name in fields) == tuple(result)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(result, name, None)
+        with pytest.raises(AttributeError):
+            result.extra = None
 
 
 def test_decompose_with_fixed_points():
