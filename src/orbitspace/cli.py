@@ -11,30 +11,18 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
-from .actions import are_equivalent
 from .errors import OrbitspaceError, ParseError
-from .groups import default_cap
-from .jsonio import (
-    action_from_json,
-    action_to_json,
-    function_from_json,
-    function_to_json,
-    partition_from_json,
-    rational_to_json,
-    scalar_to_json,
-    subset_function_from_json,
-)
 
-# The function-space, induction, partition and corpus layers are imported by
-# the commands that run them, so that a command loads only what it uses.
+# Each command imports the layers it runs, so that `corpus list`, `--help` and
+# a usage error load no layer beyond this module and errors.
 
 
 def _read_json(path: str):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            return json.loads(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}", path=path) from None
     except (ValueError, RecursionError) as exc:
@@ -91,7 +79,8 @@ def _write(value, newline: str, out: list):
 def _emit(doc, output: str | None):
     text = _render(doc)
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -110,6 +99,8 @@ def _single_input(args):
 
 
 def _load_action(args):
+    from .jsonio import action_from_json
+
     return action_from_json(_single_input(args), cap=args.cap)
 
 
@@ -120,6 +111,8 @@ def _load_subgroup(action, args):
 
 
 def _load_function(args, action, position: int = 0):
+    from .jsonio import function_from_json
+
     if not args.function or len(args.function) <= position:
         raise ParseError("missing --function file")
     return function_from_json(_read_json(args.function[position]), degree=action.degree)
@@ -162,6 +155,8 @@ def _cmd_dimension(args):
 
 
 def _cmd_free_check(args):
+    from .jsonio import rational_to_json
+
     action = _load_action(args)
     violation = action.free_witness()
     doc = {"is_free": violation is None}
@@ -176,6 +171,7 @@ def _cmd_free_check(args):
 
 
 def _cmd_fourier(args):
+    from .jsonio import function_to_json, rational_to_json, scalar_to_json
     from .spaces import fourier_coefficients, fourier_projection, is_invariant
 
     action = _load_action(args)
@@ -196,6 +192,7 @@ def _cmd_fourier(args):
 
 
 def _cmd_bessel(args):
+    from .jsonio import rational_to_json
     from .spaces import bessel_check
 
     action = _load_action(args)
@@ -211,6 +208,7 @@ def _cmd_bessel(args):
 
 
 def _cmd_decompose(args):
+    from .jsonio import function_to_json, scalar_to_json
     from .spaces import decompose, value_sum
 
     action = _load_action(args)
@@ -226,6 +224,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_reciprocity(args):
+    from .jsonio import function_from_json, scalar_to_json, subset_function_from_json
     from .resind import invariant_subset, reciprocity_check
 
     action = _load_action(args)
@@ -248,6 +247,7 @@ def _cmd_reciprocity(args):
 
 
 def _cmd_from_partition(args):
+    from .jsonio import partition_from_json
     from .partitions import cell_transpositions, group_from_partition, preserves_cells
 
     partition = partition_from_json(_single_input(args))
@@ -268,6 +268,9 @@ def _cmd_from_partition(args):
 
 
 def _cmd_equivalence(args):
+    from .actions import are_equivalent
+    from .jsonio import action_from_json
+
     if not args.input or len(args.input) != 2:
         raise ParseError("equivalence takes exactly two --input files")
     a1 = action_from_json(_read_json(args.input[0]), cap=args.cap)
@@ -295,11 +298,30 @@ def _parse_param(text: str):
     return key, value
 
 
-def _cmd_corpus(args):
-    from . import corpus as corpus_mod
+# corpus.corpus_names(), kept here so that `corpus list` loads no layer
+_CORPUS_NAMES = (
+    "conjugation",
+    "coset",
+    "cyclic_translation",
+    "gl_on_vectors",
+    "order_p",
+    "subgroup_conjugates",
+    "subset_action",
+    "sylow",
+    "symmetric",
+    "trivial",
+    "two_sided",
+)
 
-    if args.command == "corpus list":
-        return {"names": corpus_mod.corpus_names()}
+
+def _cmd_corpus_list(args):
+    return {"names": _CORPUS_NAMES}
+
+
+def _cmd_corpus_build(args):
+    from . import corpus as corpus_mod
+    from .jsonio import action_to_json
+
     params = dict(_parse_param(p) for p in (args.param or []))
     entry = corpus_mod.build(args.name, **params)
     doc = action_to_json(entry.action)
@@ -338,8 +360,8 @@ _COMMANDS = {
     "reciprocity": (_cmd_reciprocity, "adjointness of induction and restriction", _RECIPROCITY),
     "from-partition": (_cmd_from_partition, "realize partition cells as orbits", _PARTITION),
     "equivalence": (_cmd_equivalence, "search for an equivariant bijection", _IO),
-    "corpus list": (_cmd_corpus, "list corpus names", {"--output": "value"}),
-    "corpus build": (_cmd_corpus, "build one corpus entry", _BUILD),
+    "corpus list": (_cmd_corpus_list, "list corpus names", {"--output": "value"}),
+    "corpus build": (_cmd_corpus_build, "build one corpus entry", _BUILD),
 }
 
 
@@ -411,6 +433,8 @@ def main(argv=None) -> int:
             run, _, flags = _COMMANDS[args.command]
             # commands without --cap never read ORBITSPACE_CAP
             if "--cap" in flags and args.cap is None:
+                from .groups import default_cap
+
                 args.cap = default_cap()
             elif "--cap" in flags and args.cap < 1:
                 message = f"--cap must be positive, got {args.cap}"

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitspace import cli
 from orbitspace.cli import _COMMANDS, _parse_args, _render, main
 from orbitspace.corpus import corpus_names
 
@@ -439,21 +440,28 @@ ACTION_LAYERS = [
     "orbitspace.groups",
     "orbitspace.jsonio",
 ]
+CLI_ONLY = ["orbitspace", "orbitspace.cli", "orbitspace.errors"]
 # stdlib modules that no command needs at start-up, and fractions
 STARTUP = ("argparse", "dataclasses", "gettext", "inspect", "locale")
 WATCHED = STARTUP + ("fractions",)
 
 
-def loaded_modules(code):
+def loaded_modules(code, clean=False):
     """The orbitspace modules and the watched stdlib modules that ``code``
-    leaves in ``sys.modules`` of a fresh interpreter."""
+    leaves in ``sys.modules`` of a fresh interpreter.
+
+    With ``clean`` the interpreter runs under ``-S``, and pathlib is watched
+    too: ``site`` may import pathlib and typing itself (through ``.pth``
+    files), which would hide whether orbitspace imports them.
+    """
+    watched = WATCHED + ("pathlib",) if clean else WATCHED
     report = (
         "import sys\n"
         "print(' '.join(sorted(m for m in sys.modules"
-        f" if m.split('.')[0] == 'orbitspace' or m in {WATCHED!r})))\n"
+        f" if m.split('.')[0] == 'orbitspace' or m in {watched!r})))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code + "\n" + report],
+        [sys.executable, *(["-S"] if clean else []), "-c", code + "\n" + report],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
@@ -462,14 +470,14 @@ def loaded_modules(code):
     return out.split()
 
 
-def loaded_by_command(argv):
+def loaded_by_command(argv, exit_code=0, clean=False):
     code = (
         "import contextlib, io\n"
         "from orbitspace.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0\n"
+        f"    assert main({argv!r}) == {exit_code}\n"
     )
-    return loaded_modules(code)
+    return loaded_modules(code, clean)
 
 
 @pytest.mark.parametrize(
@@ -528,28 +536,76 @@ def test_commands_load_no_startup_only_stdlib(argv):
     assert not set(STARTUP) & set(loaded_by_command(argv))
 
 
-def test_library_imports_no_argparse_inspect_or_dataclasses():
+def module_imports(path, module_level=False):
+    """(line, module) for each import statement in the file at ``path``;
+    a relative import is written with its leading dots. ``module_level``
+    skips imports inside function bodies, which run only when called."""
     found = []
-    for path in sorted((SRC / "orbitspace").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            found += [
-                f"{path.name}:{node.lineno} {name}"
-                for name in names
-                if name.split(".")[0] in ("argparse", "inspect", "dataclasses")
-            ]
+    nodes = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while nodes:
+        node = nodes.pop()
+        if module_level and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, "." * node.level + (node.module or "")))
+        nodes.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_library_imports_no_argparse_inspect_or_dataclasses():
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted((SRC / "orbitspace").glob("*.py"))
+        for line, name in module_imports(path)
+        if name.split(".")[0] in ("argparse", "inspect", "dataclasses")
+    ]
     assert found == []
 
 
 def test_corpus_list_loads_no_function_layers():
-    loaded = loaded_by_command(["corpus", "list"])
-    assert "orbitspace.corpus" in loaded
-    assert not {"inspect", "orbitspace.spaces", "orbitspace.resind"} & set(loaded)
+    assert loaded_by_command(["corpus", "list"]) == CLI_ONLY
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [(["--help"], 0), (["orbits", "--inp", "x"], 3), (["orbits", "--cap", "0"], 3)],
+    ids=["help", "unknown-flag", "cap-below-one"],
+)
+def test_help_and_usage_errors_load_no_layer(argv, exit_code):
+    assert loaded_by_command(argv, exit_code) == CLI_ONLY
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["orbits", "--input", inp("s3_conj.json")], ACTION_LAYERS),
+        (["corpus", "list"], CLI_ONLY),
+    ],
+    ids=["orbits", "corpus-list"],
+)
+def test_commands_load_no_pathlib_in_a_clean_interpreter(argv, loaded):
+    assert loaded_by_command(argv, clean=True) == loaded
+
+
+def test_corpus_list_names_are_the_corpus_names(capsys):
+    assert cli._CORPUS_NAMES == tuple(corpus_names())
+    assert main(["corpus", "build", "nosuch"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "UnknownCorpusName"
+    assert doc["message"].endswith("; known: " + ", ".join(cli._CORPUS_NAMES))
+
+
+def test_cli_imports_only_stdlib_and_errors_at_module_level():
+    imports = module_imports(SRC / "orbitspace" / "cli.py", module_level=True)
+    assert imports, "the walk found no import"
+    found = [
+        f"cli.py:{line} {name}"
+        for line, name in imports
+        if name != ".errors" and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert found == []
 
 
 def test_import_orbitspace_loads_no_submodule():
