@@ -198,11 +198,15 @@ class GroupAction:
     def fixed_point_total(self, subgroup: Optional[Subgroup] = None) -> int:
         """sum over a in H of |Fix a|: the numerator of the Cauchy-Frobenius count.
 
+        It and sum_x |Stab_H(x)| both count the pairs a.x = x, and Stab_H(b.x)
+        = b Stab_H(x) b^-1, so it is sum_O |O| |Stab_H(x_O)| over the H-orbits
+        O, one column of H per orbit (Cameron, Permutation Groups, 1999, 1).
         Always |H| times the orbit count on a valid action: divisibility is
         checked, and the quotient checked against the direct orbit count.
         """
         h = self._subgroup(subgroup)
-        total = sum(len(self.fix(a)) for a in h.members)
+        part, rows = self.orbits(h), [self.act[a] for a in h.members]
+        total = sum(len(c) * [row[c[0]] for row in rows].count(c[0]) for c in part.cells)
         if total % h.order:
             from fractions import Fraction
 
@@ -211,10 +215,9 @@ class GroupAction:
                 numerator=total,
                 denominator=h.order,
             )
-        orbit_count = len(self.orbits(h))
-        if total // h.order != orbit_count:
+        if total // h.order != len(part):
             raise InvariantViolated(
-                "fixed-point count disagrees with orbit scan", total // h.order, orbit_count
+                "fixed-point count disagrees with orbit scan", total // h.order, len(part)
             )
         return total
 

@@ -76,13 +76,23 @@ def _write(value, newline: str, out: list):
         out.append(json.dumps(value))
 
 
-def _emit(doc, output: str | None):
+def _emit(doc, output: str | None, code: int) -> int:
+    """Write to ``output``, else stdout; an unwritable ``output`` gets a ParseError report."""
     text = _render(doc)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:
+            error = ParseError(f"cannot write {output}: {exc}", path=output)
+            return _emit(_report(error), None, 3)
+    sys.stdout.write(text)
+    return code
+
+
+def _report(exc: OrbitspaceError) -> dict:
+    return {"error": exc.kind, "message": str(exc), "witness": exc.witness}
 
 
 def _parse_int_csv(text: str, flag: str):
@@ -158,16 +168,13 @@ def _cmd_free_check(args):
     from .jsonio import rational_to_json
 
     action = _load_action(args)
+    if args.subgroup is not None:  # free_ratio_check refuses a non-free action
+        ratio, index = action.free_ratio_check(_load_subgroup(action, args))
+        return {"is_free": True, "ratio": rational_to_json(ratio), "index": index}
     violation = action.free_witness()
-    doc = {"is_free": violation is None}
-    if violation is not None:
-        doc["witness"] = {"element": violation[0], "point": violation[1]}
-    if args.subgroup is not None:
-        h = _load_subgroup(action, args)
-        ratio, index = action.free_ratio_check(h)
-        doc["ratio"] = rational_to_json(ratio)
-        doc["index"] = index
-    return doc
+    if violation is None:
+        return {"is_free": True}
+    return {"is_free": False, "witness": {"element": violation[0], "point": violation[1]}}
 
 
 def _cmd_fourier(args):
@@ -247,6 +254,7 @@ def _cmd_reciprocity(args):
 
 
 def _cmd_from_partition(args):
+    """Membership reads generator rows: maps that keep each cell compose to such maps."""
     from .jsonio import partition_from_json
     from .partitions import cell_transpositions, group_from_partition, preserves_cells
 
@@ -256,7 +264,7 @@ def _cmd_from_partition(args):
     )
     gens = cell_transpositions(partition, minimal=args.minimal_generators)
     orbit_part = action.orbits()
-    membership_ok = all(preserves_cells(partition, row) for row in action.act)
+    membership_ok = all(preserves_cells(partition, action.act[s]) for s in group.generators)
     return {
         "order": group.order,
         "degree": partition.degree,
@@ -423,7 +431,7 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    output = None
+    output, code = None, 0
     try:
         if "-h" in argv or "--help" in argv:
             doc = _usage()
@@ -440,14 +448,9 @@ def main(argv=None) -> int:
                 message = f"--cap must be positive, got {args.cap}"
                 raise ParseError(message, flag="--cap", value=args.cap)
             doc = run(args)
-    except ParseError as exc:
-        _emit({"error": exc.kind, "message": str(exc), "witness": exc.witness}, output)
-        return 3
     except OrbitspaceError as exc:
-        _emit({"error": exc.kind, "message": str(exc), "witness": exc.witness}, output)
-        return 2
-    _emit(doc, output)
-    return 0
+        doc, code = _report(exc), 3 if isinstance(exc, ParseError) else 2
+    return _emit(doc, output, code)
 
 
 if __name__ == "__main__":

@@ -267,24 +267,18 @@ class FiniteGroup:
         """None when both groups have the same Cayley table, else a witness.
 
         The witness is the pair of orders, or a pair (a, b) with the two
-        products. Without both tables at hand, b runs over this group's
-        generators S only: if a*s agrees for every a and every s in S, then
-        a*(s1...sk) agrees too by associativity in each group, and every b
-        is such a word. That is O(m |S|) products instead of m^2.
+        products. b runs over this group's generators S only: if a*s agrees
+        for every a and every s in S, then a*(s1...sk) agrees too by
+        associativity in each group, and every b is such a word. That is
+        O(m |S|) products instead of m^2, whether or not a table is built.
         """
         if self is other:
             return None
         m = self.order
         if m != other.order:
             return {"orders": [m, other.order]}
-        if self._mul_table is not None and other._mul_table is not None:
-            if self._mul_table == other._mul_table:
-                return None
-            right = range(m)
-        else:
-            right = self.generators
         for a in range(m):
-            for b in right:
+            for b in self.generators:
                 ours, theirs = self.mul(a, b), other.mul(a, b)
                 if ours != theirs:
                     return {"a": a, "b": b, "products": [ours, theirs]}

@@ -58,6 +58,14 @@ def orbit_count_oracle(action: GroupAction, members=None) -> int:
     return len(orbit_cells_oracle(action, members))
 
 
+def fixed_point_total_oracle(action: GroupAction, members) -> int:
+    """sum over the members a of |Fix a|, element by element: the
+    Cauchy-Frobenius numerator as the paper writes it."""
+    return sum(
+        1 for a in members for x in range(action.degree) if action.act[a][x] == x
+    )
+
+
 def orbit_cells_oracle(action: GroupAction, members=None) -> tuple:
     """Orbit cells by union-find over every member's row, sorted like a Partition."""
     if members is None:

@@ -16,6 +16,7 @@ from helpers import (
     coset_unions,
     disjoint_union,
     first_bad_row_entry_oracle,
+    fixed_point_total_oracle,
     mul_table_oracle,
     orbit_cells_oracle,
     permutation_groups,
@@ -635,6 +636,34 @@ def test_orbits_match_union_find(group, data):
     assert action.is_transitive() == (len(orbit_cells_oracle(action)) == 1)
     identity_row = tuple(range(action.degree))
     assert action.is_trivial() == all(row == identity_row for row in action.act)
+
+
+@settings(max_examples=80, deadline=None)
+@given(permutation_groups(), st.data())
+def test_fixed_point_total_by_orbits_matches_the_element_sum(group, data):
+    kind = data.draw(st.sampled_from(["cosets", "trivial"]))
+    if kind == "trivial":
+        action = trivial_action(group, data.draw(st.integers(1, 4)))
+    else:  # a union of coset actions is intransitive when it has two parts
+        action = disjoint_union(data.draw(coset_unions(group)))
+        action = relabel(action, data.draw(st.permutations(range(action.degree))))
+    seeds = data.draw(st.lists(st.integers(0, group.order - 1), max_size=3))
+    for h in (group.subgroup_generated([]), group.subgroup_generated(seeds), None):
+        members = range(group.order) if h is None else h.members
+        total = action.fixed_point_total(h)
+        assert total == fixed_point_total_oracle(action, members)
+        assert total == len(members) * len(orbit_cells_oracle(action, members))
+
+
+def test_fixed_point_total_reads_no_fixed_point_set(monkeypatch):
+    def no_fix(self, a):
+        raise AssertionError("fix called")
+
+    monkeypatch.setattr(GroupAction, "fix", no_fix)
+    conj = s3_conjugation()
+    assert conj.fixed_point_total() == 18
+    assert conj.fixed_point_total(conj.group.subgroup_generated([1])) == 2 * 4
+    assert conj.burnside_dimension() == 3
 
 
 def test_whole_group_orbits_are_kept_on_the_action():

@@ -199,6 +199,86 @@ def test_free_check_with_subgroup_on_non_free_exits_2(capsys):
     assert doc["error"] == "NotFree"
 
 
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call is counted; returns the count list."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_free_check_with_subgroup_scans_for_freeness_once(monkeypatch, capsys):
+    from orbitspace.actions import GroupAction
+
+    calls = count_calls(monkeypatch, GroupAction, "free_witness")
+    code = main(["free-check", "--input", inp("z4_translation.json"), "--subgroup", "2"])
+    assert code == 0
+    assert calls[0] == 1
+    assert capsys.readouterr().out == (EXPECTED / "free_check_z4.json").read_text()
+    calls[0] = 0
+    assert main(["free-check", "--input", inp("s3_conj.json"), "--subgroup", "1"]) == 2
+    assert calls[0] == 1
+
+
+def test_free_check_with_subgroup_on_non_free_keeps_its_report(capsys):
+    code = main(["free-check", "--input", inp("s3_conj.json"), "--subgroup", "1"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "NotFree",
+        "message": "element 1 fixes point 0",
+        "witness": {"element": 1, "point": 0},
+    }
+
+
+@pytest.mark.parametrize("minimal", [False, True])
+def test_from_partition_checks_membership_on_generator_rows(minimal, monkeypatch, capsys):
+    from orbitspace import partitions
+
+    calls = count_calls(monkeypatch, partitions, "preserves_cells")
+    argv = ["from-partition", "--input", inp("partition.json")]
+    assert main(argv + ["--minimal-generators"] * minimal) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["cell_preserving_membership"] == "ok"
+    assert calls[0] == len(doc["generators"]) < doc["order"]
+
+
+@pytest.mark.parametrize(
+    "argv, reached",
+    [
+        (["corpus", "list"], "a success report"),
+        (["orbits", "--input", inp("no_such_file.json")], "an input error report"),
+        (["dimension", "--input", inp("s3_conj.json"), "--subgroup", "1"], "a success report"),
+    ],
+    ids=["corpus-list", "missing-input", "dimension"],
+)
+def test_an_unwritable_output_is_a_parse_error_on_stdout(argv, reached, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(argv + ["--output", str(out)]) == 3, reached
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParseError"
+    assert doc["witness"] == {"path": str(out)}
+    assert not out.parent.exists()
+
+
+def test_an_unwritable_output_leaves_no_traceback_on_stderr(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    argv = ["orbits", "--input", inp("no_such_file.json"), "--output", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitspace", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["witness"] == {"path": str(out)}
+
+
 def test_reciprocity_non_invariant_reports_both_sides(tmp_path, capsys):
     bad = tmp_path / "bad_f.json"
     bad.write_text(json.dumps({"values": [["1", "0"], ["0", "0"]]}))

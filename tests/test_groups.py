@@ -755,6 +755,45 @@ def test_same_order_groups_with_different_tables_differ():
     assert c6 != cyclic_group(2)
 
 
+def test_two_cayley_tables_are_compared_on_generators_only():
+    c6 = group_from_table(cyclic_group(6).mul_table)
+    s3_table = group_from_table(s3()[0].mul_table)
+    assert c6._mul_table is not None and s3_table._mul_table is not None
+    witness = c6.table_mismatch(s3_table)
+    assert set(witness) == {"a", "b", "products"}
+    a, b = witness["a"], witness["b"]
+    assert b in c6.generators
+    assert witness["products"] == [c6.mul(a, b), s3_table.mul(a, b)]
+    assert witness["products"][0] != witness["products"][1]
+    assert c6 != s3_table and s3_table != c6
+
+
+def test_table_mismatch_on_generators_agrees_with_the_whole_table():
+    # every relabeling of S3's elements that keeps the identity, compared
+    # table against table: the generator loop finds a witness exactly when
+    # the two Cayley tables differ, also when the first generator agrees
+    table = s3()[0].mul_table
+    first = group_from_table(table)
+    agree_on_first = 0
+    for rest in permutations(range(1, 6)):
+        sigma = (0,) + rest
+        relabeled = [[None] * 6 for _ in range(6)]
+        for a in range(6):
+            for b in range(6):
+                relabeled[sigma[a]][sigma[b]] = sigma[table[a][b]]
+        other = group_from_table(relabeled)
+        witness = first.table_mismatch(other)
+        assert (witness is None) == (other.mul_table == first.mul_table)
+        if witness is not None:
+            a, b = witness["a"], witness["b"]
+            assert b in first.generators
+            assert witness["products"] == [first.mul(a, b), other.mul(a, b)]
+            assert witness["products"][0] != witness["products"][1]
+            s = first.generators[0]
+            agree_on_first += all(first.mul(a, s) == other.mul(a, s) for a in range(6))
+    assert agree_on_first > 0
+
+
 def test_from_generators_records_generator_elements():
     group, act = s3()
     assert {tuple(act[a]) for a in group.generators} == set(S3_GENS)

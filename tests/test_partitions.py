@@ -3,11 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import count_cell_preserving
-from orbitspace.actions import Partition
+from orbitspace.actions import GroupAction, Partition
 from orbitspace.errors import NotAPermutation, SizeLimitExceeded
-from orbitspace.groups import group_from_table
+from orbitspace.groups import from_generators, group_from_table
 from orbitspace.partitions import (
     cell_transpositions,
     group_from_partition,
@@ -107,3 +109,34 @@ def test_composition_with_dimension_count():
         p = Partition(n, cells)
         _, action = group_from_partition(p)
         assert action.burnside_dimension() == len(p.cells)
+
+
+@st.composite
+def partitions(draw, degree):
+    """A random partition of 0..degree-1, from a cell label per point."""
+    labels = draw(st.lists(st.integers(0, degree - 1), min_size=degree, max_size=degree))
+    cells = {}
+    for x, label in enumerate(labels):
+        cells.setdefault(label, []).append(x)
+    return Partition(degree, list(cells.values()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_membership_on_generator_rows_matches_every_row(data):
+    degree = data.draw(st.integers(1, 5))
+    tested = data.draw(partitions(degree))
+    if data.draw(st.booleans()):
+        source = data.draw(partitions(degree))
+        group, action = group_from_partition(source, minimal_generators=data.draw(st.booleans()))
+        # the transpositions of the source cells keep the tested cells iff
+        # every source cell lies inside one tested cell
+        refines = all(len({tested.cell_of[x] for x in cell}) == 1 for cell in source.cells)
+    else:
+        gens = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+        action = GroupAction(*from_generators(degree, [tuple(p) for p in gens]))
+        group, refines = action.group, None
+    every_row = all(preserves_cells(tested, row) for row in action.act)
+    on_generators = all(preserves_cells(tested, action.act[s]) for s in group.generators)
+    assert on_generators == every_row
+    assert refines is None or refines == every_row

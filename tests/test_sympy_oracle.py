@@ -15,6 +15,7 @@ Permutation = combinatorics.Permutation
 PermutationGroup = combinatorics.PermutationGroup
 
 from orbitspace.actions import GroupAction  # noqa: E402
+from helpers import fixed_point_total_oracle  # noqa: E402
 from orbitspace.cli import main  # noqa: E402
 from orbitspace.corpus import group_by_name  # noqa: E402
 from orbitspace.groups import from_generators  # noqa: E402
@@ -150,3 +151,16 @@ def test_d2520_order_orbits_burnside_and_stabilizer_match_sympy(d2520_cli):
 
 def test_d2520_cli_orbits_and_dimension_peak_below_150_mb(d2520_cli):
     assert d2520_cli["peak_mb"] < 150, d2520_cli["peak_mb"]
+
+
+def test_d2520_rotation_subgroup_burnside_sum_matches_sympy_and_the_element_sum():
+    action = GroupAction(*from_generators(D2520, D2520_GENS))
+    rotation = action.group.index[tuple(D2520_GENS[0])]
+    h = action.group.subgroup_generated([rotation])
+    # a cyclic group's order and orbits are its generator's order and cycles
+    theirs = Permutation(D2520_GENS[0])
+    assert h.order == theirs.order() == D2520
+    assert len(action.orbits(h)) == len(theirs.full_cyclic_form) == 1
+    assert action.fixed_point_total(h) == fixed_point_total_oracle(action, h.members) == D2520
+    whole = range(action.group.order)
+    assert action.fixed_point_total() == fixed_point_total_oracle(action, whole) == 2 * D2520
