@@ -184,7 +184,15 @@ class GroupAction:
 
     def free_witness(self) -> Optional[tuple]:
         """The first (element, point) with a non-identity element fixing the
-        point, or None when the action is free."""
+        point, or None when the action is free.
+
+        Stab(b.x) = b Stab(x) b^-1, so the action is free exactly when each
+        orbit's least point has only the identity in its column; the element
+        scan runs only when one of those columns shows the action is not free.
+        """
+        rows = self.act
+        if all([row[c[0]] for row in rows].count(c[0]) == 1 for c in self.orbits().cells):
+            return None
         e = self.group.identity
         for a in range(self.group.order):
             if a == e:

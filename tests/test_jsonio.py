@@ -211,3 +211,43 @@ def test_group_permutation_respects_cap():
     doc = {"kind": "permutation", "degree": 4, "generators": [[1, 0, 2, 3], [0, 2, 1, 3], [1, 2, 3, 0]]}
     with pytest.raises(SizeLimitExceeded):
         group_from_json(doc, cap=5)
+
+
+@pytest.mark.parametrize(
+    "keys, witness",
+    [
+        ({}, {"where": "action", "missing": "act"}),
+        ({"act": [[0, 1], [1, True]]}, {"where": "action.act[1]"}),
+        ({"act": [[0, 1]], "degree": "2"}, {"where": "action", "key": "degree"}),
+        ({"act": [[0, 1]], "degree": 3}, {"degree": 3, "width": 2}),
+    ],
+    ids=["missing-act", "bool-entry", "degree-type", "degree-width"],
+)
+@pytest.mark.parametrize("kind", ["permutation", "table"])
+def test_action_keys_are_refused_before_the_group_is_built(kind, keys, witness, monkeypatch):
+    from orbitspace import jsonio
+
+    calls = []
+
+    def count(name):
+        build = getattr(jsonio, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(jsonio, name, counted)
+
+    count("from_generators")
+    count("group_from_table")
+    if kind == "permutation":
+        group = {"kind": "permutation", "degree": 2, "generators": [[1, 0]]}
+    else:
+        group = {"kind": "table", "mul": [[0, 1], [1, 0]]}
+    with pytest.raises(ParseError) as exc:
+        action_from_json({"kind": "table", "group": group, **keys})
+    assert exc.value.witness == witness
+    assert calls == []
+    # the same document with a valid act builds its group once
+    assert action_from_json({"group": group, "act": [[0, 1], [1, 0]]}).degree == 2
+    assert calls == ["from_generators" if kind == "permutation" else "group_from_table"]
