@@ -21,10 +21,22 @@ from .errors import OrbitspaceError, ParseError
 # a usage error load no layer beyond this module and errors.
 
 
+class _Memo(dict):
+    """``memo[key]`` is ``convert(key)``, computed once; one per document or report."""
+
+    def __init__(self, convert):
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
 def _read_json(path: str):
+    """The parsed document, its equal ints one object: |G|·|X| table cells, |X| values."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.loads(fh.read())
+            return json.loads(fh.read(), parse_int=_Memo(int).__getitem__)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}", path=path) from None
     except (ValueError, RecursionError) as exc:
@@ -48,7 +60,7 @@ def _chunks(doc, size: int = 1 << 16):
     ``size`` or more (one long list) goes out on its own, unjoined.
     """
     batch, held = [], 0
-    for piece in _write(doc, "\n"):
+    for piece in _write(doc, "\n", _Memo(str)):
         if len(piece) >= size:
             if batch:
                 yield "".join(batch)
@@ -64,12 +76,13 @@ def _chunks(doc, size: int = 1 << 16):
     yield "".join(batch)
 
 
-def _write(value, newline: str):
+def _write(value, newline: str, strs: _Memo):
     """Yield the indented JSON text of value in pieces; newline ends with its indent.
 
     json's indenting encoder is pure Python, element by element (only
     ``indent=None`` reaches the C encoder). Here a list of plain ints, or of
-    ``[str, str]`` pairs, is one C-level join and one piece. Keys and pair
+    ``[str, str]`` pairs, is one C-level join and one piece; ``strs`` renders
+    each distinct int of the report once. Keys and pair
     strings go through json's own ``encode_basestring_ascii``, other scalars
     through ``json.dumps``.
     """
@@ -83,7 +96,7 @@ def _write(value, newline: str):
             if not isinstance(key, str):
                 key = json.dumps(key)  # json writes number, bool and null keys as strings
             yield sep + encode_basestring_ascii(key) + ": "
-            yield from _write(item, inner)
+            yield from _write(item, inner, strs)
             sep = "," + inner
         yield newline + "}"
     elif isinstance(value, (list, tuple)):
@@ -93,7 +106,7 @@ def _write(value, newline: str):
         inner = newline + "  "
         types = set(map(type, value))
         if types == {int}:  # bools and int subclasses take the long way
-            yield "[" + inner + ("," + inner).join(map(str, value)) + newline + "]"
+            yield "[" + inner + ("," + inner).join(map(strs.__getitem__, value)) + newline + "]"
             return
         if (
             types == {list}
@@ -108,7 +121,7 @@ def _write(value, newline: str):
         sep = "[" + inner
         for item in value:
             yield sep
-            yield from _write(item, inner)
+            yield from _write(item, inner, strs)
             sep = "," + inner
         yield newline + "]"
     else:

@@ -91,7 +91,8 @@ def group_from_json(obj, cap: Optional[int] = None):
 
 
 def group_to_json(group: FiniteGroup) -> dict:
-    doc = {"kind": "table", "mul": [list(row) for row in group.mul_table]}
+    """``mul`` holds the stored row tuples, not copies; its JSON text is a list of lists."""
+    doc = {"kind": "table", "mul": group.mul_table}
     if group.labels is not None:
         doc["labels"] = list(group.labels)
     return doc
@@ -124,10 +125,11 @@ def action_from_json(obj, cap: Optional[int] = None) -> GroupAction:
 
 
 def action_to_json(action: GroupAction) -> dict:
+    """``act`` holds the stored row tuples, not copies; its JSON text is a list of lists."""
     return {
         "group": group_to_json(action.group),
         "degree": action.degree,
-        "act": [list(row) for row in action.act],
+        "act": action.act,
     }
 
 

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -756,10 +757,16 @@ def json_documents():
         st.tuples(strings, strings),
         st.lists(st.one_of(strings, st.integers(), st.none()), min_size=2, max_size=2),
     )
+    huge = st.integers(-(10**400), 10**400)
     leaves = st.one_of(
         json_scalars(),
         int_lists,
         int_lists.map(tuple),
+        st.lists(huge),
+        # rows that share their values, as action tables do, with bools equal to 0 and 1
+        st.lists(st.lists(st.integers(-2, 300), max_size=8), max_size=5),
+        st.lists(st.lists(st.sampled_from([0, 1, -1, 300, True, False]), max_size=4)),
+        st.lists(st.lists(st.integers(-2, 300)).map(tuple), max_size=5).map(tuple),
         st.lists(st.booleans()),
         st.lists(st.one_of(st.integers(), st.booleans())),
         st.lists(st.tuples(strings, strings).map(list)),  # a function's values
@@ -819,6 +826,37 @@ def test_a_long_list_is_its_own_chunk():
     chunks = list(cli._chunks(doc, 64))
     rows = "[\n" + ",\n".join(f"    {i}" for i in range(40)) + "\n  ]"
     assert chunks == ['{\n  "a": "xxxxx",\n  "b": ', rows, ',\n  "c": 1\n}\n']
+
+
+def test_read_json_keeps_one_int_object_per_distinct_value(tmp_path):
+    # past CPython's small-int cache, json.loads alone makes one object per cell
+    rows = [[1000 + (x + a) % 50 for x in range(50)] for a in range(50)]
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps({"act": rows}))
+    act = cli._read_json(str(path))["act"]
+    assert act == rows
+    assert len({id(x) for row in act for x in row}) == 50
+
+
+TWO_POINTS = '{"group": {"kind": "table", "mul": [[0, 1], [1, 0]]}, "act": [[0, 1], [1, %s]]}'
+
+
+@pytest.mark.parametrize("entry", ["7" * 5000, "-0", "true"], ids=["5000-digits", "-0", "true"])
+def test_a_table_entry_keeps_its_report_through_the_int_memo(entry, tmp_path, capsys):
+    path = tmp_path / "action.json"
+    path.write_text(TWO_POINTS % entry)
+    code = main(["validate", "--input", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    if entry == "-0":
+        assert (code, doc) == (0, {"degree": 2, "group_order": 2, "valid": True})
+        return
+    if entry == "true":
+        message, witness = "action.act[1] must be a list of integers", {"where": "action.act[1]"}
+    else:
+        with pytest.raises(ValueError) as plain:  # the digit limit, as without the memo
+            json.loads(path.read_text())
+        message, witness = f"{path} is not valid JSON: {plain.value}", {"path": str(path)}
+    assert (code, doc) == (3, {"error": "ParseError", "message": message, "witness": witness})
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -941,10 +979,26 @@ def peak_rss_mb(argv):
 
 
 def test_a_large_report_streams_without_a_whole_copy_of_its_text():
-    # the n = 6 build writes 6.7 MB; the difference leaves out the interpreter
+    # the n = 6 build writes 6.7 MB from the stored rows, each distinct int
+    # rendered once; the difference leaves out the interpreter
     build = peak_rss_mb(["corpus", "build", "symmetric", "--param", "n=6"])
     growth = build - peak_rss_mb(["corpus", "list"])
-    assert growth < 12, growth
+    assert growth < 6, growth
+
+
+def test_a_large_table_document_is_read_with_one_int_per_value(tmp_path):
+    # S4 permuting the letters of the 4096 words of length 6 over 4 letters:
+    # 98,304 action cells, 4096 distinct values
+    from orbitspace.groups import from_generators
+
+    group, perms = from_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    words = list(itertools.product(range(4), repeat=6))
+    index = {w: i for i, w in enumerate(words)}
+    act = [[index[tuple(p[c] for c in w)] for w in words] for p in perms]
+    path = tmp_path / "s4_words6.json"
+    path.write_text(json.dumps({"group": {"kind": "table", "mul": group.mul_table}, "act": act}))
+    growth = peak_rss_mb(["validate", "--input", str(path)]) - peak_rss_mb(["corpus", "list"])
+    assert growth < 3, growth
 
 
 TRACER = SRC.parent / "perfbench" / "tracer.py"
@@ -1344,6 +1398,83 @@ def test_every_command_exits_0_2_or_3_with_a_json_report(command, data):
     assert (code == 0) == ("error" not in doc), doc
     if code:
         assert isinstance(doc["witness"], dict) and doc["error"].isidentifier()
+
+
+# valid JSON of any shape: scalars, huge ints and floats at the top, nesting
+# below; and schema-shaped documents with these where ints belong. Keys of at
+# most three characters are never "group", "kind", "degree" or "cells".
+HUGE = st.one_of(st.integers(2**63, 10**4000), st.integers(-(10**4000), -(2**63)))
+NOT_INT = st.one_of(
+    st.booleans(), st.none(), st.floats(allow_nan=False, allow_infinity=False), HUGE, st.text()
+)
+ANY_JSON = st.recursive(
+    st.one_of(NOT_INT, SMALL, st.integers()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+ANY_ROWS = st.one_of(
+    st.lists(st.lists(st.one_of(SMALL, SMALL, NOT_INT, ANY_JSON), max_size=4), max_size=4),
+    ANY_JSON,
+)
+
+
+def any_action_docs():
+    """Never a valid action: a table action's degree and a permutation group's
+    degree are never an int of a possible size, and an evaluation action needs
+    a permutation group."""
+    group = st.one_of(
+        st.fixed_dictionaries({"kind": st.just("table"), "mul": ANY_ROWS}),
+        st.fixed_dictionaries(
+            {"kind": st.just("permutation"), "degree": NOT_INT, "generators": ANY_ROWS}
+        ),
+        ANY_JSON,
+    )
+    shaped = st.fixed_dictionaries(
+        {"group": group, "act": ANY_ROWS, "degree": NOT_INT},
+        optional={"kind": st.one_of(st.just("evaluation"), ANY_JSON)},
+    )
+    return st.one_of(shaped, ANY_JSON)
+
+
+def any_partition_docs():
+    shaped = st.fixed_dictionaries({"degree": NOT_INT, "cells": ANY_ROWS})
+    return st.one_of(shaped, ANY_JSON)
+
+
+def any_function_docs():
+    pairs = st.lists(st.one_of(st.lists(st.text(max_size=3), min_size=2, max_size=2), ANY_JSON))
+    return st.one_of(st.fixed_dictionaries({"values": pairs}), ANY_JSON)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(COMMANDS)), st.data())
+def test_json_of_any_shape_exits_2_or_3_with_a_json_report(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def saved(strategy):
+            path = os.path.join(tmp, f"doc{len(os.listdir(tmp))}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data.draw(strategy), fh, allow_nan=False)
+            return path
+
+        docs = any_partition_docs() if command == "from-partition" else any_action_docs()
+        argv = [command, "--input", saved(docs)]
+        if command == "equivalence":
+            argv += ["--input", saved(any_action_docs())]
+        if command == "reciprocity":
+            argv.append("--subset=0")
+        for _ in range(COMMANDS[command]):
+            argv += ["--function", saved(any_function_docs())]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (2, 3), argv
+    assert err.getvalue() == ""
+    doc = json.loads(out.getvalue())
+    assert set(doc) == {"error", "message", "witness"}, doc
+    assert isinstance(doc["witness"], dict) and doc["error"].isidentifier()
 
 
 # ---------------------------------------------------------------------------
