@@ -15,7 +15,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .errors import OrbitspaceError, ParseError
+from .errors import OrbitspaceError, ParseError, SizeLimitExceeded
 
 # Each command imports the layers it runs, so that `corpus list`, `--help` and
 # a usage error load no layer beyond this module and errors.
@@ -503,7 +503,13 @@ def main(argv=None) -> int:
             elif "--cap" in flags and args.cap < 1:
                 message = f"--cap must be positive, got {args.cap}"
                 raise ParseError(message, flag="--cap", value=args.cap)
-            doc = run(args)
+            try:
+                doc = run(args)
+            except MemoryError:
+                doc = None  # the handler's frames and data are freed when this block ends
+            if doc is None:
+                message = f"{args.command} ran out of memory"
+                raise SizeLimitExceeded(message, command=args.command)
     except OrbitspaceError as exc:
         doc, code = _report(exc), 3 if isinstance(exc, ParseError) else 2
     return _emit(doc, output, code)

@@ -271,8 +271,12 @@ class FiniteGroup:
         for every a and every s in S, then a*(s1...sk) agrees too by
         associativity in each group, and every b is such a word. That is
         O(m |S|) products instead of m^2, whether or not a table is built.
+
+        Equal ``perms`` give equal ``index`` dicts, so every product agrees:
+        that case is one C-level comparison, which stops at the first row
+        that differs.
         """
-        if self is other:
+        if self is other or self.perms == other.perms:
             return None
         m = self.order
         if m != other.order:

@@ -27,6 +27,8 @@ Rational = Fraction
 _RAT_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 # a column of "num/den" wire rationals, each followed by a comma
 _COLUMN_RE = re.compile(r"(?:[+-]?[0-9]+/[0-9]+,)*")
+# values parsed at once by parse_pairs
+_SLICE = 1024
 
 
 class GaussianRational:
@@ -176,11 +178,22 @@ def parse_rational(text) -> Fraction:
 
 def parse_pairs(pairs):
     """The reduced columns (re_num, re_den, im_num, im_den) of a list of
-    [re, im] wire pairs, read in a few C-level passes.
+    [re, im] wire pairs, read in a few C-level passes over each slice of
+    ``_SLICE`` values, so that a parse holds one slice's transients.
 
     Returns None when some pair is off the wire format; ``from_pair`` then
     names the first bad value.
     """
+    parts = []
+    for start in range(0, len(pairs), _SLICE):
+        part = _parse_slice(pairs[start : start + _SLICE])
+        if part is None:
+            return None
+        parts.append(part)
+    return tuple(tuple(chain.from_iterable(p[k] for p in parts)) for k in range(4))
+
+
+def _parse_slice(pairs):
     if not ({list}.issuperset(map(type, pairs)) and {2}.issuperset(map(len, pairs))):
         return None
     flat = list(chain.from_iterable(pairs))

@@ -309,6 +309,49 @@ def test_an_unwritable_output_leaves_no_traceback_on_stderr(tmp_path):
     assert json.loads(proc.stdout)["witness"] == {"path": str(out)}
 
 
+def test_a_memory_error_in_a_handler_is_a_size_limit_report(monkeypatch, capsys):
+    def run(args):
+        raise MemoryError
+
+    monkeypatch.setitem(_COMMANDS, "orbits", (run, *_COMMANDS["orbits"][1:]))
+    assert main(["orbits", "--input", inp("z2_four.json")]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "SizeLimitExceeded"
+    assert "memory" in doc["message"]
+    assert doc["witness"] == {"command": "orbits"}
+
+
+def test_running_out_of_memory_exits_2_without_a_traceback(tmp_path):
+    """A cyclic group of order 12 000 on 12 000 points is within the cap and
+    the degree limit, but its closure needs about 1.1 GB. The child limits
+    its own address space; the test runner is left as it is."""
+    import resource
+
+    n = 12_000
+    path = tmp_path / "c12000.json"
+    cycle = list(range(1, n)) + [0]
+    group = {"kind": "permutation", "degree": n, "generators": [cycle]}
+    doc = {"kind": "evaluation", "group": group}
+    path.write_text(json.dumps(doc))
+    limit = 400 << 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitspace", "dimension", "--input", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=limit_memory,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["error"] == "SizeLimitExceeded"
+    assert report["witness"] == {"command": "dimension"}
+
+
 def test_reciprocity_non_invariant_reports_both_sides(tmp_path, capsys):
     bad = tmp_path / "bad_f.json"
     bad.write_text(json.dumps({"values": [["1", "0"], ["0", "0"]]}))

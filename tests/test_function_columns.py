@@ -1,8 +1,11 @@
 """The integer-column function layer against the per-value oracles in helpers."""
 
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +24,12 @@ from helpers import (
     reciprocity_oracle,
     relabel,
 )
-from orbitspace.errors import NotInvariant
+from orbitspace.actions import GroupAction
+from orbitspace.errors import NotInvariant, ParseError
+from orbitspace.groups import from_generators
 from orbitspace.jsonio import function_from_json, subset_function_from_json
 from orbitspace.resind import induce, invariant_subset, reciprocity_check
-from orbitspace.scalars import GaussianRational
+from orbitspace.scalars import GaussianRational, parse_pairs
 from orbitspace.spaces import (
     PointFunction,
     bessel_check,
@@ -156,3 +161,74 @@ def test_inner_product_over_4096_prime_denominators_is_no_slower_than_the_oracle
         new = best_time(lambda: inner_product(f, other))
         old = best_time(lambda: inner_product_oracle(f_values, other_values))
         assert new <= old
+
+
+# ---------------------------------------------------------------------------
+# documents around the slice size of 1024 values that parse_pairs reads at once
+
+SLICE_SIZES = (1023, 1024, 1025, 2049)
+
+
+def seeded_pairs(n, seed=0):
+    """n wire pairs like a user's file: reduced or not, JSON ints among them."""
+    rng = random.Random(seed)
+
+    def rational():
+        num, den = rng.randint(-99, 99), rng.choice((1, 2, 3, 4, 6, 7, 9, 10, 12))
+        kind = rng.randrange(3)
+        return num if kind == 0 else f"{num}" if kind == 1 else f"{num * 2}/{den * 2}"
+
+    return [[rational(), rational()] for _ in range(n)]
+
+
+def read_subset_function(pairs):
+    """The pairs read as a function on points 1..n of the trivial action on n + 1 points."""
+    n = len(pairs)
+    group, rows = from_generators(n + 1, [])
+    subset = invariant_subset(GroupAction(group, rows), range(1, n + 1))
+    return subset_function_from_json({"values": pairs}, subset).as_point_function()
+
+
+READERS = {
+    "function": lambda pairs: function_from_json({"values": pairs}),
+    "subset_function": read_subset_function,
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("n", SLICE_SIZES)
+def test_columns_across_slices_match_the_per_value_oracle(n, reader):
+    pairs = seeded_pairs(n, seed=n)
+    assert parse_pairs(pairs) is not None  # the column reader, not the per-value fallback
+    f = READERS[reader](pairs)
+    oracle = PointFunction([GaussianRational.from_pair(p) for p in pairs])
+    assert f.degree == n
+    assert f._cols == oracle._cols
+    assert f.values == oracle.values
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("n", SLICE_SIZES)
+@pytest.mark.parametrize(
+    "bad", [True, "1/0", 1.5, "1" * 5000 + "/3"], ids=["bool", "zero-den", "float", "5000-digits"]
+)
+def test_a_bad_value_in_the_last_slice_is_named(bad, n, reader):
+    pairs = seeded_pairs(n, seed=n)
+    pairs[-1] = ["1/2", bad]
+    with pytest.raises(ParseError) as exc:
+        READERS[reader](pairs)
+    assert exc.value.witness == {"where": f"function.values[{n - 1}]", "value": bad}
+
+
+def test_reading_4096_pairs_holds_one_slice_of_transients():
+    pairs = seeded_pairs(4096)
+    doc = {"values": pairs}
+    function_from_json(doc)  # imports and first-use caches outside the trace
+    tracemalloc.start()
+    try:
+        f = function_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.degree == 4096
+    assert peak < 1.25 * 2**20, peak

@@ -18,6 +18,7 @@ from helpers import (
     latin_oracle,
     light_test_oracle,
     mul_table_oracle,
+    permutation_groups,
 )
 from orbitspace import groups
 from orbitspace.actions import validate_action
@@ -792,6 +793,43 @@ def test_table_mismatch_on_generators_agrees_with_the_whole_table():
             s = first.generators[0]
             agree_on_first += all(first.mul(a, s) == other.mul(a, s) for a in range(6))
     assert agree_on_first > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(permutation_groups(), permutation_groups(), st.data())
+def test_equal_perms_short_cut_agrees_with_the_whole_table(group, other, data):
+    """Groups with equal ``perms`` built apart are equal without a product;
+    the twins with an equal table but other ``perms`` (points relabeled, or
+    the Cayley rows as perms) and a second random group go through the
+    generator loop. Each verdict is the whole table's."""
+    degree = len(group.perms[0])
+    sigma = data.draw(st.permutations(range(degree)))
+    relabeled = []
+    for p in group.perms:
+        q = [None] * degree
+        for x in range(degree):
+            q[sigma[x]] = sigma[p[x]]
+        relabeled.append(q)
+    table = mul_table_oracle(group)
+    for twin in (
+        FiniteGroup([list(p) for p in group.perms], group.identity),
+        FiniteGroup(relabeled, group.identity),
+        FiniteGroup.from_cayley_rows(group.mul_table, group.identity, group.inv_table),
+        other,
+    ):
+        same_table = mul_table_oracle(twin) == table
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups, "compose", lambda p, q: calls.append(1) or compose(p, q))
+            witness = group.table_mismatch(twin)
+        assert (witness is None) == same_table
+        if twin.perms == group.perms:
+            assert witness is None and not calls
+        if witness is not None and "a" in witness:
+            a, b = witness["a"], witness["b"]
+            assert b in group.generators
+            assert witness["products"] == [group.mul(a, b), twin.mul(a, b)]
+            assert witness["products"][0] != witness["products"][1]
 
 
 def test_from_generators_records_generator_elements():
