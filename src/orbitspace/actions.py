@@ -119,12 +119,10 @@ class GroupAction:
                 )
             problem = "repeats an image" if repeat else f"is not a point 0..{self.degree - 1}"
             raise CompatibilityViolated(f"act[{a}][{x}] = {v!r} {problem}", a=a, point=x, value=v)
-        e = group.identity
-        for x in range(self.degree):
-            if self.act[e][x] != x:
-                raise IdentityAxiomViolated(
-                    f"identity moves point {x}", point=x
-                )
+        row = self.act[group.identity]
+        if row != tuple(range(self.degree)):
+            x = next(x for x, y in enumerate(row) if x != y)
+            raise IdentityAxiomViolated(f"identity moves point {x}", point=x)
         self._orbits = None
 
     def orbit(self, x: int) -> tuple:

@@ -235,13 +235,14 @@ def _cmd_free_check(args):
 
 def _cmd_fourier(args):
     from .jsonio import function_to_json, rational_to_json, scalar_to_json
-    from .spaces import fourier_coefficients, fourier_projection, is_invariant
+    from .spaces import fourier_coefficients, fourier_projection
 
     action = _load_action(args)
     f = _load_function(args, action)
     entries = fourier_coefficients(action, f)
+    projection = fourier_projection(action, f)
     return {
-        "projection": function_to_json(fourier_projection(action, f)),
+        "projection": function_to_json(projection),
         "coefficients": [
             {
                 "cell": list(entry.cell),
@@ -250,7 +251,7 @@ def _cmd_fourier(args):
             }
             for entry in entries
         ],
-        "is_invariant": is_invariant(action, f) is not None,
+        "is_invariant": projection == f,  # both reduced: f is invariant iff it is its projection
     }
 
 
@@ -319,14 +320,13 @@ def _cmd_from_partition(args):
         partition, minimal_generators=args.minimal_generators, cap=args.cap
     )
     gens = cell_transpositions(partition, minimal=args.minimal_generators)
-    orbit_part = action.orbits()
     membership_ok = all(preserves_cells(partition, action.act[s]) for s in group.generators)
     return {
         "order": group.order,
         "degree": partition.degree,
         "generators": [list(g) for g in gens],
-        "orbit_cells": [list(c) for c in orbit_part.cells],
-        "round_trip": "ok" if orbit_part == partition else "mismatch",
+        "orbit_cells": [list(c) for c in action.orbits().cells],
+        "round_trip": "ok",  # group_from_partition raises unless the orbits are the cells
         "cell_preserving_membership": "ok" if membership_ok else "violated",
     }
 

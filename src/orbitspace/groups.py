@@ -256,12 +256,12 @@ class FiniteGroup:
         )
 
     def is_abelian(self) -> bool:
-        mul = self.mul_table
-        return all(
-            mul[a][b] == mul[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        """Whether the generators commute: |S|^2 products, no table. A generator
+        that commutes with every generator commutes with every word in them
+        (s t1...tk = t1 s t2...tk = ... = t1...tk s), so all of S is central,
+        and so is every word in S."""
+        gens, mul = self.generators, self.mul
+        return all(mul(s, t) == mul(t, s) for i, s in enumerate(gens) for t in gens[:i])
 
     def table_mismatch(self, other: "FiniteGroup") -> Optional[dict]:
         """None when both groups have the same Cayley table, else a witness.
@@ -402,11 +402,9 @@ def group_from_table(mul_table, labels=None) -> FiniteGroup:
         )
 
     try:
-        identity = None
-        for e in range(m):
-            if all(rows[e][a] == a and rows[a][e] == a for a in range(m)):
-                identity = e
-                break
+        points = tuple(range(m))
+        left = (e for e in points if rows[e] == points)
+        identity = next((e for e in left if all(rows[a][e] == a for a in points)), None)
         if identity is None:
             raise NoIdentity("no two-sided identity element")
 

@@ -45,6 +45,13 @@ def _int_list(value, where):
     return value
 
 
+def _int_rows(rows, where):
+    """rows, each checked by ``_int_list`` and named as ``where[i]``."""
+    for i, row in enumerate(rows):
+        _int_list(row, f"{where}[{i}]")
+    return rows
+
+
 def scalar_from_json(value, where="scalar") -> GaussianRational:
     from .scalars import GaussianRational
 
@@ -66,9 +73,7 @@ def _group_reader(obj, cap: Optional[int]):
     """Check a group document's keys and degree; return the call that builds it."""
     kind = _expect(obj, "kind", str, "group")
     if kind == "table":
-        mul = _expect(obj, "mul", list, "group")
-        for i, row in enumerate(mul):
-            _int_list(row, f"group.mul[{i}]")
+        mul = _int_rows(_expect(obj, "mul", list, "group"), "group.mul")
         labels = obj.get("labels")
         if labels is not None and (
             not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
@@ -77,9 +82,7 @@ def _group_reader(obj, cap: Optional[int]):
         return lambda: (group_from_table(mul, labels=labels), None)
     if kind == "permutation":
         degree = _expect(obj, "degree", int, "group")
-        gens = _expect(obj, "generators", list, "group")
-        for i, gen in enumerate(gens):
-            _int_list(gen, f"group.generators[{i}]")
+        gens = _int_rows(_expect(obj, "generators", list, "group"), "group.generators")
         _check_degree(degree)
         return lambda: from_generators(degree, gens, cap=cap)
     raise ParseError(f"unknown group kind {kind!r}", kind=kind)
@@ -100,19 +103,18 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 def action_from_json(obj, cap: Optional[int] = None) -> GroupAction:
     """The group document and then the action's own keys are checked before
-    the group is built, so a table without ``act`` is refused before any
-    closure or Cayley-table check runs."""
-    build = _group_reader(_expect(obj, "group", dict, "action"), cap)
+    the group is built, so a table without ``act``, or an evaluation action
+    over a table-form group, is refused before any closure or Cayley-table
+    check runs."""
+    group_doc = _expect(obj, "group", dict, "action")
+    build = _group_reader(group_doc, cap)
     if obj.get("kind") == "evaluation":
-        group, evaluation = build()
-        if evaluation is None:
+        if group_doc["kind"] != "permutation":
             raise ParseError(
                 "evaluation actions need a permutation-form group", kind="evaluation"
             )
-        return GroupAction(group, evaluation)
-    act = _expect(obj, "act", list, "action")
-    for i, row in enumerate(act):
-        _int_list(row, f"action.act[{i}]")
+        return GroupAction(*build())
+    act = _int_rows(_expect(obj, "act", list, "action"), "action.act")
     degree = _expect(obj, "degree", int, "action") if "degree" in obj else None
     if degree is not None and act and len(act[0]) != degree:
         raise ParseError(
@@ -193,9 +195,7 @@ def subset_function_to_json(g: SubsetFunction) -> dict:
 
 def partition_from_json(obj) -> Partition:
     degree = _expect(obj, "degree", int, "partition")
-    cells = _expect(obj, "cells", list, "partition")
-    for i, cell in enumerate(cells):
-        _int_list(cell, f"partition.cells[{i}]")
+    cells = _int_rows(_expect(obj, "cells", list, "partition"), "partition.cells")
     try:
         return Partition(degree, cells)
     except ValueError as exc:

@@ -24,6 +24,7 @@ from .spaces import (
     PointFunction,
     _cell_averages,
     _cell_sums,
+    _check_shapes,
     _constant_on_cells,
     _dot,
     _same_degree,
@@ -131,13 +132,7 @@ class SubsetFunction:
 
 def restrict(f: PointFunction, subset: InvariantSubset) -> SubsetFunction:
     """Copy values at the subset's points. Sends invariant to invariant."""
-    if f.degree != subset.action.degree:
-        raise DegreeMismatch(
-            f"function degree {f.degree} does not match action degree "
-            f"{subset.action.degree}",
-            function=f.degree,
-            action=subset.action.degree,
-        )
+    _check_shapes(subset.action, f)
     return SubsetFunction(subset, f._gather(subset.points))
 
 

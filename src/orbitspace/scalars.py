@@ -158,9 +158,14 @@ def _coerce(value):
 def parse_rational(text) -> Fraction:
     """Parse "num/den" or the integer shorthand "3" (a JSON int is taken as is).
 
-    Decimals, bools, non-ASCII digits and surrounding whitespace are refused.
+    Decimals, bools, non-ASCII digits and surrounding whitespace are refused,
+    and so is an int with more digits than ``str`` writes back.
     """
     if type(text) is int:
+        try:
+            str(text)
+        except ValueError:  # the message cannot show what str() refuses to write
+            raise ParseError("rational int has too many digits") from None
         return Fraction(text)
     if type(text) is not str or not _RAT_RE.fullmatch(text):
         raise ParseError(
@@ -199,7 +204,10 @@ def _parse_slice(pairs):
     flat = list(chain.from_iterable(pairs))
     if not {str, int}.issuperset(map(type, flat)):  # bools are refused here
         return None
-    flat = [x if type(x) is str and "/" in x else f"{x}/1" for x in flat]
+    try:
+        flat = [x if type(x) is str and "/" in x else f"{x}/1" for x in flat]
+    except ValueError:  # an int with more digits than str() writes
+        return None
     flat.append("")
     text = ",".join(flat)
     # each match ends in a comma, so as many commas as values means no value held one

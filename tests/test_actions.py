@@ -120,6 +120,25 @@ def test_validate_rejects_identity_violation():
     assert exc.value.witness["point"] == 0
 
 
+@pytest.mark.parametrize(
+    "identity_row, first", [([0, 2, 1, 4, 3], 1), ([4, 1, 2, 3, 0], 0), ([0, 1, 3, 4, 2], 2)]
+)
+def test_an_identity_row_moving_several_points_names_the_first(identity_row, first):
+    """The identity here is element 1 of a Cayley table, not element 0."""
+    from orbitspace.jsonio import action_from_json
+
+    mul = [[1, 0], [0, 1]]
+    g = group_from_table(mul)
+    assert g.identity == 1
+    act = [[1, 0, 2, 3, 4], identity_row]
+    with pytest.raises(IdentityAxiomViolated) as exc:
+        GroupAction(g, act)
+    assert exc.value.witness == {"point": first}
+    with pytest.raises(IdentityAxiomViolated) as exc:
+        action_from_json({"group": {"kind": "table", "mul": mul}, "act": act})
+    assert exc.value.witness == {"point": first}
+
+
 def test_validate_rejects_non_bijective_row():
     g = cyclic_group(2)
     with pytest.raises(CompatibilityViolated) as exc:

@@ -142,31 +142,36 @@ def test_validate_refuses_a_degree_that_is_not_an_int(degree, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "group, argv, error",
+    "group, kind, argv, error",
     [
-        ({"kind": "permutation", "degree": 3, "generators": [[0, 0, 1]]}, [], "ParseError"),
+        ({"kind": "permutation", "degree": 3, "generators": [[0, 0, 1]]}, None, [], "ParseError"),
         (
             {"kind": "permutation", "degree": 4, "generators": [[1, 2, 3, 0]]},
+            None,
             ["--cap", "2"],
             "ParseError",
         ),
-        ({"kind": "table", "mul": [[0, 1], [0, 1]]}, [], "ParseError"),
-        ({"kind": "permutation", "degree": 0, "generators": []}, [], "NotAPermutation"),
+        ({"kind": "table", "mul": [[0, 1], [0, 1]]}, None, [], "ParseError"),
+        ({"kind": "permutation", "degree": 0, "generators": []}, None, [], "NotAPermutation"),
+        ({"kind": "table", "mul": [[0, 1], [0, 1]]}, "evaluation", [], "ParseError"),
     ],
-    ids=["not-a-permutation", "over-cap", "not-latin", "degree-0"],
+    ids=["not-a-permutation", "over-cap", "not-latin", "degree-0", "evaluation-not-latin"],
 )
 def test_a_document_bad_in_group_and_action_reports_its_shape_first(
-    group, argv, error, tmp_path, capsys
+    group, kind, argv, error, tmp_path, capsys
 ):
     """Shape errors of group and action come before the group's own checks;
-    the group's degree limit is part of its shape."""
+    the group's degree limit is part of its shape, and an evaluation action
+    needs a permutation-form group whatever its table holds."""
     path = tmp_path / "action.json"
-    path.write_text(json.dumps({"group": group}))
+    doc = {"group": group} if kind is None else {"group": group, "kind": kind}
+    path.write_text(json.dumps(doc))
     assert main(["validate", "--input", str(path), *argv]) == (3 if error == "ParseError" else 2)
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == error
     if error == "ParseError":
-        assert report["witness"] == {"where": "action", "missing": "act"}
+        shape = {"where": "action", "missing": "act"} if kind is None else {"kind": kind}
+        assert report["witness"] == shape
 
 
 @pytest.mark.parametrize(
@@ -275,6 +280,19 @@ def test_from_partition_checks_membership_on_generator_rows(minimal, monkeypatch
     doc = json.loads(capsys.readouterr().out)
     assert doc["cell_preserving_membership"] == "ok"
     assert calls[0] == len(doc["generators"]) < doc["order"]
+
+
+@pytest.mark.parametrize("function, invariant", [("g_inv.json", True), ("f_delta.json", False)])
+def test_fourier_is_invariant_agrees_with_the_orbit_scan(function, invariant, capsys):
+    from orbitspace.jsonio import action_from_json, function_from_json
+    from orbitspace.spaces import is_invariant
+
+    argv = ["fourier", "--input", inp("z2_four.json"), "--function", inp(function)]
+    assert main(argv) == 0
+    reported = json.loads(capsys.readouterr().out)["is_invariant"]
+    action = action_from_json(_golden_doc("z2_four.json"))
+    f = function_from_json(_golden_doc(function))
+    assert reported is invariant is (is_invariant(action, f) is not None)
 
 
 @pytest.mark.parametrize(

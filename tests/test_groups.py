@@ -7,7 +7,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -23,7 +23,7 @@ from helpers import (
 from orbitspace import groups
 from orbitspace.actions import validate_action
 from orbitspace.cli import main
-from orbitspace.corpus import group_by_name
+from orbitspace.corpus import group_by_name, small_group_catalog
 from orbitspace.errors import (
     InvariantViolated,
     NoIdentity,
@@ -909,6 +909,56 @@ def test_direct_product_matches_the_factor_tables(g, h):
     assert gh.inv_table == tuple(a * mh + b for a in g.inv_table for b in h.inv_table)
     assert gh.subgroup_generated(gh.generators).is_whole_group()
     assert gh == group_from_table(gh.mul_table)
+
+
+CATALOG = [g for _, g in small_group_catalog()]
+# generators (0 1), (3 4), (1 2): only the first and the last fail to commute
+FAR_APART = from_generators(5, [(1, 0, 2, 3, 4), (0, 1, 2, 4, 3), (0, 2, 1, 3, 4)])[0]
+
+
+@settings(max_examples=80, deadline=None)
+@example(FAR_APART)
+@given(
+    st.one_of(
+        st.sampled_from(CATALOG),
+        st.builds(direct_product, st.sampled_from(CATALOG), st.sampled_from(CATALOG)),
+        generator_sets(max_degree=5).map(lambda case: from_generators(*case)[0]),
+        permutation_groups(),
+    )
+)
+def test_is_abelian_matches_all_pairs(g):
+    had_table = g._mul_table is not None
+    table = mul_table_oracle(g)
+    pairs = all(table[a][b] == table[b][a] for a in g.elements() for b in g.elements())
+    assert g.is_abelian() == pairs
+    # generators suffice: a group without a table gets none
+    assert (g._mul_table is not None) == had_table
+
+
+def relabeled_table(group, rho):
+    """The Cayley table of ``group`` with element a renamed rho[a]."""
+    inv = invert_perm(rho)
+    table = group.mul_table
+    return [[rho[table[inv[x]][inv[y]]] for y in range(group.order)] for x in range(group.order)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CATALOG), st.data())
+def test_group_from_table_finds_the_identity_wherever_it_is(g, data):
+    rho = tuple(data.draw(st.permutations(range(g.order))))
+    rows = relabeled_table(g, rho)
+    # the first e with row e the identity row and column e the identity column
+    points = list(range(g.order))
+    expected = next(e for e in points if rows[e] == points and [r[e] for r in rows] == points)
+    assert expected == rho[g.identity]
+    assert group_from_table(rows).identity == expected
+
+
+def test_a_left_identity_alone_is_no_identity():
+    # a*b = (b-a) mod 5: row 0 is the identity row, column 0 is not
+    table = [[(b - a) % 5 for b in range(5)] for a in range(5)]
+    with pytest.raises(NoIdentity):
+        group_from_table(table)
 
 
 def test_s6_mul_table_composes_linearly_in_the_order(monkeypatch):

@@ -1,6 +1,7 @@
 """Schema round trips and strict parsing."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -128,11 +129,18 @@ def test_action_evaluation_kind():
     assert act.is_transitive()
 
 
-def test_action_evaluation_requires_permutation_group():
-    with pytest.raises(ParseError):
-        action_from_json(
-            {"kind": "evaluation", "group": {"kind": "table", "mul": [[0]]}}
-        )
+def test_action_evaluation_requires_permutation_group(monkeypatch):
+    """Refused from the document, before the table is checked or built."""
+    from orbitspace import jsonio
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("group_from_table ran")
+
+    monkeypatch.setattr(jsonio, "group_from_table", refuse)
+    for mul in ([[0]], [[0, 1], [0, 1]]):
+        with pytest.raises(ParseError) as exc:
+            action_from_json({"kind": "evaluation", "group": {"kind": "table", "mul": mul}})
+        assert exc.value.witness == {"kind": "evaluation"}
 
 
 def test_action_degree_mismatch_detected():
@@ -168,6 +176,27 @@ def test_scalar_errors_carry_location():
     assert "values[1]" in str(exc.value)
     with pytest.raises(ParseError):
         scalar_from_json(["1.5", "0"])
+
+
+@pytest.mark.parametrize("on_subset", [False, True])
+def test_an_int_past_the_digit_limit_is_named_without_its_digits(on_subset):
+    """str() refuses ints past the interpreter's digit limit, so such a value
+    can be neither written back nor shown in the message."""
+    doc = {"values": [["1", "0"], [10**5000, 0]]}
+    group = {"kind": "permutation", "degree": 2, "generators": []}
+    subset = invariant_subset(action_from_json({"kind": "evaluation", "group": group}), [0, 1])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError) as exc:
+            if on_subset:
+                subset_function_from_json(doc, subset)
+            else:
+                function_from_json(doc)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert exc.value.witness == {"where": "function.values[1]"}
+    assert len(str(exc.value)) < 100
 
 
 def test_subset_function_round_trip():
