@@ -125,6 +125,14 @@ class GroupAction:
             raise IdentityAxiomViolated(f"identity moves point {x}", point=x)
         self._orbits = None
 
+    @classmethod
+    def _trusted(cls, group: FiniteGroup, act: tuple) -> "GroupAction":
+        """Rows of ``from_generators`` or ``_extend_rows``, unscanned: a composition of
+        checked permutations of 0..n-1 is one, and both build the identity's row as range(n)."""
+        action = cls.__new__(cls)
+        action.group, action.act, action.degree, action._orbits = group, act, len(act[0]), None
+        return action
+
     def orbit(self, x: int) -> tuple:
         """{a.x : a in G}, sorted."""
         part = self.orbits()
@@ -320,10 +328,10 @@ def trivial_action(group: FiniteGroup, degree: int) -> GroupAction:
 def conjugation_action(group: FiniteGroup) -> GroupAction:
     """The group acting on its own elements by a.x = a x a^-1."""
     elements = group.elements()
-    act = _extend_rows(
+    act = _extend_rows(  # x -> s x s^-1 is a bijection, undone by s^-1
         group, group.order, lambda s: [group.conjugate(s, x) for x in elements]
     )
-    return GroupAction(group, act)
+    return GroupAction._trusted(group, act)
 
 
 def translation_action(group: FiniteGroup) -> GroupAction:
@@ -342,10 +350,10 @@ def coset_action(group: FiniteGroup, h: Subgroup) -> GroupAction:
             for y in h.members:
                 coset_of[group.mul(x, y)] = len(reps)
             reps.append(x)
-    act = _extend_rows(
+    act = _extend_rows(  # xH -> sxH is a bijection of the cosets, undone by s^-1
         group, len(reps), lambda s: [coset_of[group.mul(s, x)] for x in reps]
     )
-    return GroupAction(group, act)
+    return GroupAction._trusted(group, act)
 
 
 def are_equivalent(a1: GroupAction, a2: GroupAction) -> Optional[list]:

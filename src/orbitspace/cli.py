@@ -313,18 +313,18 @@ def _cmd_reciprocity(args):
 def _cmd_from_partition(args):
     """Membership reads generator rows: maps that keep each cell compose to such maps."""
     from .jsonio import partition_from_json
-    from .partitions import cell_transpositions, group_from_partition, preserves_cells
+    from .partitions import group_from_partition, preserves_cells
 
     partition = partition_from_json(_single_input(args))
     group, action = group_from_partition(
         partition, minimal_generators=args.minimal_generators, cap=args.cap
     )
-    gens = cell_transpositions(partition, minimal=args.minimal_generators)
     membership_ok = all(preserves_cells(partition, action.act[s]) for s in group.generators)
     return {
         "order": group.order,
         "degree": partition.degree,
-        "generators": [list(g) for g in gens],
+        # _closure numbers the transpositions 1..k in order: distinct, and none is the identity
+        "generators": [list(action.act[s]) for s in group.generators],
         "orbit_cells": [list(c) for c in action.orbits().cells],
         "round_trip": "ok",  # group_from_partition raises unless the orbits are the cells
         "cell_preserving_membership": "ok" if membership_ok else "violated",

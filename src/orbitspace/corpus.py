@@ -228,7 +228,7 @@ def natural_action_by_name(name: str):
         raise ParamOutOfRange(f"no natural point action for group {name!r}", name=name)
     prefix, n = family
     group, act = _FAMILIES[prefix](n)
-    return group, GroupAction(group, act)
+    return group, GroupAction._trusted(group, act)
 
 
 def small_group_catalog(max_order: int = 12) -> List:
@@ -290,10 +290,10 @@ def _conjugation_on_sets(g: FiniteGroup, sets: List) -> GroupAction:
     conjugation. The generator rows read ``g.mul_table``, so the table is
     built before ``_extend_rows`` walks the closure and takes products."""
     index = {s: i for i, s in enumerate(sets)}
-    act = _extend_rows(
+    act = _extend_rows(  # conjugation is injective on sets, and the finite family is closed
         g, len(sets), lambda a: [index[_conjugate_set(g, a, s)] for s in sets]
     )
-    return GroupAction(g, act)
+    return GroupAction._trusted(g, act)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ def _build_symmetric(n: int = 3) -> CorpusEntry:
     if n < 1 or n > 7:
         raise ParamOutOfRange(f"symmetric family supports 1 <= n <= 7, got {n}", n=n)
     group, act = _symmetric(n)
-    action = GroupAction(group, act)
+    action = GroupAction._trusted(group, act)
     expected = {
         "orbit_count": 1,
         "is_transitive": True,
@@ -490,14 +490,14 @@ def _build_subset_action(base: str = "s3", allow_large: bool = False) -> CorpusE
             order=group.order,
         )
 
-    def row_of(s):
+    def row_of(s):  # s permutes the points, so it permutes their subsets one to one
         bits = [1 << y for y in base_action.act[s]]
         return [
             sum([bit for x, bit in enumerate(bits) if mask >> x & 1])
             for mask in range(2**n)
         ]
 
-    action = GroupAction(group, _extend_rows(group, 2**n, row_of))
+    action = GroupAction._trusted(group, _extend_rows(group, 2**n, row_of))
     expected = {"is_free": False}
     return CorpusEntry("subset_action", action, expected, {"base": base})
 

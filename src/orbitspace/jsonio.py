@@ -113,7 +113,7 @@ def action_from_json(obj, cap: Optional[int] = None) -> GroupAction:
             raise ParseError(
                 "evaluation actions need a permutation-form group", kind="evaluation"
             )
-        return GroupAction(*build())
+        return GroupAction._trusted(*build())
     act = _int_rows(_expect(obj, "act", list, "action"), "action.act")
     degree = _expect(obj, "degree", int, "action") if "degree" in obj else None
     if degree is not None and act and len(act[0]) != degree:

@@ -68,7 +68,7 @@ def group_from_partition(
         )
     gens = cell_transpositions(partition, minimal=minimal_generators)
     group, act = from_generators(partition.degree, gens, cap=cap)
-    action = GroupAction(group, act)
+    action = GroupAction._trusted(group, act)
     if group.order != predicted:
         raise InvariantViolated(
             "closure order differs from the product of cell factorials",

@@ -1,10 +1,13 @@
 """Shared generators and independent oracles for the test suite."""
 
+import contextlib
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
 from hypothesis import strategies as st
 
+from orbitspace import groups
 from orbitspace.actions import GroupAction, coset_action
 from orbitspace.groups import compose, from_generators, group_from_table
 from orbitspace.scalars import GaussianRational
@@ -535,3 +538,27 @@ def first_bad_row_entry_oracle(rows, n):
             if v in row[:j]:
                 return i, j, v, True
     return None
+
+
+@contextlib.contextmanager
+def trusted_rows_checked():
+    """Check what ``GroupAction._trusted`` takes on trust on every table it
+    is handed: tuple rows, one per element, each a permutation of 0..n-1 of
+    ints, and the identity's row range(n). Yields the tables seen."""
+    original = GroupAction.__dict__["_trusted"].__func__
+    seen = []
+
+    def checked(cls, group, act):
+        n = len(act[0])
+        assert type(act) is tuple and {type(row) for row in act} == {tuple}
+        assert len(act) == group.order
+        assert groups._bad_entry(act, n) is None
+        assert act[group.identity] == tuple(range(n))
+        seen.append(act)
+        action = original(cls, group, act)
+        assert action == GroupAction(group, act) and action.degree == n
+        return action
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GroupAction, "_trusted", classmethod(checked))
+        yield seen

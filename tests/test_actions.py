@@ -21,6 +21,7 @@ from helpers import (
     orbit_cells_oracle,
     permutation_groups,
     relabel,
+    trusted_rows_checked,
 )
 from orbitspace import groups
 from orbitspace.actions import (
@@ -734,3 +735,54 @@ def test_partition_refuses_non_int_points(bad):
         Partition(2, [[0, bad]])
     with pytest.raises(ValueError, match="not an int"):
         Partition(2, [[bad, 0]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_trusted_rows_from_random_generators_pass_the_row_scan(data):
+    from orbitspace.jsonio import action_from_json
+
+    degree = data.draw(st.integers(1, 6))
+    gens = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+    group_doc = {"kind": "permutation", "degree": degree, "generators": gens}
+    with trusted_rows_checked() as seen:
+        action = action_from_json({"kind": "evaluation", "group": group_doc})
+        group = action.group
+        if data.draw(st.booleans()):  # _extend_rows over a table-form group as well
+            group = group_from_table(group.mul_table)
+        conjugation_action(group)
+        seeds = data.draw(st.lists(st.integers(0, group.order - 1), max_size=2))
+        coset_action(group, group.subgroup_generated(seeds))
+    assert len(seen) == 3
+    assert action.act == action.group.perms
+
+
+def test_trusted_rows_of_every_corpus_family_pass_the_row_scan():
+    from orbitspace.corpus import build, corpus_names
+
+    reached = set()
+    for name in corpus_names():
+        with trusted_rows_checked() as seen:
+            build(name)
+        if seen:
+            reached.add(name)
+    assert reached == {
+        "conjugation",
+        "coset",
+        "order_p",
+        "subgroup_conjugates",
+        "subset_action",
+        "sylow",
+        "symmetric",
+    }
+    for name, params in [
+        ("conjugation", {"group": "q8"}),
+        ("coset", {"group": "dic3", "seeds": [2]}),
+        ("sylow", {"group": "s4", "p": 3}),
+        ("order_p", {"group": "a4", "p": 3}),
+        ("subset_action", {"base": "a4"}),
+        ("symmetric", {"n": 5}),
+    ]:
+        with trusted_rows_checked() as seen:
+            build(name, **params)
+        assert seen, name

@@ -282,6 +282,18 @@ def test_from_partition_checks_membership_on_generator_rows(minimal, monkeypatch
     assert calls[0] == len(doc["generators"]) < doc["order"]
 
 
+@pytest.mark.parametrize(
+    "name, argv", [case for case in GOLDEN_CASES if case[0].startswith("from_partition")]
+)
+def test_from_partition_builds_its_generators_once(name, argv, monkeypatch, capsys):
+    from orbitspace import partitions
+
+    calls = count_calls(monkeypatch, partitions, "cell_transpositions")
+    assert main(argv) == 0
+    assert calls[0] == 1
+    assert capsys.readouterr().out == (EXPECTED / f"{name}.json").read_text()
+
+
 @pytest.mark.parametrize("function, invariant", [("g_inv.json", True), ("f_delta.json", False)])
 def test_fourier_is_invariant_agrees_with_the_orbit_scan(function, invariant, capsys):
     from orbitspace.jsonio import action_from_json, function_from_json

@@ -8,7 +8,7 @@ import pytest
 
 from orbitspace import cli
 from orbitspace.actions import Partition, trivial_action
-from orbitspace.errors import NotAssociative, ParseError
+from orbitspace.errors import CompatibilityViolated, NotAssociative, ParseError
 from orbitspace.groups import cyclic_group
 from orbitspace.jsonio import (
     action_from_json,
@@ -287,3 +287,59 @@ def test_action_keys_are_refused_before_the_group_is_built(kind, keys, witness, 
     # the same document with a valid act builds its group once
     assert action_from_json({"group": group, "act": [[0, 1], [1, 0]]}).degree == 2
     assert calls == ["from_generators" if kind == "permutation" else "group_from_table"]
+
+
+S3_PERMUTATIONS = {"kind": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+C2_TABLE = {"kind": "table", "mul": [[0, 1], [1, 0]]}
+
+
+def test_a_table_form_action_document_never_reaches_trusted(monkeypatch):
+    from orbitspace.actions import GroupAction
+
+    def refuse(cls, group, act):
+        raise AssertionError("an act read from JSON was taken on trust")
+
+    s3_rows = [list(row) for row in group_from_json(S3_PERMUTATIONS)[1]]
+    monkeypatch.setattr(GroupAction, "_trusted", classmethod(refuse))
+    for doc in [
+        {"group": S3_PERMUTATIONS, "act": s3_rows},
+        {"group": S3_PERMUTATIONS, "degree": 3, "act": [[0, 1, 2]] * 6},
+        {"group": C2_TABLE, "act": [[0, 1, 2, 3], [1, 0, 2, 3]]},
+        as_text(action_to_json(trivial_action(cyclic_group(3), 2))),
+    ]:
+        action = action_from_json(doc)
+        assert action.act == tuple(map(tuple, doc["act"]))
+    with pytest.raises(AssertionError, match="on trust"):  # the patch is live
+        action_from_json({"kind": "evaluation", "group": S3_PERMUTATIONS})
+
+
+@pytest.mark.parametrize(
+    "group, act, message, witness",
+    [
+        (
+            S3_PERMUTATIONS,
+            [[0, 1, 2], [1, 0, 2], [1, 2, 0], [2, 1, 0], [2, 0, 1], [0, 2, 2]],
+            "act[5][2] = 2 repeats an image",
+            {"a": 5, "point": 2, "value": 2},
+        ),
+        (
+            C2_TABLE,
+            [[0, 1, 2], [1, 1, 2]],
+            "act[1][1] = 1 repeats an image",
+            {"a": 1, "point": 1, "value": 1},
+        ),
+        (C2_TABLE, [[0, 1, 2], [1, 0]], "row 1 has length 2, expected 3", {"a": 1}),
+        (
+            C2_TABLE,
+            [[0, 1, 2], [1, 0, 3]],
+            "act[1][2] = 3 is not a point 0..2",
+            {"a": 1, "point": 2, "value": 3},
+        ),
+    ],
+    ids=["repeat-over-permutations", "repeat-over-table", "short-row", "out-of-range"],
+)
+def test_a_bad_act_row_in_a_table_form_document_keeps_its_witness(group, act, message, witness):
+    with pytest.raises(CompatibilityViolated) as exc:
+        action_from_json({"group": group, "act": act})
+    assert str(exc.value) == message
+    assert exc.value.witness == witness

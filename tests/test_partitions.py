@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_cell_preserving
+from helpers import count_cell_preserving, trusted_rows_checked
 from orbitspace.actions import GroupAction, Partition
 from orbitspace.errors import NotAPermutation, SizeLimitExceeded
 from orbitspace.groups import from_generators, group_from_table
@@ -140,3 +140,12 @@ def test_membership_on_generator_rows_matches_every_row(data):
     on_generators = all(preserves_cells(tested, action.act[s]) for s in group.generators)
     assert on_generators == every_row
     assert refines is None or refines == every_row
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_trusted_rows_of_a_realized_partition_pass_the_row_scan(data):
+    partition = data.draw(partitions(data.draw(st.integers(1, 6))))
+    with trusted_rows_checked() as seen:
+        _, action = group_from_partition(partition, minimal_generators=data.draw(st.booleans()))
+    assert seen == [action.act]

@@ -153,6 +153,24 @@ def test_d2520_cli_orbits_and_dimension_peak_below_150_mb(d2520_cli):
     assert d2520_cli["peak_mb"] < 150, d2520_cli["peak_mb"]
 
 
+def test_the_d2520_evaluation_document_scans_only_its_two_generator_rows(monkeypatch):
+    from orbitspace import groups
+    from orbitspace.jsonio import action_from_json
+
+    scanned = []
+    are_permutations = groups._are_permutations
+
+    def counted(rows, n):
+        scanned.extend(rows)
+        return are_permutations(rows, n)
+
+    monkeypatch.setattr(groups, "_are_permutations", counted)
+    group = {"kind": "permutation", "degree": D2520, "generators": D2520_GENS}
+    action = action_from_json({"kind": "evaluation", "group": group})
+    assert action.group.order == 2 * D2520
+    assert [list(row) for row in scanned] == D2520_GENS
+
+
 def test_d2520_rotation_subgroup_burnside_sum_matches_sympy_and_the_element_sum():
     action = GroupAction(*from_generators(D2520, D2520_GENS))
     rotation = action.group.index[tuple(D2520_GENS[0])]
