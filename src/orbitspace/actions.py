@@ -127,8 +127,8 @@ class GroupAction:
 
     @classmethod
     def _trusted(cls, group: FiniteGroup, act: tuple) -> "GroupAction":
-        """Rows of ``from_generators`` or ``_extend_rows``, unscanned: a composition of
-        checked permutations of 0..n-1 is one, and both build the identity's row as range(n)."""
+        """Rows known to be permutations of 0..n-1, the identity's range(n), unscanned; each
+        call site says why (``from_generators`` and ``_extend_rows``: they compose checked ones)."""
         action = cls.__new__(cls)
         action.group, action.act, action.degree, action._orbits = group, act, len(act[0]), None
         return action
@@ -322,7 +322,9 @@ def validate_action(group: FiniteGroup, act: Sequence[Sequence[int]]) -> GroupAc
 
 
 def trivial_action(group: FiniteGroup, degree: int) -> GroupAction:
-    return GroupAction(group, [list(range(degree))] * group.order)
+    if degree < 1:
+        raise IdentityAxiomViolated("point set must be nonempty", degree=0)
+    return GroupAction._trusted(group, (tuple(range(degree)),) * group.order)  # identity rows
 
 
 def conjugation_action(group: FiniteGroup) -> GroupAction:
@@ -336,7 +338,7 @@ def conjugation_action(group: FiniteGroup) -> GroupAction:
 
 def translation_action(group: FiniteGroup) -> GroupAction:
     """The group acting on itself by left multiplication (always free and transitive)."""
-    return GroupAction(group, group.mul_table)
+    return GroupAction._trusted(group, group.mul_table)  # Cayley rows: left-regular perms
 
 
 def coset_action(group: FiniteGroup, h: Subgroup) -> GroupAction:

@@ -240,7 +240,7 @@ def _cmd_fourier(args):
     action = _load_action(args)
     f = _load_function(args, action)
     entries = fourier_coefficients(action, f)
-    projection = fourier_projection(action, f)
+    projection = fourier_projection(action, f, entries)
     return {
         "projection": function_to_json(projection),
         "coefficients": [

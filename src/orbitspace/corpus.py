@@ -237,45 +237,14 @@ def small_group_catalog(max_order: int = 12) -> List:
         raise ParamOutOfRange(
             f"catalog covers orders up to 12, asked for {max_order}", max_order=max_order
         )
-    named = [(f"c{n}", cyclic_group(n)) for n in range(1, 13)]
-    named += [
-        ("c2xc2", group_by_name("c2xc2")),
-        ("c2xc4", group_by_name("c2xc4")),
-        ("c2xc2xc2", group_by_name("c2xc2xc2")),
-        ("c3xc3", group_by_name("c3xc3")),
-        ("c2xc6", group_by_name("c2xc6")),
-        ("s3", group_by_name("s3")),
-        ("d4", group_by_name("d4")),
-        ("d5", group_by_name("d5")),
-        ("d6", group_by_name("d6")),
-        ("q8", group_by_name("q8")),
-        ("a4", group_by_name("a4")),
-        ("dic3", group_by_name("dic3")),
-    ]
+    names = [f"c{n}" for n in range(1, 13)]
+    names += "c2xc2 c2xc4 c2xc2xc2 c3xc3 c2xc6 s3 d4 d5 d6 q8 a4 dic3".split()
+    named = [(name, group_by_name(name)) for name in names]
     return [(name, g) for name, g in named if g.order <= max_order]
 
 
 # ---------------------------------------------------------------------------
-# subgroup searches used by the Sylow family
-
-
-def _subgroups_of_order(g: FiniteGroup, k: int, pool) -> List:
-    """All subgroups of order exactly k whose elements lie in the pool.
-
-    A closure over the subgroups of order at most k: adjoining a pool
-    element to one gives the subgroup they generate, or the same subgroup
-    when that would have more than k elements.
-    """
-    mul = g.mul_table
-
-    def adjoin(h, x):
-        if x in h:
-            return h
-        grown = _closure(g.identity, sorted(h | {x}), lambda a, b: mul[a][b], k)
-        return h if grown is None else frozenset(grown)
-
-    subgroups = _closure(frozenset({g.identity}), sorted(set(pool)), adjoin)
-    return sorted(tuple(sorted(h)) for h in subgroups if len(h) == k)
+# conjugation on families of subgroups
 
 
 def _conjugate_set(g: FiniteGroup, a: int, s: tuple) -> tuple:
@@ -294,6 +263,12 @@ def _conjugation_on_sets(g: FiniteGroup, sets: List) -> GroupAction:
         g, len(sets), lambda a: [index[_conjugate_set(g, a, s)] for s in sets]
     )
     return GroupAction._trusted(g, act)
+
+
+def _conjugates(g: FiniteGroup, members: tuple) -> List:
+    """The conjugates of the subgroup with the sorted ``members``, sorted: its
+    orbit under conjugation by the generators."""
+    return sorted(_closure(members, g.generators, lambda s, a: _conjugate_set(g, a, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,35 +353,45 @@ def _build_subgroup_conjugates(group: str = "s3", seeds=(1,)) -> CorpusEntry:
         raise ParamOutOfRange(
             "conjugate family needs a nontrivial subgroup", seeds=seeds
         )
-    # the conjugates of H are its orbit under conjugation by the generators
-    conjugates = _closure(
-        h.members, g.generators, lambda s, a: _conjugate_set(g, a, s)
-    )
-    action = _conjugation_on_sets(g, sorted(conjugates))
+    action = _conjugation_on_sets(g, _conjugates(g, h.members))
     expected = {"is_free": False, "is_transitive": True, "orbit_count": 1}
     return CorpusEntry(
         "subgroup_conjugates", action, expected, {"group": group, "seeds": seeds}
     )
 
 
+def _sylow_subgroup(g: FiniteGroup, p: int) -> tuple:
+    """The sorted members of a Sylow p-subgroup P, grown in one pass over the
+    p-elements: x joins when <P, x> is a p-group of order at most p^k, the
+    largest power of p dividing |G|. Were the final P smaller, p would divide
+    [N(P):P], so some p-element x in N(P) minus P would make <P, x> such a
+    p-group; an earlier P' in P gives <P', x> inside it, so x would have joined.
+    """
+    pk = 1
+    while g.order % (pk * p) == 0:
+        pk *= p
+    g.mul_table  # built first, so that element_order and the closures read table lookups
+    gens, members = [], {g.identity}
+    for x in range(g.order):
+        if x not in members and _is_power_of(g.element_order(x), p):
+            grown = _closure(g.identity, gens + [x], g.mul, pk)
+            if grown is not None and _is_power_of(len(grown), p):
+                gens.append(x)
+                members = set(grown)
+    return tuple(sorted(members))
+
+
 def _build_sylow(group: str = "s3", p: int = 2) -> CorpusEntry:
+    """G acting by conjugation on its Sylow p-subgroups, the conjugates of one (Sylow II)."""
     g = group_by_name(group)
+    _within_limit("p", p=p)  # a larger p divides no corpus order, and the test below is O(p)
     if p < 2 or any(p % d == 0 for d in range(2, p)):
         raise ParamOutOfRange(f"p must be prime, got {p}", p=p)
     if g.order % p != 0:
         raise ParamOutOfRange(
             f"p = {p} does not divide the group order {g.order}", p=p, order=g.order
         )
-    pk = 1
-    while g.order % (pk * p) == 0:
-        pk *= p
-    pool = [
-        a
-        for a in range(g.order)
-        if _is_power_of(g.element_order(a), p)
-    ]
-    sylows = _subgroups_of_order(g, pk, pool)
-    action = _conjugation_on_sets(g, sylows)
+    action = _conjugation_on_sets(g, _conjugates(g, _sylow_subgroup(g, p)))
     expected = {"is_free": False, "is_transitive": True}
     return CorpusEntry("sylow", action, expected, {"group": group, "p": p})
 
@@ -445,6 +430,7 @@ def _build_gl_on_vectors(n: int = 2, q: int = 2, allow_large: bool = False) -> C
     the permutations are both the group and its action table, and the
     Cayley table is built from generator rows on demand.
     """
+    _within_limit("q", q=q)  # a larger q gives |GL| > q > 5040, and the test below is O(q)
     if q < 2 or any(q % d == 0 for d in range(2, q)):
         raise ParamOutOfRange(f"q must be prime, got {q}", q=q)
     if not allow_large and (n != 2 or q not in (2, 3)):
@@ -470,7 +456,7 @@ def _build_gl_on_vectors(n: int = 2, q: int = 2, allow_large: bool = False) -> C
             perms.append(perm)
             labels.append(str(rows))
     g = FiniteGroup(perms, perms.index(tuple(range(len(vectors)))), labels=labels)
-    action = GroupAction(g, perms)
+    action = GroupAction._trusted(g, g.perms)  # bijections only; the identity's is range(q^n)
     expected = {"is_free": False, "is_transitive": False, "orbit_count": 2}
     return CorpusEntry("gl_on_vectors", action, expected, {"n": n, "q": q})
 
@@ -512,8 +498,8 @@ def _build_two_sided(group: str = "c2") -> CorpusEntry:
     # G x G would take lazy products, and the report then builds its table.
     mul = g.mul_table
     columns = tuple(zip(*mul))
-    act = [compose(columns[b_inv], row_a) for row_a in mul for b_inv in g.inv_table]
-    action = GroupAction(gg, act)
+    act = tuple([compose(columns[b_inv], row_a) for row_a in mul for b_inv in g.inv_table])
+    action = GroupAction._trusted(gg, act)  # Cayley rows and columns are bijections; (e, e) fixes all
     expected = {"is_free": False}
     return CorpusEntry("two_sided", action, expected, {"group": group})
 

@@ -2,7 +2,8 @@
 
 Scalars travel as pairs of reduced fraction strings, so every report stays
 exact and byte-stable. Parsing is strict: anything off-schema raises
-``ParseError`` with the offending location in the witness.
+``ParseError`` with the offending location in the witness. A list of rows or
+ints may also be a tuple, as the writers return stored rows.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _expect(obj, key, kinds, where):
 def _int_list(value, where):
     # JSON true and false are Python bools, which isinstance counts as ints;
     # one C-level pass over the entries' types refuses them.
-    if not (isinstance(value, list) and {int}.issuperset(map(type, value))):
+    if not (isinstance(value, (list, tuple)) and {int}.issuperset(map(type, value))):
         raise ParseError(f"{where} must be a list of integers", where=where)
     return value
 
@@ -73,16 +74,16 @@ def _group_reader(obj, cap: Optional[int]):
     """Check a group document's keys and degree; return the call that builds it."""
     kind = _expect(obj, "kind", str, "group")
     if kind == "table":
-        mul = _int_rows(_expect(obj, "mul", list, "group"), "group.mul")
+        mul = _int_rows(_expect(obj, "mul", (list, tuple), "group"), "group.mul")
         labels = obj.get("labels")
         if labels is not None and (
-            not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
+            not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels)
         ):
             raise ParseError("group.labels must be a list of strings", where="group.labels")
         return lambda: (group_from_table(mul, labels=labels), None)
     if kind == "permutation":
         degree = _expect(obj, "degree", int, "group")
-        gens = _int_rows(_expect(obj, "generators", list, "group"), "group.generators")
+        gens = _int_rows(_expect(obj, "generators", (list, tuple), "group"), "group.generators")
         _check_degree(degree)
         return lambda: from_generators(degree, gens, cap=cap)
     raise ParseError(f"unknown group kind {kind!r}", kind=kind)
@@ -114,7 +115,7 @@ def action_from_json(obj, cap: Optional[int] = None) -> GroupAction:
                 "evaluation actions need a permutation-form group", kind="evaluation"
             )
         return GroupAction._trusted(*build())
-    act = _int_rows(_expect(obj, "act", list, "action"), "action.act")
+    act = _int_rows(_expect(obj, "act", (list, tuple), "action"), "action.act")
     degree = _expect(obj, "degree", int, "action") if "degree" in obj else None
     if degree is not None and act and len(act[0]) != degree:
         raise ParseError(
@@ -195,7 +196,7 @@ def subset_function_to_json(g: SubsetFunction) -> dict:
 
 def partition_from_json(obj) -> Partition:
     degree = _expect(obj, "degree", int, "partition")
-    cells = _int_rows(_expect(obj, "cells", list, "partition"), "partition.cells")
+    cells = _int_rows(_expect(obj, "cells", (list, tuple), "partition"), "partition.cells")
     try:
         return Partition(degree, cells)
     except ValueError as exc:

@@ -308,10 +308,13 @@ def _cell_averages(part: Partition, sums: PointFunction, num=1, den=1) -> PointF
     return PointFunction._from_columns(*re, *im)._gather(part.cell_of)
 
 
-def fourier_projection(act: GroupAction, f: PointFunction) -> PointFunction:
-    """Orthogonal projection onto the invariant subspace: average over each orbit."""
+def fourier_projection(act: GroupAction, f: PointFunction, coefficients=None) -> PointFunction:
+    """Orthogonal projection onto the invariant subspace: average over each orbit.
+    Given ``fourier_coefficients(act, f)``, it averages their raw sums, not f."""
     _check_shapes(act, f)
-    return _cell_averages(*_cell_sums(act, f))
+    if coefficients is None:
+        return _cell_averages(*_cell_sums(act, f))
+    return _cell_averages(act.orbits(), PointFunction(c.raw_sum for c in coefficients))
 
 
 class FourierCoefficient(NamedTuple):

@@ -114,6 +114,21 @@ def test_validate_rejects_empty_point_set():
         GroupAction(cyclic_group(2), [[], []])
 
 
+@pytest.mark.parametrize("degree", [0, -2])
+def test_a_trivial_action_on_no_points_is_refused(degree):
+    with pytest.raises(IdentityAxiomViolated) as exc:
+        trivial_action(cyclic_group(3), degree)
+    assert str(exc.value) == "point set must be nonempty"
+    assert exc.value.witness == {"degree": 0}
+
+
+def test_trivial_action_shares_one_identity_row():
+    action = trivial_action(cyclic_group(4), 3)
+    assert action.act == ((0, 1, 2),) * 4 and action.degree == 3
+    assert len({id(row) for row in action.act}) == 1
+    assert action == GroupAction(cyclic_group(4), [[0, 1, 2]] * 4)
+
+
 def test_validate_rejects_identity_violation():
     g = cyclic_group(2)
     with pytest.raises(IdentityAxiomViolated) as exc:
@@ -753,7 +768,9 @@ def test_trusted_rows_from_random_generators_pass_the_row_scan(data):
         conjugation_action(group)
         seeds = data.draw(st.lists(st.integers(0, group.order - 1), max_size=2))
         coset_action(group, group.subgroup_generated(seeds))
-    assert len(seen) == 3
+        translation_action(group)
+        trivial_action(group, data.draw(st.integers(1, 4)))
+    assert len(seen) == 5
     assert action.act == action.group.perms
 
 
@@ -766,15 +783,7 @@ def test_trusted_rows_of_every_corpus_family_pass_the_row_scan():
             build(name)
         if seen:
             reached.add(name)
-    assert reached == {
-        "conjugation",
-        "coset",
-        "order_p",
-        "subgroup_conjugates",
-        "subset_action",
-        "sylow",
-        "symmetric",
-    }
+    assert reached == set(corpus_names())
     for name, params in [
         ("conjugation", {"group": "q8"}),
         ("coset", {"group": "dic3", "seeds": [2]}),
@@ -782,6 +791,10 @@ def test_trusted_rows_of_every_corpus_family_pass_the_row_scan():
         ("order_p", {"group": "a4", "p": 3}),
         ("subset_action", {"base": "a4"}),
         ("symmetric", {"n": 5}),
+        ("cyclic_translation", {"n": 12}),
+        ("gl_on_vectors", {"q": 3}),
+        ("trivial", {"n": 5, "group": "a4"}),
+        ("two_sided", {"group": "q8"}),
     ]:
         with trusted_rows_checked() as seen:
             build(name, **params)

@@ -294,6 +294,21 @@ def test_from_partition_builds_its_generators_once(name, argv, monkeypatch, caps
     assert capsys.readouterr().out == (EXPECTED / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize("function", ["f_delta.json", "f_mixed.json", "g_inv.json"])
+def test_fourier_sums_f_over_each_orbit_once(function, monkeypatch, capsys):
+    from orbitspace import spaces
+
+    argv = ["fourier", "--input", inp("z2_four.json"), "--function", inp(function)]
+    assert main(argv) == 0
+    before = capsys.readouterr().out
+    calls = count_calls(monkeypatch, spaces, "_cell_sums")
+    assert main(argv) == 0
+    assert calls[0] == 1
+    assert capsys.readouterr().out == before
+    if function == "f_delta.json":
+        assert before == (EXPECTED / "fourier_z2_delta.json").read_text()
+
+
 @pytest.mark.parametrize("function, invariant", [("g_inv.json", True), ("f_delta.json", False)])
 def test_fourier_is_invariant_agrees_with_the_orbit_scan(function, invariant, capsys):
     from orbitspace.jsonio import action_from_json, function_from_json
@@ -522,6 +537,43 @@ def test_corpus_group_names_with_non_decimal_digits_exit_2(family, param, name, 
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "ParamOutOfRange"
     assert doc["witness"] == {"name": name}
+
+
+@pytest.mark.parametrize("family, param", [("sylow", "p"), ("gl_on_vectors", "q")])
+def test_a_huge_prime_parameter_exits_2_before_any_primality_test(family, param):
+    argv = ["corpus", "build", family, "--param", f"{param}=1000000007"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitspace", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 2
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "ParamOutOfRange"
+    assert doc["message"] == f"{param} 1000000007 is beyond the corpus limit 5040"
+    assert doc["witness"] == {param: 1000000007, "limit": 5040}
+
+
+@pytest.mark.parametrize(
+    "family, params, witness",
+    [
+        ("sylow", ["p=5039"], {"p": 5039, "order": 6}),
+        ("sylow", ["p=5040"], {"p": 5040}),
+        ("gl_on_vectors", ["q=5040"], {"q": 5040}),
+        ("gl_on_vectors", ["q=5039"], {"n": 2, "q": 5039}),
+        ("gl_on_vectors", ["q=5039", "allow_large=true"], {"n": 2, "q": 5039}),
+    ],
+)
+def test_a_prime_parameter_up_to_the_limit_keeps_its_witness(family, params, witness, capsys):
+    argv = ["corpus", "build", family]
+    for param in params:
+        argv += ["--param", param]
+    assert main(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParamOutOfRange"
+    assert doc["witness"] == witness
 
 
 @pytest.mark.parametrize("degree", [10**12, 10**20])

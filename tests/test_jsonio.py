@@ -8,6 +8,7 @@ import pytest
 
 from orbitspace import cli
 from orbitspace.actions import Partition, trivial_action
+from orbitspace.corpus import build, corpus_names
 from orbitspace.errors import CompatibilityViolated, NotAssociative, ParseError
 from orbitspace.groups import cyclic_group
 from orbitspace.jsonio import (
@@ -31,6 +32,24 @@ from orbitspace.spaces import PointFunction
 def as_text(doc):
     """doc as a user's file holds it: the writers keep stored row tuples, JSON has lists."""
     return json.loads(cli._render(doc))
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_the_readers_take_what_the_writers_return(name):
+    action = build(name).action
+    assert action_from_json(action_to_json(action)) == action
+    group, evaluation = group_from_json(group_to_json(action.group))
+    assert group == action.group and evaluation is None
+    assert group.labels == action.group.labels
+
+
+def test_tuples_are_read_like_lists_and_checked_like_them():
+    cells = ((2, 0), (1,))
+    assert partition_from_json({"degree": 3, "cells": cells}) == Partition(3, [[0, 2], [1]])
+    doc = {"kind": "permutation", "degree": 2, "generators": ((1, 0),)}
+    assert group_from_json(doc)[0].order == 2
+    with pytest.raises(ParseError, match=r"group.mul\[1\] must be a list of integers"):
+        group_from_json({"kind": "table", "mul": ((0, 1), (1, True))})
 
 
 def test_group_table_round_trip():
@@ -300,12 +319,13 @@ def test_a_table_form_action_document_never_reaches_trusted(monkeypatch):
         raise AssertionError("an act read from JSON was taken on trust")
 
     s3_rows = [list(row) for row in group_from_json(S3_PERMUTATIONS)[1]]
+    written = as_text(action_to_json(trivial_action(cyclic_group(3), 2)))
     monkeypatch.setattr(GroupAction, "_trusted", classmethod(refuse))
     for doc in [
         {"group": S3_PERMUTATIONS, "act": s3_rows},
         {"group": S3_PERMUTATIONS, "degree": 3, "act": [[0, 1, 2]] * 6},
         {"group": C2_TABLE, "act": [[0, 1, 2, 3], [1, 0, 2, 3]]},
-        as_text(action_to_json(trivial_action(cyclic_group(3), 2))),
+        written,
     ]:
         action = action_from_json(doc)
         assert action.act == tuple(map(tuple, doc["act"]))

@@ -230,6 +230,15 @@ def test_fourier_projection_is_orthogonal():
             assert inner_product(residual, g) == gr(0)
 
 
+def test_fourier_projection_from_the_coefficients_is_the_projection():
+    rng = random.Random(14)
+    for act in SMALL_ACTIONS:
+        for _ in range(5):
+            f = rand_function(rng, act.degree)
+            entries = fourier_coefficients(act, f)
+            assert fourier_projection(act, f, entries) == fourier_projection(act, f)
+
+
 def test_pythagoras():
     rng = random.Random(12)
     for act in SMALL_ACTIONS:

@@ -17,7 +17,8 @@ PermutationGroup = combinatorics.PermutationGroup
 from orbitspace.actions import GroupAction  # noqa: E402
 from helpers import fixed_point_total_oracle  # noqa: E402
 from orbitspace.cli import main  # noqa: E402
-from orbitspace.corpus import group_by_name  # noqa: E402
+from orbitspace.corpus import _conjugates, _sylow_subgroup, build  # noqa: E402
+from orbitspace.corpus import group_by_name, small_group_catalog  # noqa: E402
 from orbitspace.groups import from_generators  # noqa: E402
 
 
@@ -94,6 +95,31 @@ def test_corpus_sylow_degree_matches_sympy(name, p, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["degree"] == sylow_count(group_by_name(name), p)
+
+
+def sympy_sylow_sets(group, p):
+    """Every Sylow p-subgroup as a set of element indices: the conjugates of
+    one sympy Sylow p-subgroup, read through the permutations that back the
+    elements. Those are the regular representation for a group built from
+    its Cayley table; for S_n and A_n they are the n-point ones, as sympy
+    takes 8-11 s per prime on S5's 120-point regular representation."""
+    perms = [Permutation(list(perm)) for perm in group.perms]
+    whole = PermutationGroup([perms[s] for s in group.generators])
+    sylow = whole.sylow_subgroup(p).elements
+    return {frozenset(group.index[tuple((g * x * ~g).array_form)] for x in sylow) for g in perms}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in small_group_catalog()] + ["s5", "a5", "s6", "a6"])
+def test_the_sylow_family_is_every_sylow_subgroup_sympy_finds(name):
+    group = group_by_name(name)
+    for p in [p for p in (2, 3, 5, 7, 11) if group.order % p == 0]:
+        grown = _sylow_subgroup(group, p)
+        assert len(grown) == p ** max(k for k in range(12) if group.order % p**k == 0)
+        assert group.subgroup_generated(grown).members == grown
+        ours = _conjugates(group, grown)
+        assert set(map(frozenset, ours)) == sympy_sylow_sets(group, p)
+        assert len(set(ours)) == len(ours) and ours == sorted(ours)
+        assert build("sylow", group=name, p=p).action.degree == len(ours)
 
 
 # D2520, order 5040 on 2520 points: a dihedral group at the corpus order limit
