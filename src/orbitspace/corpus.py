@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import prod
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple
 
 from .actions import GroupAction, conjugation_action, coset_action, translation_action, trivial_action
 from .errors import InvariantViolated, ParamOutOfRange, ParseError, UnknownCorpusName
@@ -39,37 +39,17 @@ def _within_limit(key: str, **witness):
         raise ParamOutOfRange(message, **witness, limit=_ORDER_LIMIT)
 
 
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """A named action, the structural facts forced for it, and its parameters.
 
-    A plain class rather than a dataclass: ``dataclasses`` imports
+    A ``NamedTuple`` rather than a dataclass: ``dataclasses`` imports
     ``inspect``, which would make ``corpus list`` pay for both.
     """
 
-    __slots__ = ("name", "action", "expected", "params")
-
-    def __init__(
-        self,
-        name: str,
-        action: GroupAction,
-        expected: Dict[str, object],
-        params: Optional[Dict[str, object]] = None,
-    ):
-        self.name = name
-        self.action = action
-        self.expected = expected
-        self.params = {} if params is None else params
-
-    def __eq__(self, other):
-        if not isinstance(other, CorpusEntry):
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
-
-    def __repr__(self):
-        return (
-            f"CorpusEntry(name={self.name!r}, action={self.action!r}, "
-            f"expected={self.expected!r}, params={self.params!r})"
-        )
+    name: str
+    action: GroupAction
+    expected: Dict[str, object]
+    params: Dict[str, object]
 
     def divisibility(self) -> Dict[str, object]:
         m = self.action.group.order
@@ -276,10 +256,10 @@ def _conjugates(g: FiniteGroup, members: tuple) -> List:
 
 
 def _build_trivial(n: int = 3, group: str = "c2") -> CorpusEntry:
-    g = group_by_name(group)
     if n < 1:
         raise ParamOutOfRange(f"need at least one point, got {n}", n=n)
     _within_limit("n", n=n)
+    g = group_by_name(group)
     action = trivial_action(g, n)
     expected = {
         "is_trivial": True,
@@ -293,8 +273,7 @@ def _build_trivial(n: int = 3, group: str = "c2") -> CorpusEntry:
 def _build_symmetric(n: int = 3) -> CorpusEntry:
     if n < 1 or n > 7:
         raise ParamOutOfRange(f"symmetric family supports 1 <= n <= 7, got {n}", n=n)
-    group, act = _symmetric(n)
-    action = GroupAction._trusted(group, act)
+    action = natural_action_by_name(f"s{n}")[1]
     expected = {
         "orbit_count": 1,
         "is_transitive": True,
@@ -383,10 +362,10 @@ def _sylow_subgroup(g: FiniteGroup, p: int) -> tuple:
 
 def _build_sylow(group: str = "s3", p: int = 2) -> CorpusEntry:
     """G acting by conjugation on its Sylow p-subgroups, the conjugates of one (Sylow II)."""
-    g = group_by_name(group)
     _within_limit("p", p=p)  # a larger p divides no corpus order, and the test below is O(p)
     if p < 2 or any(p % d == 0 for d in range(2, p)):
         raise ParamOutOfRange(f"p must be prime, got {p}", p=p)
+    g = group_by_name(group)
     if g.order % p != 0:
         raise ParamOutOfRange(
             f"p = {p} does not divide the group order {g.order}", p=p, order=g.order
@@ -422,7 +401,7 @@ def _gl_order(n: int, q: int) -> int:
     return out
 
 
-def _build_gl_on_vectors(n: int = 2, q: int = 2, allow_large: bool = False) -> CorpusEntry:
+def _build_gl_on_vectors(n: int = 2, q: int = 2) -> CorpusEntry:
     """GL(n, q) on the vectors of F_q^n, numbered by base-q value.
 
     A matrix is invertible exactly when its map on the vectors is a
@@ -433,16 +412,9 @@ def _build_gl_on_vectors(n: int = 2, q: int = 2, allow_large: bool = False) -> C
     _within_limit("q", q=q)  # a larger q gives |GL| > q > 5040, and the test below is O(q)
     if q < 2 or any(q % d == 0 for d in range(2, q)):
         raise ParamOutOfRange(f"q must be prime, got {q}", q=q)
-    if not allow_large and (n != 2 or q not in (2, 3)):
-        raise ParamOutOfRange(
-            "defaults allow n=2 and q in (2, 3); pass allow_large for more",
-            n=n,
-            q=q,
-        )
     if n not in (2, 3) or _gl_order(n, q) > _ORDER_LIMIT:
-        raise ParamOutOfRange(
-            f"GL({n}, {q}) has order {_gl_order(n, q)}, beyond desk scale", n=n, q=q
-        )
+        message = f"GL({n}, {q}) is beyond desk scale: n is 2 or 3 and the order at most {_ORDER_LIMIT}"
+        raise ParamOutOfRange(message, n=n, q=q)
     vectors = list(product(range(q), repeat=n))
     code = {v: i for i, v in enumerate(vectors)}
     perms, labels = [], []
@@ -461,15 +433,16 @@ def _build_gl_on_vectors(n: int = 2, q: int = 2, allow_large: bool = False) -> C
     return CorpusEntry("gl_on_vectors", action, expected, {"n": n, "q": q})
 
 
-def _build_subset_action(base: str = "s3", allow_large: bool = False) -> CorpusEntry:
+def _build_subset_action(base: str = "s3") -> CorpusEntry:
+    family = _family(base)  # its n is the degree of the natural action
+    if family is not None and 2 ** family[1] > _ORDER_LIMIT:  # the 2^n subsets are the points
+        degree = family[1]
+        raise ParamOutOfRange(
+            f"power set of {degree} points is beyond desk scale", base=base, degree=degree
+        )
     group, base_action = natural_action_by_name(base)
     n = base_action.degree
-    limit = 5 if allow_large else 4
-    if n > limit:
-        raise ParamOutOfRange(
-            f"power set of {n} points is beyond desk scale", base=base, degree=n
-        )
-    if _is_power_of(group.order, 2) or group.order == 1:
+    if _is_power_of(group.order, 2):  # the order-1 group too
         raise ParamOutOfRange(
             "subset family requires a group that is not a 2-group",
             base=base,
@@ -526,9 +499,9 @@ def corpus_names() -> List[str]:
 def build(name: str, **params) -> CorpusEntry:
     """Build a corpus entry by name; unknown names and bad parameters raise.
 
-    A parameter whose default is a bool, int or str takes only a value of
-    exactly that type (so True is not the integer 1); seed lists are checked
-    by the builders that take them.
+    A parameter whose default is an int or str takes only a value of exactly
+    that type (so True is not the integer 1); seed lists are checked by the
+    builders that take them.
     """
     builder = _BUILDERS.get(name)
     if builder is None:
@@ -548,7 +521,7 @@ def build(name: str, **params) -> CorpusEntry:
                 accepted=accepted,
             )
         default, value = defaults[key], params[key]
-        if isinstance(default, (bool, int, str)) and type(value) is not type(default):
+        if isinstance(default, (int, str)) and type(value) is not type(default):
             expected = type(default).__name__
             raise ParseError(
                 f"parameter {key!r} for {name} expects {expected}, got {value!r}",

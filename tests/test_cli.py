@@ -496,6 +496,18 @@ def test_corpus_build_unknown_param_exits_3(capsys):
 
 
 @pytest.mark.parametrize(
+    "name, accepted", [("gl_on_vectors", ["n", "q"]), ("subset_action", ["base"])]
+)
+def test_allow_large_is_an_unknown_parameter(name, accepted, capsys):
+    """The 5040 limit is the only size bound; no parameter lifts it."""
+    code = main(["corpus", "build", name, "--param", "allow_large=true"])
+    assert code == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParseError"
+    assert doc["witness"] == {"name": name, "unknown": "allow_large", "accepted": accepted}
+
+
+@pytest.mark.parametrize(
     "name,param,value,expected",
     [
         ("symmetric", "n=abc", "abc", "int"),
@@ -563,7 +575,7 @@ def test_a_huge_prime_parameter_exits_2_before_any_primality_test(family, param)
         ("sylow", ["p=5040"], {"p": 5040}),
         ("gl_on_vectors", ["q=5040"], {"q": 5040}),
         ("gl_on_vectors", ["q=5039"], {"n": 2, "q": 5039}),
-        ("gl_on_vectors", ["q=5039", "allow_large=true"], {"n": 2, "q": 5039}),
+        ("gl_on_vectors", ["n=3", "q=5039"], {"n": 3, "q": 5039}),
     ],
 )
 def test_a_prime_parameter_up_to_the_limit_keeps_its_witness(family, params, witness, capsys):
@@ -1040,7 +1052,7 @@ def test_render_examples(doc):
             "ab42d7c6b0cd727afeb316d0cdeda56e4d237726ed82edbc25f1a4cbf2ba7737",
         ),
         (
-            ["gl_on_vectors", "--param", "q=5", "--param", "allow_large=true"],
+            ["gl_on_vectors", "--param", "q=5"],
             "9ce9eb9a43f9b714233049d3611189c8807a51fdb656d413a23c03984cc2895e",
         ),
         (

@@ -75,6 +75,17 @@ def test_divisibility_diagnostic():
             assert not entry.action.is_free()
 
 
+def test_a_corpus_entry_is_a_named_tuple_of_its_four_fields():
+    entry = build("trivial", n=2)
+    name, action, expected, params = entry
+    assert (name, params) == ("trivial", {"n": 2, "group": "c2"})
+    assert entry == build("trivial", n=2)
+    assert repr(entry) == (
+        f"CorpusEntry(name='trivial', action={action!r}, "
+        f"expected={expected!r}, params={{'n': 2, 'group': 'c2'}})"
+    )
+
+
 def test_symmetric_family():
     entry = build("symmetric", n=3)
     assert entry.action.group.order == 6
@@ -170,10 +181,12 @@ def test_gl_family():
 
     with pytest.raises(ParamOutOfRange):
         build("gl_on_vectors", n=2, q=4)
-    with pytest.raises(ParamOutOfRange):
-        build("gl_on_vectors", n=3, q=2)  # needs allow_large
-    flagged = build("gl_on_vectors", n=3, q=2, allow_large=True)
-    assert flagged.action.group.order == 168
+    assert build("gl_on_vectors", n=3, q=2).action.group.order == 168
+    assert build("gl_on_vectors", n=2, q=7).action.group.order == 2016
+    for n, q in [(3, 3), (2, 11), (1, 2), (4, 2)]:  # orders 11232 and 13200; n outside 2..3
+        with pytest.raises(ParamOutOfRange) as info:
+            build("gl_on_vectors", n=n, q=q)
+        assert info.value.witness == {"n": n, "q": q}
 
 
 def test_subset_family():
@@ -183,10 +196,11 @@ def test_subset_family():
     assert entry.action.orbit(0) == (0,)
     assert entry.action.orbit(7) == (7,)
     assert len(entry.action.orbits()) == 4
-    with pytest.raises(ParamOutOfRange):
-        build("subset_action", base="c4")  # 2-groups are excluded
-    with pytest.raises(ParamOutOfRange):
-        build("subset_action", base="s5")
+    for base, order in [("c4", 4), ("c8", 8), ("d8", 16)]:  # 2-groups are excluded
+        with pytest.raises(ParamOutOfRange) as info:
+            build("subset_action", base=base)
+        assert info.value.witness == {"base": base, "order": order}
+    assert build("subset_action", base="s5").action.degree == 32
 
 
 def test_two_sided_family():
@@ -346,11 +360,13 @@ ORACLE_CASES = [
     ("order_p", {"group": "q8", "p": 4}),
     ("gl_on_vectors", {}),
     ("gl_on_vectors", {"q": 3}),
-    ("gl_on_vectors", {"n": 3, "q": 2, "allow_large": True}),
-    ("gl_on_vectors", {"n": 2, "q": 5, "allow_large": True}),
+    ("gl_on_vectors", {"n": 3, "q": 2}),
+    ("gl_on_vectors", {"n": 2, "q": 5}),
     ("subset_action", {}),
     ("subset_action", {"base": "s4"}),
     ("subset_action", {"base": "a4"}),
+    ("subset_action", {"base": "s5"}),
+    ("subset_action", {"base": "c12"}),
     ("two_sided", {}),
     ("two_sided", {"group": "s3"}),
     ("two_sided", {"group": "q8"}),
@@ -409,6 +425,28 @@ def test_sizes_past_the_corpus_limit_are_refused_before_construction(
     with pytest.raises(ParamOutOfRange) as info:
         build(name, **params)
     assert info.value.witness == {**witness, "limit": 5040}
+
+
+@pytest.mark.parametrize(
+    "name, params, witness",
+    [
+        ("subset_action", {"base": "c5040"}, {"base": "c5040", "degree": 5040}),
+        ("subset_action", {"base": "d2520"}, {"base": "d2520", "degree": 2520}),
+        ("subset_action", {"base": "c13"}, {"base": "c13", "degree": 13}),
+        ("trivial", {"group": "c5040", "n": 0}, {"n": 0}),
+        ("sylow", {"group": "c5040", "p": 5041}, {"p": 5041, "limit": 5040}),
+        ("sylow", {"group": "c5040", "p": 4}, {"p": 4}),
+    ],
+)
+def test_parameter_refusals_build_no_group(name, params, witness, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} {params} built a group before refusing")
+
+    for attr in ("FiniteGroup", "cyclic_group", "direct_product", "from_generators", "group_from_table"):
+        monkeypatch.setattr(corpus, attr, refuse)
+    with pytest.raises(ParamOutOfRange) as info:
+        build(name, **params)
+    assert info.value.witness == witness
 
 
 def test_sizes_at_the_corpus_limit_are_built():
