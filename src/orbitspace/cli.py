@@ -333,17 +333,17 @@ def _cmd_from_partition(args):
 
 def _cmd_equivalence(args):
     from .actions import are_equivalent
-    from .jsonio import action_from_json
+    from .jsonio import _action_reader
 
     if not args.input or len(args.input) != 2:
         raise ParseError("equivalence takes exactly two --input files")
-    a1 = action_from_json(_read_json(args.input[0]), cap=args.cap)
-    a2 = action_from_json(_read_json(args.input[1]), cap=args.cap)
+    group_doc, build, make = _action_reader(_read_json(args.input[0]), args.cap)
+    a1 = make(build())
+    # after both shape checks, == no longer equates true, 1 and 1.0
+    doc, build, make = _action_reader(_read_json(args.input[1]), args.cap)
+    a2 = make(a1.group if doc == group_doc else build())
     phi = are_equivalent(a1, a2)
-    return {
-        "equivalent": phi is not None,
-        "bijection": phi if phi is not None else None,
-    }
+    return {"equivalent": phi is not None, "bijection": phi}
 
 
 def _parse_param(text: str):

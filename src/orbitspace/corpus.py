@@ -382,6 +382,9 @@ def _is_power_of(n: int, p: int) -> bool:
 
 
 def _build_order_p(group: str = "s3", p: int = 2) -> CorpusEntry:
+    if p < 1:  # no element order is below 1, or past the order limit
+        raise ParamOutOfRange(f"element orders are at least 1, got p = {p}", p=p)
+    _within_limit("p", p=p)
     g = group_by_name(group)
     g.mul_table  # built first, so that element_order reads table lookups
     points = [a for a in range(g.order) if g.element_order(a) == p]

@@ -4,6 +4,12 @@ Scalars travel as pairs of reduced fraction strings, so every report stays
 exact and byte-stable. Parsing is strict: anything off-schema raises
 ``ParseError`` with the offending location in the witness. A list of rows or
 ints may also be a tuple, as the writers return stored rows.
+
+An action document is read in three stages: ``_action_reader`` checks the
+shapes of the group document, then of the action's kind, ``act`` and declared
+``degree``, and builds nothing; then the group is built; then the action is
+made over it. So a table without ``act``, or an evaluation action over a
+table-form group, is refused before any closure or Cayley-table check runs.
 """
 
 from __future__ import annotations
@@ -80,18 +86,19 @@ def _group_reader(obj, cap: Optional[int]):
             not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels)
         ):
             raise ParseError("group.labels must be a list of strings", where="group.labels")
-        return lambda: (group_from_table(mul, labels=labels), None)
+        return lambda: group_from_table(mul, labels=labels)
     if kind == "permutation":
         degree = _expect(obj, "degree", int, "group")
         gens = _int_rows(_expect(obj, "generators", (list, tuple), "group"), "group.generators")
         _check_degree(degree)
-        return lambda: from_generators(degree, gens, cap=cap)
+        return lambda: from_generators(degree, gens, cap=cap)[0]
     raise ParseError(f"unknown group kind {kind!r}", kind=kind)
 
 
 def group_from_json(obj, cap: Optional[int] = None):
     """Returns (group, evaluation_act_or_None)."""
-    return _group_reader(obj, cap)()
+    group = _group_reader(obj, cap)()
+    return group, group.perms if obj["kind"] == "permutation" else None
 
 
 def group_to_json(group: FiniteGroup) -> dict:
@@ -102,29 +109,32 @@ def group_to_json(group: FiniteGroup) -> dict:
     return doc
 
 
-def action_from_json(obj, cap: Optional[int] = None) -> GroupAction:
-    """The group document and then the action's own keys are checked before
-    the group is built, so a table without ``act``, or an evaluation action
-    over a table-form group, is refused before any closure or Cayley-table
-    check runs."""
+def _action_reader(obj, cap: Optional[int]):
+    """The checked group document, the call that builds its group, and the
+    call that makes the action over a built group."""
     group_doc = _expect(obj, "group", dict, "action")
     build = _group_reader(group_doc, cap)
-    if obj.get("kind") == "evaluation":
+    kind = obj.get("kind", "table")
+    if kind == "evaluation":
         if group_doc["kind"] != "permutation":
-            raise ParseError(
-                "evaluation actions need a permutation-form group", kind="evaluation"
-            )
-        return GroupAction._trusted(*build())
-    act = _int_rows(_expect(obj, "act", (list, tuple), "action"), "action.act")
-    degree = _expect(obj, "degree", int, "action") if "degree" in obj else None
-    if degree is not None and act and len(act[0]) != degree:
-        raise ParseError(
-            f"declared degree {degree} does not match table width {len(act[0])}",
-            degree=degree,
-            width=len(act[0]),
-        )
-    group, _ = build()
-    return validate_action(group, act)
+            raise ParseError("evaluation actions need a permutation-form group", kind=kind)
+        width, make = group_doc["degree"], lambda group: GroupAction._trusted(group, group.perms)
+    elif kind == "table":
+        act = _int_rows(_expect(obj, "act", (list, tuple), "action"), "action.act")
+        width, make = len(act[0]) if act else None, lambda group: validate_action(group, act)
+    else:
+        raise ParseError(f"unknown action kind {kind!r}", kind=kind)
+    degree = _expect(obj, "degree", int, "action") if "degree" in obj else width
+    if width is not None and degree != width:
+        message = f"declared degree {degree} does not match table width {width}"
+        raise ParseError(message, degree=degree, width=width)
+    return group_doc, build, make
+
+
+def action_from_json(obj, cap: Optional[int] = None) -> GroupAction:
+    """The three stages of the module docstring, in order."""
+    _, build, make = _action_reader(obj, cap)
+    return make(build())
 
 
 def action_to_json(action: GroupAction) -> dict:

@@ -14,6 +14,21 @@ from orbitspace.scalars import GaussianRational
 from orbitspace.spaces import PointFunction
 
 
+def count_group_builds(monkeypatch):
+    """A list that gets the name of each jsonio group builder called from now on."""
+    from orbitspace import jsonio
+
+    calls = []
+    for name in ("from_generators", "group_from_table"):
+
+        def counted(*args, name=name, build=getattr(jsonio, name), **kwargs):
+            calls.append(name)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(jsonio, name, counted)
+    return calls
+
+
 def rand_fraction(rng, span=4):
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import count_group_builds
 from orbitspace import cli
 from orbitspace.cli import _COMMANDS, _parse_args, _render, main
 from orbitspace.corpus import corpus_names
@@ -673,6 +674,90 @@ def test_equivalence_unequal_pair(tmp_path, capsys):
     assert main(["equivalence", "--input", str(pa), "--input", str(pb)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"bijection": None, "equivalent": False}
+
+
+def _saved(tmp_path, i, source):
+    """The path of a golden input (a name), a corpus report (name, group) or a document (a dict)."""
+    if isinstance(source, str):
+        return inp(source)
+    path = tmp_path / f"doc{i}.json"
+    if isinstance(source, dict):
+        path.write_text(json.dumps(source))
+    else:
+        name, group = source
+        assert main(["corpus", "build", name, "--param", f"group={group}", "--output", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "reports, builds, report",
+    [
+        (
+            [("conjugation", "s4"), ("coset", "s4")],
+            ["group_from_table"],
+            {"bijection": None, "equivalent": False},
+        ),
+        (["s3_eval.json"] * 2, ["from_generators"], {"bijection": [0, 1, 2], "equivalent": True}),
+        (
+            [
+                "z2_four.json",
+                {
+                    "group": {"kind": "table", "mul": [[0, 1], [1, 0]], "labels": ["e", "a"]},
+                    "act": [[0, 1, 2, 3], [0, 1, 3, 2]],
+                },
+            ],
+            ["group_from_table"] * 2,
+            {"bijection": [2, 3, 0, 1], "equivalent": True},
+        ),
+        (
+            ["s3_conj.json", "s3_eval.json"],
+            ["group_from_table", "from_generators"],
+            {"bijection": None, "equivalent": False},
+        ),
+    ],
+    ids=["equal-tables", "equal-permutations", "labels-differ", "forms-differ"],
+)
+def test_equivalence_builds_one_group_for_equal_group_documents(
+    reports, builds, report, tmp_path, monkeypatch, capsys
+):
+    paths = [_saved(tmp_path, i, source) for i, source in enumerate(reports)]
+    capsys.readouterr()
+    calls = count_group_builds(monkeypatch)
+    code = main(["equivalence", "--input", paths[0], "--input", paths[1]])
+    assert calls == builds
+    assert json.loads(capsys.readouterr().out) == report
+    assert code == 0
+
+
+def test_equivalence_reads_the_second_document_after_the_first_is_built(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"group": {"kind": "words"}, "act": [[0]]}))
+    missing = str(tmp_path / "missing.json")
+    assert main(["equivalence", "--input", str(bad), "--input", missing]) == 3
+    assert json.loads(capsys.readouterr().out)["witness"] == {"kind": "words"}
+
+
+@pytest.mark.parametrize(
+    "mul, act, error",
+    [
+        ([[0, 1], [1, 0]], [[0, 1, 2], [1, 2, 0]], "CompatibilityViolated"),
+        ([[0, True], [1, 0]], [[0, 1], [1, 0]], "ParseError"),
+        ([[0, 1.0], [1, 0]], [[0, 1], [1, 0]], "ParseError"),
+    ],
+    ids=["incompatible-act", "true-for-1", "float-for-1"],
+)
+def test_equivalence_over_an_equal_group_keeps_the_second_documents_error(
+    mul, act, error, tmp_path, capsys
+):
+    """An equal group document is shared only after the second document's
+    shape checks, which refuse true and 1.0 where == would take them for 1."""
+    first = {"group": {"kind": "table", "mul": [[0, 1], [1, 0]]}, "act": [[0, 1], [1, 0]]}
+    second = {"group": {"kind": "table", "mul": mul}, "act": act}
+    paths = [_saved(tmp_path, i, doc) for i, doc in enumerate((first, second))]
+    code = main(["equivalence", "--input", paths[0], "--input", paths[1]])
+    report = capsys.readouterr().out
+    assert (main(["validate", "--input", paths[1]]), capsys.readouterr().out) == (code, report)
+    assert json.loads(report)["error"] == error
 
 
 # ---------------------------------------------------------------------------

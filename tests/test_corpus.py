@@ -164,8 +164,10 @@ def test_order_p_family():
     assert entry.action.degree == 3  # the transpositions
     cubes = build("order_p", group="s3", p=3)
     assert cubes.action.degree == 2  # the two 3-cycles
-    with pytest.raises(ParamOutOfRange):
+    assert build("order_p", group="s3", p=1).action.degree == 1  # the identity
+    with pytest.raises(ParamOutOfRange) as info:  # in range, but no element has that order
         build("order_p", group="s3", p=5)
+    assert info.value.witness == {"order": 6, "p": 5}
 
 
 def test_gl_family():
@@ -436,6 +438,9 @@ def test_sizes_past_the_corpus_limit_are_refused_before_construction(
         ("trivial", {"group": "c5040", "n": 0}, {"n": 0}),
         ("sylow", {"group": "c5040", "p": 5041}, {"p": 5041, "limit": 5040}),
         ("sylow", {"group": "c5040", "p": 4}, {"p": 4}),
+        ("order_p", {"group": "c5040", "p": 0}, {"p": 0}),
+        ("order_p", {"group": "c5040", "p": -3}, {"p": -3}),
+        ("order_p", {"group": "c5040", "p": 6000}, {"p": 6000, "limit": 5040}),
     ],
 )
 def test_parameter_refusals_build_no_group(name, params, witness, monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import count_group_builds
 from orbitspace import cli
 from orbitspace.actions import Partition, trivial_action
 from orbitspace.corpus import build, corpus_names
@@ -280,21 +281,7 @@ def test_group_permutation_respects_cap():
 )
 @pytest.mark.parametrize("kind", ["permutation", "table"])
 def test_action_keys_are_refused_before_the_group_is_built(kind, keys, witness, monkeypatch):
-    from orbitspace import jsonio
-
-    calls = []
-
-    def count(name):
-        build = getattr(jsonio, name)
-
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(jsonio, name, counted)
-
-    count("from_generators")
-    count("group_from_table")
+    calls = count_group_builds(monkeypatch)
     if kind == "permutation":
         group = {"kind": "permutation", "degree": 2, "generators": [[1, 0]]}
     else:
@@ -310,6 +297,45 @@ def test_action_keys_are_refused_before_the_group_is_built(kind, keys, witness, 
 
 S3_PERMUTATIONS = {"kind": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
 C2_TABLE = {"kind": "table", "mul": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("kind", ["bogus", 1, None, True, "Evaluation", ["table"]])
+def test_an_unknown_action_kind_is_refused_before_the_group_is_built(kind, monkeypatch):
+    calls = count_group_builds(monkeypatch)
+    act = [[0, 1], [1, 0]]
+    with pytest.raises(ParseError, match="unknown action kind") as exc:
+        action_from_json({"kind": kind, "group": C2_TABLE, "act": act})
+    assert exc.value.witness == {"kind": kind}
+    # the group document's shape is checked first
+    with pytest.raises(ParseError) as exc:
+        action_from_json({"kind": kind, "group": {"kind": "table", "mul": [[0, True]]}, "act": act})
+    assert exc.value.witness == {"where": "group.mul[0]"}
+    assert calls == []
+    for known in ({}, {"kind": "table"}):
+        assert action_from_json({**known, "group": C2_TABLE, "act": act}).degree == 2
+
+
+@pytest.mark.parametrize(
+    "degree, witness",
+    [
+        (5, {"degree": 5, "width": 3}),
+        (2, {"degree": 2, "width": 3}),
+        ("3", {"where": "action", "key": "degree"}),
+        (True, {"where": "action", "key": "degree"}),
+        (3.0, {"where": "action", "key": "degree"}),
+    ],
+)
+def test_an_evaluation_action_checks_its_declared_degree(degree, witness, monkeypatch):
+    calls = count_group_builds(monkeypatch)
+    doc = {"kind": "evaluation", "group": S3_PERMUTATIONS}
+    with pytest.raises(ParseError) as exc:
+        action_from_json({**doc, "degree": degree})
+    assert exc.value.witness == witness
+    if "width" in witness:
+        assert str(exc.value) == f"declared degree {degree} does not match table width 3"
+    assert calls == []
+    assert action_from_json({**doc, "degree": 3}).degree == 3
+    assert calls == ["from_generators"]
 
 
 def test_a_table_form_action_document_never_reaches_trusted(monkeypatch):
