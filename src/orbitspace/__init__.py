@@ -19,25 +19,25 @@ _EXPORTS = {
     "GroupAction": "actions",
     "Partition": "actions",
     "are_equivalent": "actions",
-    "conjugation_action": "actions",
-    "coset_action": "actions",
-    "translation_action": "actions",
-    "trivial_action": "actions",
     "validate_action": "actions",
     "CorpusEntry": "corpus",
     "NON_FREE_FAMILIES": "corpus",
+    "automorphism_group": "corpus",
     "build": "corpus",
+    "conjugation_action": "corpus",
     "corpus_names": "corpus",
+    "coset_action": "corpus",
+    "cyclic_group": "corpus",
     "default_entries": "corpus",
+    "direct_product": "corpus",
     "group_by_name": "corpus",
     "small_group_catalog": "corpus",
+    "translation_action": "corpus",
+    "trivial_action": "corpus",
     "OrbitspaceError": "errors",
     "DEFAULT_CLOSURE_CAP": "groups",
     "FiniteGroup": "groups",
     "Subgroup": "groups",
-    "automorphism_group": "groups",
-    "cyclic_group": "groups",
-    "direct_product": "groups",
     "from_generators": "groups",
     "group_from_table": "groups",
     "whole_group": "groups",

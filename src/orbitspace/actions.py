@@ -12,16 +12,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import (
-    CompatibilityViolated,
-    GroupMismatch,
-    IdentityAxiomViolated,
-    InvariantViolated,
-    NotAnInteger,
-    NotFree,
-)
-from .groups import FiniteGroup, Subgroup, _bad_entry, _broken_product, _closure
-from .groups import _extend_rows, whole_group
+from .errors import GroupMismatch, InvariantViolated, NotAnInteger, NotFree
+from .groups import FiniteGroup, Subgroup, _closure, whole_group
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -88,47 +80,28 @@ class Partition:
 class GroupAction:
     """A finite group acting on points 0..degree-1 via a full table.
 
-    The constructor runs the cheap axioms (every row a permutation of int
-    points, identity row); use ``validate_action`` for untrusted tables,
-    which adds compatibility, act[ab][x] = act[a][act[b][x]], checked on
-    generators. A row that is not a permutation is reported at its first
-    problem, rows in order: its wrong length, or the first entry that is not
-    an int point or that repeats an image earlier in its row.
+    The constructor runs the cheap axioms of ``tables.action_rows`` (every
+    row a permutation of int points, identity row); use ``validate_action``
+    for untrusted tables, which adds compatibility, act[ab][x] =
+    act[a][act[b][x]], checked on generators. A row that is not a
+    permutation is reported at its first problem, rows in order: its wrong
+    length, or the first entry that is not an int point or that repeats an
+    image earlier in its row.
     """
 
     __slots__ = ("group", "degree", "act", "_orbits")
 
     def __init__(self, group: FiniteGroup, act: Sequence[Sequence[int]]):
-        self.group = group
-        self.act = tuple(map(tuple, act))
-        if len(self.act) != group.order:
-            raise CompatibilityViolated(
-                f"action table has {len(self.act)} rows, group order is {group.order}",
-                rows=len(self.act),
-                order=group.order,
-            )
-        if not self.act or not self.act[0]:
-            raise IdentityAxiomViolated("point set must be nonempty", degree=0)
+        from .tables import action_rows
+
+        self.group, self.act, self._orbits = group, action_rows(group, act), None
         self.degree = len(self.act[0])
-        bad = _bad_entry(self.act, self.degree)
-        if bad is not None:
-            a, x, v, repeat = bad
-            if x is None:
-                raise CompatibilityViolated(
-                    f"row {a} has length {v}, expected {self.degree}", a=a
-                )
-            problem = "repeats an image" if repeat else f"is not a point 0..{self.degree - 1}"
-            raise CompatibilityViolated(f"act[{a}][{x}] = {v!r} {problem}", a=a, point=x, value=v)
-        row = self.act[group.identity]
-        if row != tuple(range(self.degree)):
-            x = next(x for x, y in enumerate(row) if x != y)
-            raise IdentityAxiomViolated(f"identity moves point {x}", point=x)
-        self._orbits = None
 
     @classmethod
     def _trusted(cls, group: FiniteGroup, act: tuple) -> "GroupAction":
-        """Rows known to be permutations of 0..n-1, the identity's range(n), unscanned; each
-        call site says why (``from_generators`` and ``_extend_rows``: they compose checked ones)."""
+        """Rows known to be permutations of 0..n-1, the identity's range(n), unscanned:
+        ``from_generators`` and ``_extend_rows`` rows compose checked ones, and
+        each of ``corpus``'s other tables says why at its call."""
         action = cls.__new__(cls)
         action.group, action.act, action.degree, action._orbits = group, act, len(act[0]), None
         return action
@@ -301,61 +274,13 @@ def _require_same_group(g1: FiniteGroup, g2: FiniteGroup, message: str):
 
 
 def validate_action(group: FiniteGroup, act: Sequence[Sequence[int]]) -> GroupAction:
-    """Full validation of an untrusted table: cheap axioms plus compatibility.
+    """Full validation of an untrusted table: the cheap axioms of ``GroupAction``
+    plus compatibility, checked on generators by ``tables.check_compatible``."""
+    from .tables import check_compatible
 
-    Compatibility act[ab] = act[a] o act[b] is checked for every a and every
-    b = s in a generating set S: O(m |S| n) steps instead of O(m^2 n). That
-    is exact, because the group is associative and act[e] is the identity:
-    if it holds for b = w and for every generator s, then
-    act[a(ws)] = act[(aw)s] = act[aw] o act[s] = act[a] o act[w] o act[s]
-    = act[a] o act[ws], and every b is a word in S. A failure names a
-    failing (a, b, point), from ``groups._broken_product``.
-    """
     action = GroupAction(group, act)
-    broken = _broken_product(group, action.act)
-    if broken is not None:
-        a, s, x = broken
-        raise CompatibilityViolated(
-            f"act[{a}*{s}][{x}] != act[{a}][act[{s}][{x}]]", a=a, b=s, point=x
-        )
+    check_compatible(group, action.act)
     return action
-
-
-def trivial_action(group: FiniteGroup, degree: int) -> GroupAction:
-    if degree < 1:
-        raise IdentityAxiomViolated("point set must be nonempty", degree=0)
-    return GroupAction._trusted(group, (tuple(range(degree)),) * group.order)  # identity rows
-
-
-def conjugation_action(group: FiniteGroup) -> GroupAction:
-    """The group acting on its own elements by a.x = a x a^-1."""
-    elements = group.elements()
-    act = _extend_rows(  # x -> s x s^-1 is a bijection, undone by s^-1
-        group, group.order, lambda s: [group.conjugate(s, x) for x in elements]
-    )
-    return GroupAction._trusted(group, act)
-
-
-def translation_action(group: FiniteGroup) -> GroupAction:
-    """The group acting on itself by left multiplication (always free and transitive)."""
-    return GroupAction._trusted(group, group.mul_table)  # Cayley rows: left-regular perms
-
-
-def coset_action(group: FiniteGroup, h: Subgroup) -> GroupAction:
-    """Left multiplication on the cosets xH; points ordered by smallest member."""
-    _require_same_group(h.parent, group, "subgroup belongs to a different group")
-    # scanning upward, the first element not yet placed is the smallest of its coset
-    coset_of = [None] * group.order
-    reps = []
-    for x in group.elements():
-        if coset_of[x] is None:
-            for y in h.members:
-                coset_of[group.mul(x, y)] = len(reps)
-            reps.append(x)
-    act = _extend_rows(  # xH -> sxH is a bijection of the cosets, undone by s^-1
-        group, len(reps), lambda s: [coset_of[group.mul(s, x)] for x in reps]
-    )
-    return GroupAction._trusted(group, act)
 
 
 def are_equivalent(a1: GroupAction, a2: GroupAction) -> Optional[list]:

@@ -82,7 +82,9 @@ def _write(value, newline: str, strs: _Memo):
     json's indenting encoder is pure Python, element by element (only
     ``indent=None`` reaches the C encoder). Here a list of plain ints, or of
     ``[str, str]`` pairs, is one C-level join and one piece; ``strs`` renders
-    each distinct int of the report once. Keys and pair
+    each distinct int of the report once. In any other list, an item that is
+    the object just before it, and whose text was one piece, reuses that
+    text: the memo holds one row's text at most. Keys and pair
     strings go through json's own ``encode_basestring_ascii``, other scalars
     through ``json.dumps``.
     """
@@ -118,11 +120,21 @@ def _write(value, newline: str, strs: _Memo):
             pairs = map(pair.format, flat[::2], flat[1::2])
             yield "[" + inner + ("," + inner).join(pairs) + newline + "]"
             return
-        sep = "[" + inner
+        sep, last, text = "[" + inner, None, None
         for item in value:
             yield sep
-            yield from _write(item, inner, strs)
             sep = "," + inner
+            if last is not None and item is last:  # one row repeated, as in a trivial action
+                yield text
+                continue
+            pieces = _write(item, inner, strs)
+            text = next(pieces)
+            rest = next(pieces, None)
+            last = item if rest is None else None
+            yield text
+            if rest is not None:
+                yield rest
+                yield from pieces
         yield newline + "]"
     else:
         yield json.dumps(value)

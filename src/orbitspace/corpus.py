@@ -5,27 +5,23 @@ it (freeness, transitivity, orbit count where determined), so tests, docs,
 and the CLI share one source of ready-made inputs. The eight families
 documented as never free at default parameters are listed in
 ``NON_FREE_FAMILIES``; the divisibility diagnostic (group order versus point
-count) is reported alongside each entry.
+count) is reported alongside each entry. The constructors that no analysis
+command runs live here too, so that no such command compiles them:
+``cyclic_group``, ``direct_product``, ``automorphism_group`` and the
+conjugation, coset, translation and trivial actions.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import prod
-from typing import Dict, List, NamedTuple
+from math import factorial, prod
+from typing import Dict, List, NamedTuple, Sequence
 
-from .actions import GroupAction, conjugation_action, coset_action, translation_action, trivial_action
-from .errors import InvariantViolated, ParamOutOfRange, ParseError, UnknownCorpusName
-from .groups import (
-    FiniteGroup,
-    _closure,
-    _extend_rows,
-    compose,
-    cyclic_group,
-    direct_product,
-    from_generators,
-    group_from_table,
-)
+from .actions import GroupAction, _require_same_group
+from .errors import IdentityAxiomViolated, InvariantViolated, NoIdentity, ParamOutOfRange
+from .errors import ParseError, UnknownCorpusName
+from .groups import FiniteGroup, Subgroup, _closure, _extend_rows, _generating_set, compose
+from .groups import from_generators, group_from_table
 
 # The largest group order, or point count, a corpus entry is built for: the
 # desk scale, and the order of S7, the largest symmetric family member.
@@ -71,6 +67,142 @@ NON_FREE_FAMILIES = (
     "subset_action",
     "two_sided",
 )
+
+
+# ---------------------------------------------------------------------------
+# constructors that no analysis command runs
+
+
+def cyclic_group(n: int) -> FiniteGroup:
+    """Z_n with additive notation; element k is the residue k."""
+    if n < 1:
+        raise NoIdentity(f"order must be positive, got {n}")
+    residues = tuple(range(n))  # row a is them rotated by a, sharing their int objects
+    mul = [residues[a:] + residues[:a] for a in range(n)]
+    inv = [(-a) % n for a in range(n)]
+    return FiniteGroup.from_cayley_rows(
+        mul, 0, inv, labels=[str(a) for a in range(n)], generators=[1] if n > 1 else []
+    )
+
+
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
+    """G x H with element (a, b) encoded as a*|H| + b.
+
+    Element (a, b) carries g's permutation of a followed by h's permutation
+    of b, shifted past it, so the product is backed by permutations like a
+    closure, with generators (s, e) and (e, t), and builds its Cayley table
+    on demand.
+    """
+    mh = h.order
+    shift = len(g.perms[0])
+    h_perms = [tuple([x + shift for x in q]) for q in h.perms]
+    perms = [p + q for p in g.perms for q in h_perms]
+    labels = (f"({g.label(a)},{h.label(b)})" for a in range(g.order) for b in range(mh))
+    gens = [s * mh + h.identity for s in g.generators]
+    gens += [g.identity * mh + t for t in h.generators]
+    return FiniteGroup(
+        perms, g.identity * mh + h.identity, labels=labels, generators=sorted(gens)
+    )
+
+
+def _extend_hom(g: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
+    """Extend gen -> image to an automorphism, or return None.
+
+    The pairs (s, image of s) generate a subgroup of G x G. When the gens
+    generate G, its first coordinates cover G, so it is the graph of a
+    function (then a homomorphism) exactly when it has at most |G| pairs.
+    The map is returned when it is also a bijection.
+    """
+    mul = g.mul_table
+    pairs = _closure(
+        (g.identity, g.identity),
+        list(zip(gens, images)),
+        lambda p, s: (mul[p[0]][s[0]], mul[p[1]][s[1]]),
+        g.order,
+    )
+    if pairs is None:
+        return None
+    hom = dict(pairs)
+    if len(hom) != g.order:
+        return None
+    images_full = [hom[a] for a in range(g.order)]
+    if len(set(images_full)) != g.order:
+        return None
+    return tuple(images_full)
+
+
+def automorphism_group(g: FiniteGroup) -> list:
+    """All automorphisms of g, as permutations of element indices.
+
+    Candidate images of a small generating set are filtered by element
+    order, extended to full maps by closure, and finally verified with
+    ``is_automorphism``. Sorted for determinism; the identity map is always
+    present.
+    """
+    gens = _generating_set(g)
+    if not gens:
+        return [tuple(range(g.order))]
+    orders = [g.element_order(a) for a in range(g.order)]
+    candidates_per_gen = [
+        [b for b in range(g.order) if orders[b] == orders[a]] for a in gens
+    ]
+    auts = set()
+
+    def assign(i, images):
+        if i == len(gens):
+            full = _extend_hom(g, gens, images)
+            if full is not None and g.is_automorphism(full):
+                auts.add(full)
+            return
+        for b in candidates_per_gen[i]:
+            assign(i + 1, images + [b])
+
+    assign(0, [])
+    identity_map = tuple(range(g.order))
+    if identity_map not in auts:
+        raise InvariantViolated(
+            "extending each generator to itself did not give an automorphism",
+            _extend_hom(g, gens, gens),
+            identity_map,
+        )
+    return sorted(auts)
+
+
+def trivial_action(group: FiniteGroup, degree: int) -> GroupAction:
+    if degree < 1:
+        raise IdentityAxiomViolated("point set must be nonempty", degree=0)
+    return GroupAction._trusted(group, (tuple(range(degree)),) * group.order)  # identity rows
+
+
+def conjugation_action(group: FiniteGroup) -> GroupAction:
+    """The group acting on its own elements by a.x = a x a^-1."""
+    elements = group.elements()
+    act = _extend_rows(  # x -> s x s^-1 is a bijection, undone by s^-1
+        group, group.order, lambda s: [group.conjugate(s, x) for x in elements]
+    )
+    return GroupAction._trusted(group, act)
+
+
+def translation_action(group: FiniteGroup) -> GroupAction:
+    """The group acting on itself by left multiplication (always free and transitive)."""
+    return GroupAction._trusted(group, group.mul_table)  # Cayley rows: left-regular perms
+
+
+def coset_action(group: FiniteGroup, h: Subgroup) -> GroupAction:
+    """Left multiplication on the cosets xH; points ordered by smallest member."""
+    _require_same_group(h.parent, group, "subgroup belongs to a different group")
+    # scanning upward, the first element not yet placed is the smallest of its coset
+    coset_of = [None] * group.order
+    reps = []
+    for x in group.elements():
+        if coset_of[x] is None:
+            for y in h.members:
+                coset_of[group.mul(x, y)] = len(reps)
+            reps.append(x)
+    act = _extend_rows(  # xH -> sxH is a bijection of the cosets, undone by s^-1
+        group, len(reps), lambda s: [coset_of[group.mul(s, x)] for x in reps]
+    )
+    return GroupAction._trusted(group, act)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +308,35 @@ def _family(name: str):
     return prefix, n
 
 
+_FIXED_ORDERS = {"v4": 4, "q8": 8, "dic3": 12}
+
+
+def _order_of(name: str) -> int:
+    """The order of ``group_by_name(name)``, from the name alone. It refuses
+    what ``group_by_name`` refuses, in the same order, but builds nothing."""
+    key = name.strip().lower()
+    if "x" in key:
+        order = prod(map(_order_of, key.split("x")))
+        _within_limit("order", name=name, order=order)
+        return order
+    if key in _FIXED_ORDERS:
+        return _FIXED_ORDERS[key]
+    family = _family(name)
+    if family is None:
+        raise ParamOutOfRange(f"unknown group name {name!r}", name=name)
+    prefix, n = family
+    if prefix in "sa":
+        return max(1, factorial(n) // (2 if prefix == "a" else 1))
+    return 2 * n if prefix == "d" and n > 2 else n
+
+
 def group_by_name(name: str) -> FiniteGroup:
     """Resolve a short group name: c<n>, s<n>, a<n>, d<n>, v4, q8, dic3,
     and x-separated direct products of those (e.g. c2xc4)."""
     key = name.strip().lower()
     if "x" in key:
+        _order_of(name)  # every factor named, and the product sized, before one is built
         parts = [group_by_name(part) for part in key.split("x")]
-        order = prod(part.order for part in parts)
-        _within_limit("order", name=name, order=order)
         out = parts[0]
         for part in parts[1:]:
             out = direct_product(out, part)
@@ -465,10 +618,11 @@ def _build_subset_action(base: str = "s3") -> CorpusEntry:
 
 
 def _build_two_sided(group: str = "c2") -> CorpusEntry:
-    g = group_by_name(group)
-    if g.order < 2:
+    order = _order_of(group)
+    if order < 2:
         raise ParamOutOfRange("two-sided family needs a group of order >= 2", group=group)
-    _within_limit("order", group=group, order=g.order**2)
+    _within_limit("order", group=group, order=order**2)
+    g = group_by_name(group)
     gg = direct_product(g, g)
     # (a, b).x = (a x) b^-1: column b^-1 read through row a. _extend_rows on
     # G x G would take lazy products, and the report then builds its table.

@@ -23,16 +23,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    InvariantViolated,
-    NoIdentity,
-    NoInverse,
-    NotAPermutation,
-    NotAssociative,
-    NotLatinSquare,
-    ParseError,
-    SizeLimitExceeded,
-)
+from .errors import InvariantViolated, NotAPermutation, ParseError, SizeLimitExceeded
 
 Perm = tuple  # image array in one-line notation, 0-based
 
@@ -358,99 +349,11 @@ def whole_group(g: FiniteGroup) -> Subgroup:
 
 
 def group_from_table(mul_table, labels=None) -> FiniteGroup:
-    """Validate a Cayley table and derive identity and inverses.
+    """Validate a Cayley table and derive identity and inverses: the checks
+    and their proofs are ``tables.checked_group``, which only table input loads."""
+    from .tables import checked_group
 
-    Checks, in order: every row a permutation of 0..m-1 of ints, a
-    two-sided identity, two-sided inverses, the label count and
-    associativity. Each failure names the first offending entry, element or
-    triple. Columns are read only when a later check fails: rows that pass
-    all of these make a group, whose columns are permutations too (x*a = b
-    has the one solution b*a^-1). A column that repeats a value is then
-    reported as ``NotLatinSquare`` in place of the later failure, so that a
-    table that is not a Latin square is always refused as one.
-
-    Associativity is checked on a generating set S only (Light's test):
-    (a*s)*c = a*(s*c) for every a, c and every s in S, which is O(m^2 |S|)
-    steps instead of O(m^3). The elements s that pass for all a and c are
-    closed under products, since (a*(st))*c = ((a*s)*t)*c = (a*s)*(t*c)
-    = a*(s*(t*c)) = a*((s*t)*c), and ``_generating_set`` stops once the
-    left-associated words (...(s1*s2)*...)*sk reach every element. S is
-    the group's ``generators``, and the test is ``_broken_product``: row a*s
-    is row a composed with row s, the law of the left-regular action.
-
-    ``_generating_set`` also stops at a step that does not double the words
-    reached, so a table that is no group costs O(log m) closures there. If
-    every s in S passed, the words before and after that step would be
-    groups: closed and associative as above, finite, and left-cancellative
-    since rows are permutations. A group properly inside another is at most half
-    its size, so some s in S fails. The first failing triple is the one the
-    full greedy set would give, since that set begins with S.
-    """
-    rows = [tuple(row) for row in mul_table]
-    m = len(rows)
-    if m == 0:
-        raise NoIdentity("empty multiplication table")
-    bad = _bad_entry(rows, m)
-    if bad is not None:
-        i, j, v, repeat = bad
-        if j is None:
-            raise NotLatinSquare(f"row {i} has length {v}, expected {m}", row=i, length=v)
-        if repeat:
-            raise NotLatinSquare(f"value {v} repeats in row {i}", row=i, value=v)
-        raise NotLatinSquare(
-            f"entry ({i},{j}) = {v!r} out of range 0..{m - 1}", row=i, col=j, value=v
-        )
-
-    try:
-        points = tuple(range(m))
-        left = (e for e in points if rows[e] == points)
-        identity = next((e for e in left if all(rows[a][e] == a for a in points)), None)
-        if identity is None:
-            raise NoIdentity("no two-sided identity element")
-
-        inv = [None] * m
-        for a in range(m):
-            b = rows[a].index(identity)
-            if rows[b][a] != identity:
-                raise NoInverse(f"element {a} has no two-sided inverse", element=a)
-            inv[a] = b
-        if labels is not None and len(labels) != m:
-            raise NotLatinSquare(f"{len(labels)} labels for {m} elements", labels=len(labels))
-
-        group = FiniteGroup.from_cayley_rows(rows, identity, inv, labels=labels)
-        broken = _broken_product(group, rows)
-        if broken is not None:
-            a, s, c = broken
-            raise NotAssociative(f"({a}*{s})*{c} != {a}*({s}*{c})", a=a, b=s, c=c)
-    except (NoIdentity, NoInverse, NotLatinSquare, NotAssociative) as exc:
-        raise _or_column_repeat(rows, exc) from None
-    return group
-
-
-def _or_column_repeat(rows, error: Exception) -> Exception:
-    """The first column repeat of ``rows``, as ``NotLatinSquare``, else ``error``.
-    The rows are permutations of 0..m-1 of ints, so a column can fail only by
-    a repeat."""
-    bad = _bad_entry(tuple(zip(*rows)), len(rows))
-    if bad is None:
-        return error
-    j, _, v, _ = bad
-    return NotLatinSquare(f"value {v} repeats in column {j}", col=j, value=v)
-
-
-def _broken_product(group: FiniteGroup, table) -> Optional[tuple]:
-    """The first (a, s, x), s over the generators and then a over the elements,
-    with table[a*s][x] != table[a][table[s][x]], or None: the action law of
-    ``table`` on generators, one ``compose`` per (a, s)."""
-    for s in group.generators:
-        row_s = table[s]
-        for a in range(group.order):
-            row_a = table[a]
-            row_as = table[group.mul(a, s)]
-            if row_as != compose(row_a, row_s):
-                x = next(x for x in range(len(row_s)) if row_as[x] != row_a[row_s[x]])
-                return a, s, x
-    return None
+    return checked_group(mul_table, labels)
 
 
 def _are_permutations(rows, n: int) -> bool:
@@ -572,38 +475,6 @@ def _extend_rows(group: FiniteGroup, degree: int, row_of) -> tuple:
     return tuple(rows)
 
 
-def cyclic_group(n: int) -> FiniteGroup:
-    """Z_n with additive notation; element k is the residue k."""
-    if n < 1:
-        raise NoIdentity(f"order must be positive, got {n}")
-    residues = tuple(range(n))  # row a is them rotated by a, sharing their int objects
-    mul = [residues[a:] + residues[:a] for a in range(n)]
-    inv = [(-a) % n for a in range(n)]
-    return FiniteGroup.from_cayley_rows(
-        mul, 0, inv, labels=[str(a) for a in range(n)], generators=[1] if n > 1 else []
-    )
-
-
-def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """G x H with element (a, b) encoded as a*|H| + b.
-
-    Element (a, b) carries g's permutation of a followed by h's permutation
-    of b, shifted past it, so the product is backed by permutations like a
-    closure, with generators (s, e) and (e, t), and builds its Cayley table
-    on demand.
-    """
-    mh = h.order
-    shift = len(g.perms[0])
-    h_perms = [tuple([x + shift for x in q]) for q in h.perms]
-    perms = [p + q for p in g.perms for q in h_perms]
-    labels = (f"({g.label(a)},{h.label(b)})" for a in range(g.order) for b in range(mh))
-    gens = [s * mh + h.identity for s in g.generators]
-    gens += [g.identity * mh + t for t in h.generators]
-    return FiniteGroup(
-        perms, g.identity * mh + h.identity, labels=labels, generators=sorted(gens)
-    )
-
-
 def _generating_set(g: FiniteGroup) -> list:
     """Greedy small generating set (empty for the trivial group).
 
@@ -611,7 +482,7 @@ def _generating_set(g: FiniteGroup) -> list:
     so there are at most log2 |G| of them. The loop also stops at a step
     that does not double them. That happens only when ``g`` is a table under
     validation that is no group, where the set could otherwise grow one
-    element at a time, at some |G|^3/3 products; ``group_from_table``
+    element at a time, at some |G|^3/3 products; ``tables.checked_group``
     explains why Light's test then fails on the set as it stands.
     """
     gens = []
@@ -624,66 +495,3 @@ def _generating_set(g: FiniteGroup) -> list:
             if members.is_whole_group() or members.order < 2 * reached:
                 break
     return gens
-
-
-def _extend_hom(g: FiniteGroup, gens: Sequence[int], images: Sequence[int]):
-    """Extend gen -> image to an automorphism, or return None.
-
-    The pairs (s, image of s) generate a subgroup of G x G. When the gens
-    generate G, its first coordinates cover G, so it is the graph of a
-    function (then a homomorphism) exactly when it has at most |G| pairs.
-    The map is returned when it is also a bijection.
-    """
-    mul = g.mul_table
-    pairs = _closure(
-        (g.identity, g.identity),
-        list(zip(gens, images)),
-        lambda p, s: (mul[p[0]][s[0]], mul[p[1]][s[1]]),
-        g.order,
-    )
-    if pairs is None:
-        return None
-    hom = dict(pairs)
-    if len(hom) != g.order:
-        return None
-    images_full = [hom[a] for a in range(g.order)]
-    if len(set(images_full)) != g.order:
-        return None
-    return tuple(images_full)
-
-
-def automorphism_group(g: FiniteGroup) -> list:
-    """All automorphisms of g, as permutations of element indices.
-
-    Candidate images of a small generating set are filtered by element
-    order, extended to full maps by closure, and finally verified with
-    ``is_automorphism``. Sorted for determinism; the identity map is always
-    present.
-    """
-    gens = _generating_set(g)
-    if not gens:
-        return [tuple(range(g.order))]
-    orders = [g.element_order(a) for a in range(g.order)]
-    candidates_per_gen = [
-        [b for b in range(g.order) if orders[b] == orders[a]] for a in gens
-    ]
-    auts = set()
-
-    def assign(i, images):
-        if i == len(gens):
-            full = _extend_hom(g, gens, images)
-            if full is not None and g.is_automorphism(full):
-                auts.add(full)
-            return
-        for b in candidates_per_gen[i]:
-            assign(i + 1, images + [b])
-
-    assign(0, [])
-    identity_map = tuple(range(g.order))
-    if identity_map not in auts:
-        raise InvariantViolated(
-            "extending each generator to itself did not give an automorphism",
-            _extend_hom(g, gens, gens),
-            identity_map,
-        )
-    return sorted(auts)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import strategies as st
 
 from orbitspace import groups
-from orbitspace.actions import GroupAction, coset_action
+from orbitspace import coset_action
+from orbitspace.actions import GroupAction
 from orbitspace.groups import compose, from_generators, group_from_table
 from orbitspace.scalars import GaussianRational
 from orbitspace.spaces import PointFunction

@@ -17,20 +17,15 @@ from helpers import (
     rand_subgroup,
     scalar_rank,
 )
-from orbitspace.actions import (
-    GroupAction,
-    Partition,
-    are_equivalent,
-    conjugation_action,
-    trivial_action,
-)
+from orbitspace import conjugation_action, cyclic_group, trivial_action
+from orbitspace.actions import GroupAction, Partition, are_equivalent
 from orbitspace.corpus import (
     NON_FREE_FAMILIES,
     build,
     default_entries,
     small_group_catalog,
 )
-from orbitspace.groups import cyclic_group, from_generators
+from orbitspace.groups import from_generators
 from orbitspace.partitions import (
     group_from_partition,
     preserves_cells,
@@ -282,7 +277,7 @@ def test_criterion_8_equivalence_and_dimension_laws():
 
 @criterion(9, "automorphism fixed points never exceed |A| |G| on all groups of order at most 12")
 def test_criterion_9_automorphism_bound():
-    from orbitspace.groups import automorphism_group
+    from orbitspace import automorphism_group
 
     catalog = small_group_catalog(12)
     assert len(catalog) == 24

@@ -772,6 +772,8 @@ ACTION_LAYERS = [
     "orbitspace.groups",
     "orbitspace.jsonio",
 ]
+# table-form documents also load the checks of untrusted tables
+TABLE_LAYERS = sorted(ACTION_LAYERS + ["orbitspace.tables"])
 CLI_ONLY = ["orbitspace", "orbitspace.cli", "orbitspace.errors"]
 # stdlib modules that no command needs at start-up, and fractions
 STARTUP = ("argparse", "dataclasses", "gettext", "inspect", "locale")
@@ -815,17 +817,48 @@ def loaded_by_command(argv, exit_code=0, clean=False):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["orbits", "--input", inp("s3_conj.json")],
-        pytest.param(["dimension", "--input", inp("s3_conj.json")], id="dimension-whole-group"),
-        ["dimension", "--input", inp("s3_conj.json"), "--subgroup", "2"],
-        ["free-check", "--input", inp("s3_conj.json")],
+        ["orbits", "--input", inp("s3_eval.json")],
+        pytest.param(["dimension", "--input", inp("s3_eval.json")], id="dimension-whole-group"),
+        ["dimension", "--input", inp("s3_eval.json"), "--subgroup", "1"],
+        ["free-check", "--input", inp("s3_eval.json")],
         ["validate", "--input", inp("s3_eval.json")],
-        ["equivalence", "--input", inp("z2_four.json"), "--input", inp("z2_relabeled.json")],
+        ["equivalence", "--input", inp("s3_eval.json"), "--input", inp("s3_eval.json")],
     ],
     ids=lambda argv: argv[0],
 )
 def test_action_commands_load_only_the_action_layers(argv):
+    """Evaluation documents: a closure and its own rows, no table checks, no corpus."""
     assert loaded_by_command(argv) == ACTION_LAYERS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbits", "--input", inp("s3_conj.json")],
+        ["dimension", "--input", inp("s3_conj.json"), "--subgroup", "2"],
+        ["free-check", "--input", inp("s3_conj.json")],
+        ["validate", "--input", inp("z2_four.json")],
+        ["equivalence", "--input", inp("z2_four.json"), "--input", inp("z2_relabeled.json")],
+        ["equivalence", "--input", inp("s3_conj.json"), "--input", inp("s3_eval.json")],
+    ],
+    ids=["orbits", "dimension", "free-check", "validate", "equivalence", "equivalence-mixed"],
+)
+def test_table_documents_load_the_table_checks_too(argv):
+    assert loaded_by_command(argv) == TABLE_LAYERS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fourier", "--input", inp("z4_translation.json"), "--function", inp("f_delta.json")],
+        ["decompose", "--input", inp("z2_four.json"), "--function", inp("f_mixed.json")],
+        ["from-partition", "--input", inp("partition.json")],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_analysis_commands_load_no_corpus(argv):
+    loaded = loaded_by_command(argv)
+    assert "orbitspace.jsonio" in loaded and "orbitspace.corpus" not in loaded
 
 
 @pytest.mark.parametrize("command", ["orbits", "dimension"])
@@ -912,7 +945,7 @@ def test_help_and_usage_errors_load_no_layer(argv, exit_code):
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (["orbits", "--input", inp("s3_conj.json")], ACTION_LAYERS),
+        (["orbits", "--input", inp("s3_conj.json")], TABLE_LAYERS),
         (["corpus", "list"], CLI_ONLY),
     ],
     ids=["orbits", "corpus-list"],
@@ -989,6 +1022,12 @@ def json_documents():
         st.lists(st.lists(st.integers(-2, 300), max_size=8), max_size=5),
         st.lists(st.lists(st.sampled_from([0, 1, -1, 300, True, False]), max_size=4)),
         st.lists(st.lists(st.integers(-2, 300)).map(tuple), max_size=5).map(tuple),
+        # one row object repeated, beside equal copies of it, and at two indents
+        st.lists(st.one_of(st.integers(-2, 300), st.booleans()), max_size=6).flatmap(
+            lambda row: st.lists(
+                st.sampled_from([row, list(row), tuple(row), [row, row], None]), max_size=8
+            )
+        ),
         st.lists(st.booleans()),
         st.lists(st.one_of(st.integers(), st.booleans())),
         st.lists(st.tuples(strings, strings).map(list)),  # a function's values

@@ -272,7 +272,8 @@ def test_small_group_catalog_tables_are_valid():
 def test_automorphisms_of_catalog_groups_form_groups():
     # the automorphism set of each catalog group is closed under
     # composition and inversion and contains the identity map
-    from orbitspace.groups import automorphism_group, compose, invert_perm
+    from orbitspace import automorphism_group
+    from orbitspace.groups import compose, invert_perm
 
     for name, g in small_group_catalog():
         auts = set(automorphism_group(g))
@@ -441,6 +442,13 @@ def test_sizes_past_the_corpus_limit_are_refused_before_construction(
         ("order_p", {"group": "c5040", "p": 0}, {"p": 0}),
         ("order_p", {"group": "c5040", "p": -3}, {"p": -3}),
         ("order_p", {"group": "c5040", "p": 6000}, {"p": 6000, "limit": 5040}),
+        ("conjugation", {"group": "c5040xc2"}, {"name": "c5040xc2", "order": 10080, "limit": 5040}),
+        ("two_sided", {"group": "c5040"}, {"group": "c5040", "order": 5040**2, "limit": 5040}),
+        ("two_sided", {"group": "a2"}, {"group": "a2"}),
+        ("coset", {"group": "c5040xfoo"}, {"name": "foo"}),
+        ("conjugation", {"group": "c9999xfoo"}, {"name": "c9999", "order": 9999, "limit": 5040}),
+        ("two_sided", {"group": "fooxc9999"}, {"name": "foo"}),
+        ("two_sided", {"group": "s3xs8"}, {"name": "s8", "degree": 8, "limit": 5040}),
     ],
 )
 def test_parameter_refusals_build_no_group(name, params, witness, monkeypatch):
@@ -452,6 +460,15 @@ def test_parameter_refusals_build_no_group(name, params, witness, monkeypatch):
     with pytest.raises(ParamOutOfRange) as info:
         build(name, **params)
     assert info.value.witness == witness
+
+
+@pytest.mark.parametrize(
+    "name",
+    [name for name, _ in small_group_catalog()]
+    + ["d1", "d2", "a1", "a2", "s1", "s7", "a7", "d2520", "c2xs3xq8", "dic3xv4", " C4 x D5 "],
+)
+def test_the_order_of_a_name_is_the_order_of_its_group(name):
+    assert corpus._order_of(name) == group_by_name(name).order
 
 
 def test_sizes_at_the_corpus_limit_are_built():

@@ -20,7 +20,7 @@ from helpers import (
     mul_table_oracle,
     permutation_groups,
 )
-from orbitspace import groups
+from orbitspace import automorphism_group, corpus, cyclic_group, direct_product, groups, tables
 from orbitspace.actions import validate_action
 from orbitspace.cli import main
 from orbitspace.corpus import group_by_name, small_group_catalog
@@ -36,12 +36,9 @@ from orbitspace.errors import (
 )
 from orbitspace.groups import (
     FiniteGroup,
-    automorphism_group,
     compose,
-    cyclic_group,
     cycle_string,
     default_cap,
-    direct_product,
     from_generators,
     group_from_table,
     invert_perm,
@@ -177,27 +174,27 @@ def test_closure_lists_breadth_first_and_stops_past_the_cap():
 
 def test_extend_hom_returns_automorphisms_and_none_otherwise():
     z4 = cyclic_group(4)
-    assert groups._extend_hom(z4, [1], [1]) == (0, 1, 2, 3)
-    assert groups._extend_hom(z4, [1], [3]) == (0, 3, 2, 1)
+    assert corpus._extend_hom(z4, [1], [1]) == (0, 1, 2, 3)
+    assert corpus._extend_hom(z4, [1], [3]) == (0, 3, 2, 1)
     # 1 -> 2 extends to k -> 2k, which is not a bijection
-    assert groups._extend_hom(z4, [1], [2]) is None
+    assert corpus._extend_hom(z4, [1], [2]) is None
     # 2 = 1 + 1 must go to 1 + 1 = 2, not to 1
-    assert groups._extend_hom(z4, [1, 2], [1, 1]) is None
+    assert corpus._extend_hom(z4, [1, 2], [1, 1]) is None
     # one generator given two images
-    assert groups._extend_hom(z4, [1, 1], [1, 3]) is None
-    assert groups._extend_hom(z4, [1, 1], [3, 3]) == (0, 3, 2, 1)
+    assert corpus._extend_hom(z4, [1, 1], [1, 3]) is None
+    assert corpus._extend_hom(z4, [1, 1], [3, 3]) == (0, 3, 2, 1)
     # the identity must go to the identity
-    assert groups._extend_hom(z4, [0, 1], [2, 1]) is None
+    assert corpus._extend_hom(z4, [0, 1], [2, 1]) is None
 
 
 def test_extend_hom_rejects_images_of_the_wrong_order():
     group, _ = s3()
     gens = groups._generating_set(group)
-    assert groups._extend_hom(group, gens, gens) == tuple(range(6))
+    assert corpus._extend_hom(group, gens, gens) == tuple(range(6))
     # swapping the images of an involution and a 3-cycle breaks a relation
     orders = [group.element_order(s) for s in gens]
     assert sorted(orders) == [2, 3]
-    assert groups._extend_hom(group, gens, gens[::-1]) is None
+    assert corpus._extend_hom(group, gens, gens[::-1]) is None
 
 
 def test_identity_is_element_zero_with_cycle_labels():
@@ -291,13 +288,13 @@ def test_s6_latin_check_needs_no_entry_scan(monkeypatch):
     group, _ = from_generators(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
     table = [list(row) for row in group.mul_table]
     scanned = []
-    bad_entry = groups._bad_entry
+    bad_entry = tables._bad_entry
 
     def counted(rows, n):
         scanned.append(len(rows))
         return bad_entry(rows, n)
 
-    monkeypatch.setattr(groups, "_bad_entry", counted)
+    monkeypatch.setattr(tables, "_bad_entry", counted)
     assert group_from_table(table).order == 720
     assert scanned == [720]
     scanned.clear()
@@ -495,7 +492,7 @@ def test_s6_associativity_composes_rows_once_per_element_and_generator(monkeypat
         calls[0] += 1
         return compose(p, q)
 
-    monkeypatch.setattr(groups, "compose", counted)
+    monkeypatch.setattr(tables, "compose", counted)
     group = group_from_table(table)
     m = group.order
     assert m == 720 and 1 <= len(group.generators) <= 9

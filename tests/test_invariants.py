@@ -32,7 +32,7 @@ def test_index_check_survives_python_O():
     # With an assert, -O would let index() return 4 // 3 = 1.
     code = (
         "from orbitspace.errors import InvariantViolated\n"
-        "from orbitspace.groups import Subgroup, cyclic_group\n"
+        "from orbitspace import Subgroup, cyclic_group\n"
         "try:\n"
         "    print(Subgroup(cyclic_group(4), [0, 1, 2]).index())\n"
         "except InvariantViolated as exc:\n"

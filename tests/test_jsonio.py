@@ -7,11 +7,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import count_group_builds
-from orbitspace import cli
-from orbitspace.actions import Partition, trivial_action
+from orbitspace import cli, cyclic_group, trivial_action
+from orbitspace.actions import Partition
 from orbitspace.corpus import build, corpus_names
 from orbitspace.errors import CompatibilityViolated, NotAssociative, ParseError
-from orbitspace.groups import cyclic_group
 from orbitspace.jsonio import (
     action_from_json,
     action_to_json,

@@ -13,11 +13,11 @@ from helpers import (
     rand_scalar,
     restricted_action_oracle,
 )
-from orbitspace import resind
-from orbitspace.actions import GroupAction, Partition, conjugation_action, translation_action
+from orbitspace import conjugation_action, cyclic_group, resind, translation_action
+from orbitspace.actions import GroupAction, Partition
 from orbitspace.corpus import build
 from orbitspace.errors import DegreeMismatch, EmptySubset, InvariantViolated, NotInvariant
-from orbitspace.groups import cyclic_group, from_generators
+from orbitspace.groups import from_generators
 from orbitspace.resind import (
     SubsetFunction,
     extend_by_zero,

@@ -13,14 +13,10 @@ from helpers import (
     rand_subgroup,
     scalar_rank,
 )
-from orbitspace.actions import (
-    GroupAction,
-    conjugation_action,
-    translation_action,
-    trivial_action,
-)
+from orbitspace import conjugation_action, cyclic_group, translation_action, trivial_action
+from orbitspace.actions import GroupAction
 from orbitspace.errors import ActionIsTrivial, DegreeMismatch, EmptyDomain
-from orbitspace.groups import cyclic_group, from_generators
+from orbitspace.groups import from_generators
 from orbitspace.scalars import GaussianRational
 from orbitspace.spaces import (
     Decomposition,
@@ -442,7 +438,7 @@ def test_transitive_iff_dimension_one_iff_ones_basis():
 
 def test_automorphism_action_dimension_bound():
     # groups of automorphisms acting by evaluation never exceed dim |G|
-    from orbitspace.groups import automorphism_group, direct_product
+    from orbitspace import automorphism_group, direct_product
 
     rng = random.Random(22)
     for g in (
