@@ -34,7 +34,7 @@ class Partition:
         for x in chain.from_iterable(cells):
             if type(x) is not int:  # bools, floats and strings are refused, never converted
                 raise ValueError(f"point {x!r} is not an int")
-        norm = [tuple(sorted(set(cell))) for cell in cells]
+        norm = [tuple(sorted(cell)) for cell in cells]
         for cell in norm:
             if not cell:
                 raise ValueError("empty cell in partition")
@@ -45,7 +45,7 @@ class Partition:
                 if x < 0 or x >= degree:
                     raise ValueError(f"point {x} out of range 0..{degree - 1}")
                 if x in cell_of:
-                    raise ValueError(f"point {x} appears in two cells")
+                    raise ValueError(f"point {x} appears more than once")
                 cell_of[x] = i
         if len(cell_of) < degree:
             missing = next(x for x in range(degree) if x not in cell_of)

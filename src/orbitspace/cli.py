@@ -10,6 +10,7 @@ unparseable input or a usage error.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -161,6 +162,23 @@ def _emit(doc, output: str | None, code: int) -> int:
 
 def _report(exc: OrbitspaceError) -> dict:
     return {"error": exc.kind, "message": str(exc), "witness": exc.witness}
+
+
+def _default_cap() -> int:
+    """The closure cap of a command given no --cap: ``ORBITSPACE_CAP`` when
+    set, else ``DEFAULT_CLOSURE_CAP``. No library function reads the variable."""
+    from .groups import DEFAULT_CLOSURE_CAP
+
+    raw = os.environ.get("ORBITSPACE_CAP")
+    if raw is None:
+        return DEFAULT_CLOSURE_CAP
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ParseError(
+            f"ORBITSPACE_CAP must be a positive integer, got {raw!r}",
+            variable="ORBITSPACE_CAP",
+            value=raw,
+        )
+    return int(raw)
 
 
 def _parse_int_csv(text: str, flag: str):
@@ -509,9 +527,7 @@ def main(argv=None) -> int:
             run, _, flags = _COMMANDS[args.command]
             # commands without --cap never read ORBITSPACE_CAP
             if "--cap" in flags and args.cap is None:
-                from .groups import default_cap
-
-                args.cap = default_cap()
+                args.cap = _default_cap()
             elif "--cap" in flags and args.cap < 1:
                 message = f"--cap must be positive, got {args.cap}"
                 raise ParseError(message, flag="--cap", value=args.cap)

@@ -8,11 +8,13 @@ documented as never free at default parameters are listed in
 count) is reported alongside each entry. The constructors that no analysis
 command runs live here too, so that no such command compiles them:
 ``cyclic_group``, ``direct_product``, ``automorphism_group`` and the
-conjugation, coset, translation and trivial actions.
+conjugation, coset, translation and trivial actions. The named groups ``q8``
+and ``dic3`` are the dicyclic groups Dic_2 and Dic_3, from one presentation.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 from math import factorial, prod
 from typing import Dict, List, NamedTuple, Sequence
@@ -237,64 +239,35 @@ def _alternating(n: int):
     return from_generators(n, gens)
 
 
-def _quaternion_table():
-    # elements: units 1, i, j, k with signs; index = unit*2 + (0 if +, 1 if -)
-    def mul_units(u, v):
-        # returns (sign, unit) for u*v over basis 0=1, 1=i, 2=j, 3=k
-        if u == 0:
-            return 1, v
-        if v == 0:
-            return 1, u
-        if u == v:
-            return -1, 0
-        table = {(1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2)}
-        if (u, v) in table:
-            return table[(u, v)]
-        s, w = table[(v, u)]
-        return -s, w
+def _dicyclic(n: int, labels, relabel=None):
+    """Dic_n = <a, b | a^2n, b^2 = a^n, b a b^-1 = a^-1>, of order 4n, with
+    a^i b^j numbered i + 2nj; b a^k = a^-k b gives every product. The
+    involution ``relabel``, if any, renumbers rows, columns and entries."""
+    m = 2 * n
 
-    def enc(sign, unit):
-        return unit * 2 + (0 if sign > 0 else 1)
+    def times(x, y):
+        (j, i), (l, k) = divmod(x, m), divmod(y, m)
+        return (i + k) % m + m * l if j == 0 else (i - k + n * l) % m + m * (1 - l)
 
-    mul = [[0] * 8 for _ in range(8)]
-    for a in range(8):
-        for b in range(8):
-            ua, sa = a // 2, 1 if a % 2 == 0 else -1
-            ub, sb = b // 2, 1 if b % 2 == 0 else -1
-            s, w = mul_units(ua, ub)
-            mul[a][b] = enc(s * sa * sb, w)
-    labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    return group_from_table(mul, labels=labels)
-
-
-def _dicyclic3_table():
-    # order 12: a of order 6, b with b^2 = a^3 and b a b^-1 = a^-1;
-    # element (i, j) -> index i + 6j
-    def enc(i, j):
-        return i % 6 + 6 * j
-
-    mul = [[0] * 12 for _ in range(12)]
-    for i in range(6):
-        for j in range(2):
-            for k in range(6):
-                for l in range(2):
-                    if j == 0:
-                        r = enc(i + k, l)
-                    elif l == 0:
-                        r = enc(i - k, 1)
-                    else:
-                        r = enc(i - k + 3, 0)
-                    mul[enc(i, j)][enc(k, l)] = r
-    labels = [f"a{i}" if j == 0 else f"a{i}b" for j in range(2) for i in range(6)]
+    r = relabel or range(2 * m)
+    mul = [[r[times(r[x], r[y])] for y in range(2 * m)] for x in range(2 * m)]
     return group_from_table(mul, labels=labels)
 
 
 _FAMILIES = {"c": _cyclic, "s": _symmetric, "a": _alternating, "d": _dihedral}
 
+# q8 is Dic_2 with a = i and b = j, renumbered to 1, -1, i, -i, j, -j, k, -k
+_FIXED = {
+    "v4": (4, lambda: direct_product(cyclic_group(2), cyclic_group(2))),
+    "q8": (8, lambda: _dicyclic(2, "1 -1 i -i j -j k -k".split(), (0, 2, 1, 3, 4, 6, 5, 7))),
+    "dic3": (12, lambda: _dicyclic(3, [f"a{i}" + "b" * j for j in range(2) for i in range(6)])),
+}
+
 
 def _family(name: str):
-    """The family letter and n of c<n>, s<n>, a<n> or d<n>, or None for another
-    name; n below 1 or past the corpus limit is refused before it is built."""
+    """The family letter, n and group order of c<n>, s<n>, a<n> or d<n>, or
+    None for another name; n below 1 or an order past the corpus limit is
+    refused before it is built."""
     key = name.strip().lower()
     if key[:1] not in _FAMILIES or not key[1:].isdecimal():
         return None
@@ -304,54 +277,37 @@ def _family(name: str):
     if prefix in "sa" and n > 7:  # 7! is the limit, and 8!/2 is past it
         message = f"{name!r} has order at least 20160, beyond the corpus limit {_ORDER_LIMIT}"
         raise ParamOutOfRange(message, name=name, degree=n, limit=_ORDER_LIMIT)
-    _within_limit("order", name=name, order=2 * n if prefix == "d" and n > 2 else n)
-    return prefix, n
+    if prefix in "sa":
+        order = max(1, factorial(n) // (2 if prefix == "a" else 1))
+    else:
+        order = 2 * n if prefix == "d" and n > 2 else n
+    _within_limit("order", name=name, order=order)
+    return prefix, n, order
 
 
-_FIXED_ORDERS = {"v4": 4, "q8": 8, "dic3": 12}
-
-
-def _order_of(name: str) -> int:
-    """The order of ``group_by_name(name)``, from the name alone. It refuses
-    what ``group_by_name`` refuses, in the same order, but builds nothing."""
+def _named(name: str):
+    """The order of the group a short name names, and the call that builds
+    it. Every factor of a product is named and sized, and the product
+    checked against the limit, before anything is built."""
     key = name.strip().lower()
     if "x" in key:
-        order = prod(map(_order_of, key.split("x")))
+        factors = [_named(part) for part in key.split("x")]
+        order = prod([order for order, _ in factors])
         _within_limit("order", name=name, order=order)
-        return order
-    if key in _FIXED_ORDERS:
-        return _FIXED_ORDERS[key]
+        return order, lambda: reduce(direct_product, [build() for _, build in factors])
+    if key in _FIXED:
+        return _FIXED[key]
     family = _family(name)
     if family is None:
         raise ParamOutOfRange(f"unknown group name {name!r}", name=name)
-    prefix, n = family
-    if prefix in "sa":
-        return max(1, factorial(n) // (2 if prefix == "a" else 1))
-    return 2 * n if prefix == "d" and n > 2 else n
+    prefix, n, order = family
+    return order, lambda: cyclic_group(n) if prefix == "c" else _FAMILIES[prefix](n)[0]
 
 
 def group_by_name(name: str) -> FiniteGroup:
     """Resolve a short group name: c<n>, s<n>, a<n>, d<n>, v4, q8, dic3,
     and x-separated direct products of those (e.g. c2xc4)."""
-    key = name.strip().lower()
-    if "x" in key:
-        _order_of(name)  # every factor named, and the product sized, before one is built
-        parts = [group_by_name(part) for part in key.split("x")]
-        out = parts[0]
-        for part in parts[1:]:
-            out = direct_product(out, part)
-        return out
-    if key == "v4":
-        return direct_product(cyclic_group(2), cyclic_group(2))
-    if key == "q8":
-        return _quaternion_table()
-    if key == "dic3":
-        return _dicyclic3_table()
-    family = _family(name)
-    if family is None:
-        raise ParamOutOfRange(f"unknown group name {name!r}", name=name)
-    prefix, n = family
-    return cyclic_group(n) if prefix == "c" else _FAMILIES[prefix](n)[0]
+    return _named(name)[1]()
 
 
 def natural_action_by_name(name: str):
@@ -359,7 +315,7 @@ def natural_action_by_name(name: str):
     family = _family(name)
     if family is None:
         raise ParamOutOfRange(f"no natural point action for group {name!r}", name=name)
-    prefix, n = family
+    prefix, n, _ = family
     group, act = _FAMILIES[prefix](n)
     return group, GroupAction._trusted(group, act)
 
@@ -516,7 +472,7 @@ def _sylow_subgroup(g: FiniteGroup, p: int) -> tuple:
 def _build_sylow(group: str = "s3", p: int = 2) -> CorpusEntry:
     """G acting by conjugation on its Sylow p-subgroups, the conjugates of one (Sylow II)."""
     _within_limit("p", p=p)  # a larger p divides no corpus order, and the test below is O(p)
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if not _is_prime(p):
         raise ParamOutOfRange(f"p must be prime, got {p}", p=p)
     g = group_by_name(group)
     if g.order % p != 0:
@@ -526,6 +482,10 @@ def _build_sylow(group: str = "s3", p: int = 2) -> CorpusEntry:
     action = _conjugation_on_sets(g, _conjugates(g, _sylow_subgroup(g, p)))
     expected = {"is_free": False, "is_transitive": True}
     return CorpusEntry("sylow", action, expected, {"group": group, "p": p})
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, p))
 
 
 def _is_power_of(n: int, p: int) -> bool:
@@ -566,7 +526,7 @@ def _build_gl_on_vectors(n: int = 2, q: int = 2) -> CorpusEntry:
     Cayley table is built from generator rows on demand.
     """
     _within_limit("q", q=q)  # a larger q gives |GL| > q > 5040, and the test below is O(q)
-    if q < 2 or any(q % d == 0 for d in range(2, q)):
+    if not _is_prime(q):
         raise ParamOutOfRange(f"q must be prime, got {q}", q=q)
     if n not in (2, 3) or _gl_order(n, q) > _ORDER_LIMIT:
         message = f"GL({n}, {q}) is beyond desk scale: n is 2 or 3 and the order at most {_ORDER_LIMIT}"
@@ -618,11 +578,11 @@ def _build_subset_action(base: str = "s3") -> CorpusEntry:
 
 
 def _build_two_sided(group: str = "c2") -> CorpusEntry:
-    order = _order_of(group)
+    order, build_group = _named(group)
     if order < 2:
         raise ParamOutOfRange("two-sided family needs a group of order >= 2", group=group)
     _within_limit("order", group=group, order=order**2)
-    g = group_by_name(group)
+    g = build_group()
     gg = direct_product(g, g)
     # (a, b).x = (a x) b^-1: column b^-1 read through row a. _extend_rows on
     # G x G would take lazy products, and the report then builds its table.

@@ -18,7 +18,6 @@ composition in the package is one C-level ``compose`` call.
 
 from __future__ import annotations
 
-import os
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -28,24 +27,9 @@ from .errors import InvariantViolated, NotAPermutation, ParseError, SizeLimitExc
 Perm = tuple  # image array in one-line notation, 0-based
 
 DEFAULT_CLOSURE_CAP = 20160
-CAP_ENV_VAR = "ORBITSPACE_CAP"
 # the most points a permutation group may act on; the identity alone is a
 # degree-long tuple, and the largest corpus action has 5040 points
 _DEGREE_LIMIT = 1 << 16
-
-
-def default_cap() -> int:
-    """The closure cap: ``ORBITSPACE_CAP`` when set, else ``DEFAULT_CLOSURE_CAP``."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CLOSURE_CAP
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ParseError(
-            f"{CAP_ENV_VAR} must be a positive integer, got {raw!r}",
-            variable=CAP_ENV_VAR,
-            value=raw,
-        )
-    return int(raw)
 
 
 def check_permutation(images: Sequence[int], degree: int) -> Perm:
@@ -402,7 +386,7 @@ def _check_degree(degree: int) -> None:
 
 
 def from_generators(
-    degree: int, generators: Sequence[Sequence[int]], cap: Optional[int] = None
+    degree: int, generators: Sequence[Sequence[int]], cap: int = DEFAULT_CLOSURE_CAP
 ):
     """Close permutation generators and return the group plus its evaluation action.
 
@@ -412,8 +396,6 @@ def from_generators(
     is the group's own ``perms``. Labels carry cycle notation for display.
     """
     _check_degree(degree)
-    if cap is None:
-        cap = default_cap()
     gens = [check_permutation(p, degree) for p in generators]
     elements = _closure(tuple(range(degree)), gens, compose, cap)
     if elements is None:

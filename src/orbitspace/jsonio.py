@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING, Optional
 
 from .actions import GroupAction, Partition, validate_action
 from .errors import ParseError
-from .groups import FiniteGroup, _check_degree, from_generators, group_from_table
+from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, _check_degree, from_generators
+from .groups import group_from_table
 
 if TYPE_CHECKING:
     from .resind import InvariantSubset, SubsetFunction
@@ -76,7 +77,7 @@ def rational_to_json(value) -> str:
     return str(value)
 
 
-def _group_reader(obj, cap: Optional[int]):
+def _group_reader(obj, cap: int):
     """Check a group document's keys and degree; return the call that builds it."""
     kind = _expect(obj, "kind", str, "group")
     if kind == "table":
@@ -95,7 +96,7 @@ def _group_reader(obj, cap: Optional[int]):
     raise ParseError(f"unknown group kind {kind!r}", kind=kind)
 
 
-def group_from_json(obj, cap: Optional[int] = None):
+def group_from_json(obj, cap: int = DEFAULT_CLOSURE_CAP):
     """Returns (group, evaluation_act_or_None)."""
     group = _group_reader(obj, cap)()
     return group, group.perms if obj["kind"] == "permutation" else None
@@ -109,7 +110,7 @@ def group_to_json(group: FiniteGroup) -> dict:
     return doc
 
 
-def _action_reader(obj, cap: Optional[int]):
+def _action_reader(obj, cap: int):
     """The checked group document, the call that builds its group, and the
     call that makes the action over a built group."""
     group_doc = _expect(obj, "group", dict, "action")
@@ -131,7 +132,7 @@ def _action_reader(obj, cap: Optional[int]):
     return group_doc, build, make
 
 
-def action_from_json(obj, cap: Optional[int] = None) -> GroupAction:
+def action_from_json(obj, cap: int = DEFAULT_CLOSURE_CAP) -> GroupAction:
     """The three stages of the module docstring, in order."""
     _, build, make = _action_reader(obj, cap)
     return make(build())

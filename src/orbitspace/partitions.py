@@ -10,11 +10,10 @@ construction also gives a membership test and a counting cross-check
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .actions import GroupAction, Partition
 from .errors import InvariantViolated, SizeLimitExceeded
-from .groups import check_permutation, compose, default_cap, from_generators
+from .groups import DEFAULT_CLOSURE_CAP, check_permutation, compose, from_generators
 
 
 def cell_transpositions(partition: Partition, minimal: bool = False):
@@ -50,15 +49,13 @@ def realized_order(partition: Partition) -> int:
 def group_from_partition(
     partition: Partition,
     minimal_generators: bool = False,
-    cap: Optional[int] = None,
+    cap: int = DEFAULT_CLOSURE_CAP,
 ):
     """Build the transposition-generated group whose orbits are the cells.
 
     Returns (group, evaluation action). The group order is the product of
     cell factorials, checked against the cap before any closure work.
     """
-    if cap is None:
-        cap = default_cap()
     predicted = realized_order(partition)
     if predicted > cap:
         raise SizeLimitExceeded(

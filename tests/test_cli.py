@@ -600,6 +600,16 @@ def test_partition_with_a_huge_degree_exits_3_without_allocating_it(degree, tmp_
     assert doc["message"] == "invalid partition: point 1 not covered by any cell"
 
 
+@pytest.mark.parametrize("cells", [[[0, 0, 1], [2]], [[0, 1], [0, 2]]])
+def test_partition_with_a_repeated_point_exits_3(cells, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"degree": 3, "cells": cells}))
+    assert main(["from-partition", "--input", str(path)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParseError"
+    assert doc["message"] == "invalid partition: point 0 appears more than once"
+
+
 def test_permutation_group_with_a_huge_degree_exits_2_before_building_it(tmp_path, capsys):
     from orbitspace.groups import _DEGREE_LIMIT
 
@@ -1199,6 +1209,23 @@ def test_render_examples(doc):
             ["two_sided", "--param", "group=d12"],
             "3e0dcfac74239ed4de7bb4b40a9625e618c5dd52ce0a294840603b2f98af2e3d",
         ),
+        # the dicyclic groups, Dic_2 = q8 and Dic_3 = dic3, from one presentation
+        (
+            ["conjugation", "--param", "group=q8"],
+            "623d300c005e0f4e7d983ec8d21c6c0dda7e7869cb0c9db50569021627b2fefc",
+        ),
+        (
+            ["conjugation", "--param", "group=dic3xv4"],
+            "0573698da808f38b88cfa3dadf59d36fe3519804bac2ea616b486050e771055b",
+        ),
+        (
+            ["two_sided", "--param", "group=dic3"],
+            "6ded047cdd06f0e0f4a5dcf371d46d3e6c029cb3f5bc120fc9415cd771795cbb",
+        ),
+        (
+            ["sylow", "--param", "group=dic3", "--param", "p=2"],
+            "5f0c16a434fda4dee8ca226758e31ecfc445908bc35a4e5be6487384c8251b33",
+        ),
     ],
     ids=[
         "symmetric-n6",
@@ -1210,6 +1237,10 @@ def test_render_examples(doc):
         "order_p-s4-p2",
         "subset_action-s4",
         "two_sided-d12",
+        "conjugation-q8",
+        "conjugation-dic3xv4",
+        "two_sided-dic3",
+        "sylow-dic3-p2",
     ],
 )
 def test_corpus_table_reports_keep_their_bytes(build, digest, tmp_path):
@@ -1485,9 +1516,36 @@ def test_a_usage_error_is_reported_on_stdout_even_with_output(tmp_path, capsys):
 
 
 def test_commands_without_cap_never_read_the_cap_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("ORBITSPACE_CAP", "abc")
-    assert main(["corpus", "list"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"names": corpus_names()}
+    builds = [
+        ["corpus", "build", "symmetric", "--param", "n=4"],
+        ["corpus", "build", "conjugation", "--param", "group=q8"],
+    ]
+    unset = []
+    for argv in builds:
+        assert main(argv) == 0
+        unset.append(capsys.readouterr().out)
+    for raw in ("abc", "4"):
+        monkeypatch.setenv("ORBITSPACE_CAP", raw)
+        assert main(["corpus", "list"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"names": corpus_names()}
+        for argv, text in zip(builds, unset):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == text
+
+
+def test_default_cap_reads_a_positive_integer(monkeypatch):
+    from orbitspace.errors import ParseError
+    from orbitspace.groups import DEFAULT_CLOSURE_CAP
+
+    monkeypatch.delenv("ORBITSPACE_CAP", raising=False)
+    assert cli._default_cap() == DEFAULT_CLOSURE_CAP
+    monkeypatch.setenv("ORBITSPACE_CAP", "12")
+    assert cli._default_cap() == 12
+    for raw in ("abc", "0", "-3", ""):
+        monkeypatch.setenv("ORBITSPACE_CAP", raw)
+        with pytest.raises(ParseError) as exc:
+            cli._default_cap()
+        assert exc.value.witness == {"variable": "ORBITSPACE_CAP", "value": raw}
 
 
 @pytest.mark.parametrize(

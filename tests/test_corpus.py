@@ -468,7 +468,7 @@ def test_parameter_refusals_build_no_group(name, params, witness, monkeypatch):
     + ["d1", "d2", "a1", "a2", "s1", "s7", "a7", "d2520", "c2xs3xq8", "dic3xv4", " C4 x D5 "],
 )
 def test_the_order_of_a_name_is_the_order_of_its_group(name):
-    assert corpus._order_of(name) == group_by_name(name).order
+    assert corpus._named(name)[0] == group_by_name(name).order
 
 
 def test_sizes_at_the_corpus_limit_are_built():

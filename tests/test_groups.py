@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -21,7 +22,7 @@ from helpers import (
     permutation_groups,
 )
 from orbitspace import automorphism_group, corpus, cyclic_group, direct_product, groups, tables
-from orbitspace.actions import validate_action
+from orbitspace.actions import Partition, validate_action
 from orbitspace.cli import main
 from orbitspace.corpus import group_by_name, small_group_catalog
 from orbitspace.errors import (
@@ -38,7 +39,6 @@ from orbitspace.groups import (
     FiniteGroup,
     compose,
     cycle_string,
-    default_cap,
     from_generators,
     group_from_table,
     invert_perm,
@@ -545,16 +545,17 @@ def test_the_greedy_generating_set_is_built_once_and_only_when_none_is_given(
     assert hashlib.sha256(report).hexdigest() == GL_Q3_SHA256
 
 
-def test_default_cap_reads_a_positive_integer(monkeypatch):
-    monkeypatch.delenv("ORBITSPACE_CAP", raising=False)
-    assert default_cap() == groups.DEFAULT_CLOSURE_CAP
-    monkeypatch.setenv("ORBITSPACE_CAP", "12")
-    assert default_cap() == 12
-    for raw in ("abc", "0", "-3", ""):
-        monkeypatch.setenv("ORBITSPACE_CAP", raw)
-        with pytest.raises(ParseError) as exc:
-            default_cap()
-        assert exc.value.witness == {"variable": "ORBITSPACE_CAP", "value": raw}
+@pytest.mark.parametrize("raw", ["1", "abc"])
+def test_library_functions_never_read_the_cap_env_var(raw, monkeypatch):
+    from orbitspace.jsonio import action_from_json
+    from orbitspace.partitions import group_from_partition
+
+    monkeypatch.setenv("ORBITSPACE_CAP", raw)
+    assert from_generators(3, [[1, 0, 2], [1, 2, 0]])[0].order == 6
+    group, _ = group_from_partition(Partition(4, [[0, 1, 2], [3]]))
+    assert group.order == 6
+    with open(Path(__file__).parent / "golden" / "inputs" / "s3_eval.json", encoding="utf-8") as fh:
+        assert action_from_json(json.load(fh)).group.order == 6
 
 
 def test_validate_no_inverse_loop():

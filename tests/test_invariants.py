@@ -28,6 +28,42 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _names_read(tree):
+    """Every name the module reads, counting names inside quoted annotations."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= _names_read(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def test_library_imports_are_all_used():
+    unused = []
+    for path in sorted((SRC / "orbitspace").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = _names_read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
+    assert unused == []
+
+
 def test_index_check_survives_python_O():
     # With an assert, -O would let index() return 4 // 3 = 1.
     code = (

@@ -258,6 +258,9 @@ def test_partition_rejects_bad_cells():
         partition_from_json({"degree": 3, "cells": [[0, 1]]})
     with pytest.raises(ParseError):
         partition_from_json({"degree": 3, "cells": [[0], [0, 1, 2]]})
+    with pytest.raises(ParseError) as exc:
+        partition_from_json({"degree": 3, "cells": [[0, 0, 1], [2]]})
+    assert str(exc.value) == "invalid partition: point 0 appears more than once"
 
 
 def test_group_permutation_respects_cap():
