@@ -9,12 +9,13 @@ deciding when two actions of the same group are the same up to relabeling.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import chain
-from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import GroupMismatch, InvariantViolated, NotAnInteger, NotFree
 from .groups import FiniteGroup, Subgroup, _closure, whole_group
 
+TYPE_CHECKING = False  # the name type checkers read as typing.TYPE_CHECKING
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -111,7 +112,7 @@ class GroupAction:
         part = self.orbits()
         return part.cells[part.cell_of[x]]
 
-    def orbits(self, subgroup: Optional[Subgroup] = None) -> Partition:
+    def orbits(self, subgroup: Subgroup | None = None) -> Partition:
         """Orbit partition, optionally under a subgroup's inherited action.
 
         Each orbit is a closure under the generators' rows, O(n |S|) in all
@@ -161,7 +162,7 @@ class GroupAction:
         """True iff no element besides the identity fixes a point."""
         return self.free_witness() is None
 
-    def free_witness(self) -> Optional[tuple]:
+    def free_witness(self) -> tuple | None:
         """The first (element, point) with a non-identity element fixing the
         point, or None when the action is free.
 
@@ -182,7 +183,7 @@ class GroupAction:
                     return a, x
         return None
 
-    def fixed_point_total(self, subgroup: Optional[Subgroup] = None) -> int:
+    def fixed_point_total(self, subgroup: Subgroup | None = None) -> int:
         """sum over a in H of |Fix a|: the numerator of the Cauchy-Frobenius count.
 
         It and sum_x |Stab_H(x)| both count the pairs a.x = x, and Stab_H(b.x)
@@ -208,7 +209,7 @@ class GroupAction:
             )
         return total
 
-    def burnside_dimension(self, subgroup: Optional[Subgroup] = None) -> Fraction:
+    def burnside_dimension(self, subgroup: Subgroup | None = None) -> Fraction:
         """dim of the subgroup-invariant function space: (1/|H|) sum |Fix a|."""
         from fractions import Fraction
 
@@ -247,7 +248,7 @@ class GroupAction:
             raise InvariantViolated("dimension ratio differs from the index", ratio, idx)
         return ratio, idx
 
-    def _subgroup(self, subgroup: Optional[Subgroup]) -> Subgroup:
+    def _subgroup(self, subgroup: Subgroup | None) -> Subgroup:
         if subgroup is None:
             return whole_group(self.group)
         _require_same_group(
@@ -283,7 +284,7 @@ def validate_action(group: FiniteGroup, act: Sequence[Sequence[int]]) -> GroupAc
     return action
 
 
-def are_equivalent(a1: GroupAction, a2: GroupAction) -> Optional[list]:
+def are_equivalent(a1: GroupAction, a2: GroupAction) -> list | None:
     """An equivariant bijection phi with phi(a.x) = a.phi(x), or None.
 
     Returns the point map as a list, or None when the actions are not

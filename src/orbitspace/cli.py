@@ -172,20 +172,28 @@ def _default_cap() -> int:
     raw = os.environ.get("ORBITSPACE_CAP")
     if raw is None:
         return DEFAULT_CLOSURE_CAP
-    if not raw.strip().isdecimal() or int(raw) < 1:
+    cap = _integer(raw)
+    if cap is None or cap < 1:
         raise ParseError(
             f"ORBITSPACE_CAP must be a positive integer, got {raw!r}",
             variable="ORBITSPACE_CAP",
             value=raw,
         )
-    return int(raw)
+    return cap
+
+
+def _integer(text: str):
+    """The int that ASCII digits after an optional "-" spell, else None; int()
+    would also take "1_000", surrounding whitespace and any Unicode digit."""
+    digits = text.removeprefix("-")
+    return int(text) if digits.isascii() and digits.isdigit() else None
 
 
 def _parse_int_csv(text: str, flag: str):
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ParseError(f"{flag} expects comma-separated integers, got {text!r}", flag=flag) from None
+    values = [_integer(part) for part in text.split(",") if part.strip() != ""]
+    if None in values:
+        raise ParseError(f"{flag} expects comma-separated integers, got {text!r}", flag=flag)
+    return values
 
 
 def _single_input(args):
@@ -381,12 +389,13 @@ def _parse_param(text: str):
         raise ParseError(f"--param expects key=value, got {text!r}", param=text)
     key, raw = text.split("=", 1)
     value: object
+    number, items = _integer(raw), [_integer(p) for p in raw.split(",") if p]
     if raw.lower() in ("true", "false"):
         value = raw.lower() == "true"
-    elif raw.removeprefix("-").isdecimal():  # isdigit passes "²", which int refuses
-        value = int(raw)
-    elif "," in raw and all(p.removeprefix("-").isdecimal() for p in raw.split(",") if p):
-        value = [int(p) for p in raw.split(",") if p]
+    elif number is not None:
+        value = number
+    elif "," in raw and None not in items:
+        value = items
     else:
         value = raw
     return key, value
@@ -500,11 +509,11 @@ def _parse_args(argv):
             if value is None or value.startswith("--"):
                 raise ParseError(f"{flag} needs a value", flag=flag, value=value)
         if kind == "integer":
-            try:
-                value = int(value)
-            except ValueError:
+            number = _integer(value)
+            if number is None:
                 message = f"{flag} expects an integer, got {value!r}"
-                raise ParseError(message, flag=flag, value=value) from None
+                raise ParseError(message, flag=flag, value=value)
+            value = number
         elif kind == "repeatable":
             value = (values[flag] or []) + [value]
         values[flag] = value

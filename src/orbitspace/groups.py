@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import InvariantViolated, NotAPermutation, ParseError, SizeLimitExceeded
 
@@ -153,7 +153,7 @@ class FiniteGroup:
         return self._inv_table
 
     @property
-    def labels(self) -> Optional[tuple]:
+    def labels(self) -> tuple | None:
         if self._labels is not None and type(self._labels) is not tuple:
             self._labels = tuple(self._labels)
         return self._labels
@@ -238,7 +238,7 @@ class FiniteGroup:
         gens, mul = self.generators, self.mul
         return all(mul(s, t) == mul(t, s) for i, s in enumerate(gens) for t in gens[:i])
 
-    def table_mismatch(self, other: "FiniteGroup") -> Optional[dict]:
+    def table_mismatch(self, other: "FiniteGroup") -> dict | None:
         """None when both groups have the same Cayley table, else a witness.
 
         The witness is the pair of orders, or a pair (a, b) with the two
@@ -350,7 +350,7 @@ def _are_permutations(rows, n: int) -> bool:
     )
 
 
-def _bad_entry(rows, n: int) -> Optional[tuple]:
+def _bad_entry(rows, n: int) -> tuple | None:
     """None when every row is a permutation of 0..n-1 of ints, else the first
     problem in row order as (row, position, value, repeat): position None and
     value the length for a row of the wrong length, repeat True for a value

@@ -14,13 +14,12 @@ table-form group, is refused before any closure or Cayley-table check runs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from .actions import GroupAction, Partition, validate_action
 from .errors import ParseError
 from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, _check_degree, from_generators
 from .groups import group_from_table
 
+TYPE_CHECKING = False  # the name type checkers read as typing.TYPE_CHECKING
 if TYPE_CHECKING:
     from .resind import InvariantSubset, SubsetFunction
     from .scalars import GaussianRational
@@ -160,7 +159,7 @@ def _values_from_json(values) -> PointFunction:
     )
 
 
-def function_from_json(obj, degree: Optional[int] = None) -> PointFunction:
+def function_from_json(obj, degree: int | None = None) -> PointFunction:
     f = _values_from_json(_expect(obj, "values", list, "function"))
     if degree is not None and f.degree != degree:
         raise ParseError(

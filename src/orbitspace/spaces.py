@@ -20,6 +20,7 @@ from typing import Iterable, List, NamedTuple, Optional
 
 from .actions import GroupAction, Partition
 from .errors import ActionIsTrivial, DegreeMismatch, EmptyDomain, InvariantViolated
+from .groups import _closure, invert_perm
 from .scalars import ZERO, GaussianRational, reduced, sum_by_denominator
 
 
@@ -219,9 +220,10 @@ def _check_shapes(act: GroupAction, f: PointFunction):
 
 
 def act_on_function(act: GroupAction, a: int, f: PointFunction) -> PointFunction:
-    """(a * f)(x) = f(a^-1 . x)."""
+    """(a * f)(x) = f(a^-1 . x): a^-1's row is the inverse of a's, so the
+    group's inverses are never read."""
     _check_shapes(act, f)
-    return f._gather(act.act[act.group.inv(a)])
+    return f._gather(invert_perm(act.act[a]))
 
 
 def is_invariant(act: GroupAction, f: PointFunction) -> Optional[InvariantCertificate]:
@@ -414,23 +416,23 @@ def perp_zero_sum_check(act: GroupAction):
     """Check the complement of the invariant subspace sits inside the
     zero-sum hyperplane, with equality exactly for transitive actions.
 
-    The complement is spanned by the perp parts of the point deltas; each is
-    verified to have value sum zero. Equality is decided by dimensions:
-    n - #orbits versus n - 1.
+    The complement is spanned by the perp parts δ_x - proj(δ_x) of the point
+    deltas. proj(δ_x) is 1/|C| on the orbit C of x and 0 elsewhere, the same
+    for every x in C, so the perp parts of one orbit share one value sum. The
+    deltas at the orbits' least points have disjoint supports, so one
+    projection of their sum u gives the perp parts' value sums at once: the
+    sums of u - proj(u) over the orbits. Equality is decided by dimensions,
+    n - #orbits versus n - 1, against the orbit of point 0 walked on the
+    generators' rows apart from the cached partition.
     """
     n = act.degree
-    part = act.orbits()
-    is_subset = True
-    for x in range(n):
-        spanner = PointFunction.delta(n, x) - fourier_projection(
-            act, PointFunction.delta(n, x)
-        )
-        if not value_sum(spanner).is_zero():
-            is_subset = False
+    u = PointFunction.indicator(n, (cell[0] for cell in act.orbits().cells))
+    part, sums = _cell_sums(act, u - fourier_projection(act, u))
     equality = (n - len(part)) == (n - 1)
-    transitive = act.is_transitive()
+    rows = [act.act[s] for s in act.group.generators]
+    transitive = len(_closure(0, rows, lambda x, row: row[x])) == n
     if equality != transitive:
         raise InvariantViolated(
             "one orbit by count disagrees with the transitivity scan", equality, transitive
         )
-    return is_subset, equality
+    return sums.is_zero(), equality

@@ -8,8 +8,6 @@ whose evaluation actions are the closure's own rows, never loads it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import CompatibilityViolated, IdentityAxiomViolated, NoIdentity, NoInverse
 from .errors import NotAssociative, NotLatinSquare
 from .groups import FiniteGroup, _bad_entry, compose
@@ -96,7 +94,7 @@ def _or_column_repeat(rows, error: Exception) -> Exception:
     return NotLatinSquare(f"value {v} repeats in column {j}", col=j, value=v)
 
 
-def _broken_product(group: FiniteGroup, table) -> Optional[tuple]:
+def _broken_product(group: FiniteGroup, table) -> tuple | None:
     """The first (a, s, x), s over the generators and then a over the elements,
     with table[a*s][x] != table[a][table[s][x]], or None: the action law of
     ``table`` on generators, one ``compose`` per (a, s)."""

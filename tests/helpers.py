@@ -12,7 +12,7 @@ from orbitspace import coset_action
 from orbitspace.actions import GroupAction
 from orbitspace.groups import compose, from_generators, group_from_table
 from orbitspace.scalars import GaussianRational
-from orbitspace.spaces import PointFunction
+from orbitspace.spaces import PointFunction, fourier_projection, value_sum
 
 
 def count_group_builds(monkeypatch):
@@ -294,6 +294,19 @@ def induce_group_sum(subset, g) -> PointFunction:
             s = s + tilde[row[x]]
         vals.append(coeff * s)
     return PointFunction(vals)
+
+
+def perp_zero_sum_oracle(action: GroupAction) -> tuple:
+    """(is_subset, equality) of ``perp_zero_sum_check`` point by point: the
+    value sum of each delta's perp part delta_x - proj(delta_x), one
+    projection per point, and one orbit by the union-find's count."""
+    n = action.degree
+    is_subset = True
+    for x in range(n):
+        delta = PointFunction.delta(n, x)
+        if not value_sum(delta - fourier_projection(action, delta)).is_zero():
+            is_subset = False
+    return is_subset, orbit_count_oracle(action) == 1
 
 
 def mul_table_oracle(group):

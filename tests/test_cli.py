@@ -517,6 +517,9 @@ def test_allow_large_is_an_unknown_parameter(name, accepted, capsys):
         ("trivial", "group=3", 3, "str"),
         ("symmetric", "n=--1", "--1", "int"),
         ("symmetric", "n=²", "²", "int"),
+        ("symmetric", "n=٣", "٣", "int"),
+        ("symmetric", "n=1_0", "1_0", "int"),
+        ("symmetric", "n= 3", " 3", "int"),
     ],
 )
 def test_corpus_build_wrong_param_type_exits_3(name, param, value, expected, capsys):
@@ -539,6 +542,37 @@ def test_bad_cap_env_var_exits_3(capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "ParseError"
     assert doc["witness"] == {"variable": "ORBITSPACE_CAP", "value": "abc"}
+
+
+@pytest.mark.parametrize("raw", [" ٤ ", "1_0", " 4"])
+def test_cap_env_var_takes_ascii_digits_only(raw, capsys, monkeypatch):
+    """int() would read each as 4 or 10, and validate would exit 2 at that cap."""
+    monkeypatch.setenv("ORBITSPACE_CAP", raw)
+    assert main(["validate", "--input", inp("s3_eval.json")]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["witness"] == {"variable": "ORBITSPACE_CAP", "value": raw}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dimension", "--input", inp("s3_eval.json"), "--subgroup", "١"],
+        ["dimension", "--input", inp("s3_eval.json"), "--subgroup", "1_0"],
+        ["dimension", "--input", inp("s3_eval.json"), "--subgroup", "0, 1"],
+        ["reciprocity", "--input", inp("z2_four.json"), "--subset", "0,١"],
+    ],
+    ids=["arabic-indic", "underscore", "space", "subset"],
+)
+def test_integer_lists_take_ascii_digits_only(argv, capsys):
+    assert main(argv) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "ParseError"
+    assert doc["witness"] == {"flag": argv[3]}
+
+
+def test_an_empty_subgroup_list_is_the_trivial_subgroup(capsys):
+    assert main(["dimension", "--input", inp("s3_eval.json"), "--subgroup", ""]) == 0
+    assert json.loads(capsys.readouterr().out)["subgroup_order"] == 1
 
 
 @pytest.mark.parametrize("family,param", [("conjugation", "group"), ("subset_action", "base")])
@@ -794,11 +828,11 @@ def loaded_modules(code, clean=False):
     """The orbitspace modules and the watched stdlib modules that ``code``
     leaves in ``sys.modules`` of a fresh interpreter.
 
-    With ``clean`` the interpreter runs under ``-S``, and pathlib is watched
-    too: ``site`` may import pathlib and typing itself (through ``.pth``
+    With ``clean`` the interpreter runs under ``-S``, and pathlib and typing
+    are watched too: ``site`` may import them itself (through ``.pth``
     files), which would hide whether orbitspace imports them.
     """
-    watched = WATCHED + ("pathlib",) if clean else WATCHED
+    watched = WATCHED + ("pathlib", "typing") if clean else WATCHED
     report = (
         "import sys\n"
         "print(' '.join(sorted(m for m in sys.modules"
@@ -955,10 +989,11 @@ def test_help_and_usage_errors_load_no_layer(argv, exit_code):
 @pytest.mark.parametrize(
     "argv, loaded",
     [
+        (["orbits", "--input", inp("s3_eval.json")], ACTION_LAYERS),
         (["orbits", "--input", inp("s3_conj.json")], TABLE_LAYERS),
         (["corpus", "list"], CLI_ONLY),
     ],
-    ids=["orbits", "corpus-list"],
+    ids=["orbits-evaluation", "orbits", "corpus-list"],
 )
 def test_commands_load_no_pathlib_in_a_clean_interpreter(argv, loaded):
     assert loaded_by_command(argv, clean=True) == loaded
@@ -1470,6 +1505,9 @@ def test_a_flag_of_another_command_is_a_parse_error(capsys):
         (["orbits", "--input", "--cap", "3"], {"flag": "--input", "value": "--cap"}),
         (["orbits", "--input", S3, "--cap", "x"], {"flag": "--cap", "value": "x"}),
         (["orbits", "--input", S3, "--cap=1.5"], {"flag": "--cap", "value": "1.5"}),
+        (["orbits", "--input", S3, "--cap", "1_0"], {"flag": "--cap", "value": "1_0"}),
+        (["orbits", "--input", S3, "--cap=٤"], {"flag": "--cap", "value": "٤"}),
+        (["orbits", "--input", S3, "--cap= 4"], {"flag": "--cap", "value": " 4"}),
         (["orbits", "--input", S3, "extra"], {"command": "orbits", "argument": "extra"}),
         (
             ["from-partition", "--input", inp("partition.json"), "--minimal-generators=yes"],
@@ -1495,6 +1533,9 @@ def test_a_flag_of_another_command_is_a_parse_error(capsys):
         "missing-value-before-a-flag",
         "bad-cap",
         "fractional-cap",
+        "underscore-cap",
+        "arabic-indic-cap",
+        "space-cap",
         "stray-argument",
         "switch-with-value",
         "corpus-alone",
@@ -1541,7 +1582,7 @@ def test_default_cap_reads_a_positive_integer(monkeypatch):
     assert cli._default_cap() == DEFAULT_CLOSURE_CAP
     monkeypatch.setenv("ORBITSPACE_CAP", "12")
     assert cli._default_cap() == 12
-    for raw in ("abc", "0", "-3", ""):
+    for raw in ("abc", "0", "-3", "", " ٤ ", "1_0", "+4"):
         monkeypatch.setenv("ORBITSPACE_CAP", raw)
         with pytest.raises(ParseError) as exc:
             cli._default_cap()

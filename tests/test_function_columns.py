@@ -21,6 +21,7 @@ from helpers import (
     norm_squared_oracle,
     orbit_cells_oracle,
     permutation_groups,
+    perp_zero_sum_oracle,
     reciprocity_oracle,
     relabel,
 )
@@ -32,12 +33,14 @@ from orbitspace.resind import induce, invariant_subset, reciprocity_check
 from orbitspace.scalars import GaussianRational, parse_pairs
 from orbitspace.spaces import (
     PointFunction,
+    act_on_function,
     bessel_check,
     decompose,
     fourier_coefficients,
     fourier_projection,
     inner_product,
     norm_squared,
+    perp_zero_sum_check,
 )
 
 # coprime denominators far apart, so a sum's common denominator grows with each
@@ -125,6 +128,17 @@ def test_induction_and_reciprocity_match_the_per_value_oracles(action, data):
         assert (exc.witness["lhs"], exc.witness["rhs"]) == (lhs.to_pair(), rhs.to_pair())
     else:
         assert result == (lhs, rhs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(actions(), st.data())
+def test_orbit_cost_checks_match_the_per_point_and_group_inverse_forms(action, data):
+    assert perp_zero_sum_check(action) == perp_zero_sum_oracle(action)
+    group = action.group
+    a = data.draw(st.integers(0, group.order - 1))
+    n = action.degree
+    f = PointFunction(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+    assert act_on_function(action, a, f) == f._gather(action.act[group.inv(a)])
 
 
 def first_primes(count):

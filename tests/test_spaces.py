@@ -13,9 +13,9 @@ from helpers import (
     rand_subgroup,
     scalar_rank,
 )
-from orbitspace import conjugation_action, cyclic_group, translation_action, trivial_action
-from orbitspace.actions import GroupAction
-from orbitspace.errors import ActionIsTrivial, DegreeMismatch, EmptyDomain
+from orbitspace import conjugation_action, cyclic_group, spaces, translation_action, trivial_action
+from orbitspace.actions import GroupAction, Partition
+from orbitspace.errors import ActionIsTrivial, DegreeMismatch, EmptyDomain, InvariantViolated
 from orbitspace.groups import from_generators
 from orbitspace.scalars import GaussianRational
 from orbitspace.spaces import (
@@ -389,6 +389,43 @@ def test_perp_zero_sum_check():
     assert perp_zero_sum_check(translation_action(cyclic_group(4))) == (True, True)
     assert perp_zero_sum_check(trivial_action(cyclic_group(2), 3)) == (True, False)
     assert perp_zero_sum_check(z2_swap(2)) == (True, False)
+
+
+def dihedral_action(n):
+    group, act = from_generators(n, [[(i + 1) % n for i in range(n)], [-i % n for i in range(n)]])
+    return GroupAction._trusted(group, act)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: dihedral_action(2520), lambda: trivial_action(cyclic_group(2), 50)],
+    ids=["D2520", "trivial-50"],
+)
+def test_perp_zero_sum_check_projects_once(make, monkeypatch):
+    action = make()
+    calls = []
+    original = spaces.fourier_projection
+    monkeypatch.setattr(
+        spaces, "fourier_projection", lambda *args: calls.append(1) or original(*args)
+    )
+    assert perp_zero_sum_check(action) == (True, action.is_transitive())
+    assert len(calls) == 1
+
+
+def test_perp_zero_sum_check_walks_transitivity_apart_from_the_partition(monkeypatch):
+    action = translation_action(cyclic_group(4))
+    singletons = Partition(4, [(x,) for x in range(4)])
+    monkeypatch.setattr(GroupAction, "orbits", lambda self, subgroup=None: singletons)
+    with pytest.raises(InvariantViolated):
+        perp_zero_sum_check(action)
+
+
+def test_act_on_function_reads_no_inverse_table():
+    group, act = from_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
+    action = GroupAction._trusted(group, act)
+    f = PointFunction(range(4))
+    moved = [act_on_function(action, a, f) for a in group.elements()]
+    assert group._inv_table is None
+    assert moved == [f._gather(act[group.inv(a)]) for a in group.elements()]
 
 
 def test_kernel_spanning_set_has_full_rank():
