@@ -9,6 +9,7 @@ unparseable input or a usage error.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -142,7 +143,8 @@ def _write(value, newline: str, strs: _Memo):
 
 
 def _emit(doc, output: str | None, code: int) -> int:
-    """Stream to ``output``, else stdout; an unwritable ``output`` gets a ParseError report.
+    """Stream to ``output``, else stdout; an unwritable ``output`` gets a ParseError
+    report on stdout, and an unwritable stdout one on stderr, with exit code 3.
 
     The report goes out in ``_chunks``, so the longest text held, and encoded
     by the write, is one chunk: under 128 KiB, or one long list's text. A
@@ -156,8 +158,30 @@ def _emit(doc, output: str | None, code: int) -> int:
         except OSError as exc:
             error = ParseError(f"cannot write {output}: {exc}", path=output)
             return _emit(_report(error), None, 3)
-    sys.stdout.writelines(_chunks(doc))
-    return code
+    failure = _send(sys.stdout, doc)
+    if failure is None:
+        return code
+    # when stderr fails too, the exit code alone carries the failure
+    _send(sys.stderr, _report(ParseError(f"cannot write stdout: {failure}", stream="stdout")))
+    return 3
+
+
+def _send(stream, doc) -> OSError | None:
+    """Write and flush ``doc`` on a standard stream; the error if that fails.
+
+    On failure the stream's descriptor is pointed at ``os.devnull`` (as the
+    note on SIGPIPE in the ``signal`` docs does), so the interpreter's flush
+    at exit cannot fail on it again and turn the exit code into 120.
+    """
+    try:
+        stream.writelines(_chunks(doc))
+        stream.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return exc
+    return None
 
 
 def _report(exc: OrbitspaceError) -> dict:
@@ -190,7 +214,7 @@ def _integer(text: str):
 
 
 def _parse_int_csv(text: str, flag: str):
-    values = [_integer(part) for part in text.split(",") if part.strip() != ""]
+    values = [_integer(part) for part in text.split(",") if part]
     if None in values:
         raise ParseError(f"{flag} expects comma-separated integers, got {text!r}", flag=flag)
     return values
@@ -552,5 +576,21 @@ def main(argv=None) -> int:
     return _emit(doc, output, code)
 
 
+def run() -> int:
+    """The process entry of ``python -m orbitspace``, ``python -m orbitspace.cli``
+    and the ``orbitspace`` script: ``main()``, then ``gc.freeze()``.
+
+    At shutdown the interpreter clears every module and runs one last full
+    collection, which frees the heap object by object just before the process
+    drops it whole; that collection skips frozen objects. The report is
+    written and flushed by then, and exit codes, the flush of the standard
+    streams and atexit handlers are left to Python as before. ``main()``
+    never freezes, so a caller that runs it in-process keeps its collector.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -2,11 +2,13 @@
 
 import ast
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -560,8 +562,10 @@ def test_cap_env_var_takes_ascii_digits_only(raw, capsys, monkeypatch):
         ["dimension", "--input", inp("s3_eval.json"), "--subgroup", "1_0"],
         ["dimension", "--input", inp("s3_eval.json"), "--subgroup", "0, 1"],
         ["reciprocity", "--input", inp("z2_four.json"), "--subset", "0,١"],
+        ["dimension", "--input", inp("s3_eval.json"), "--subgroup", " "],
+        ["reciprocity", "--input", inp("z2_four.json"), "--subset", "0, "],
     ],
-    ids=["arabic-indic", "underscore", "space", "subset"],
+    ids=["arabic-indic", "underscore", "space", "subset", "blank-item", "blank-subset-item"],
 )
 def test_integer_lists_take_ascii_digits_only(argv, capsys):
     assert main(argv) == 3
@@ -573,6 +577,14 @@ def test_integer_lists_take_ascii_digits_only(argv, capsys):
 def test_an_empty_subgroup_list_is_the_trivial_subgroup(capsys):
     assert main(["dimension", "--input", inp("s3_eval.json"), "--subgroup", ""]) == 0
     assert json.loads(capsys.readouterr().out)["subgroup_order"] == 1
+
+
+def test_an_empty_item_of_a_subgroup_list_is_skipped(capsys):
+    argv = ["dimension", "--input", inp("s3_eval.json"), "--subgroup"]
+    assert main(argv + ["1,,2"]) == 0
+    skipped = capsys.readouterr().out
+    assert main(argv + ["1,2"]) == 0
+    assert skipped == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("family,param", [("conjugation", "group"), ("subset_action", "base")])
@@ -1117,7 +1129,8 @@ def test_emit_never_writes_the_whole_of_a_large_report(monkeypatch):
     doc = {"rows": [list(range(300))] * 300, "values": [["1/2", "-3"]] * 3000}
     expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     writes = []
-    monkeypatch.setattr(sys, "stdout", SimpleNamespace(writelines=lambda it: writes.extend(it)))
+    stdout = SimpleNamespace(writelines=writes.extend, flush=lambda: None)
+    monkeypatch.setattr(sys, "stdout", stdout)
     assert cli._emit(doc, None, 0) == 0
     assert "".join(writes) == expected
     assert len(writes) > 10
@@ -1183,6 +1196,122 @@ def test_a_full_device_is_a_parse_error_on_stdout(argv):
     doc = json.loads(proc.stdout)
     assert doc["error"] == "ParseError"
     assert doc["witness"] == {"path": "/dev/full"}
+
+
+def run_with_stdout(argv, stdout, unbuffered=True):
+    """One ``python -m orbitspace`` child writing to ``stdout`` (a descriptor
+    or file), with ``PYTHONUNBUFFERED`` set or unset."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "orbitspace", *argv],
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def assert_stdout_refused(proc):
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    doc = json.loads(proc.stderr)
+    assert doc["error"] == "ParseError"
+    assert doc["witness"] == {"stream": "stdout"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_full_stdout_is_a_parse_error_on_stderr(unbuffered):
+    # buffered, the unwritten report stays in the buffer for the exit flush
+    with open("/dev/full", "w") as full:
+        assert_stdout_refused(run_with_stdout(["corpus", "list"], full, unbuffered))
+
+
+def test_a_closed_pipe_on_stdout_is_a_parse_error_on_stderr():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_with_stdout(["corpus", "build", "symmetric", "--param", "n=5"], write)
+    finally:
+        os.close(write)
+    assert_stdout_refused(proc)
+
+
+def console_script():
+    """The ``module:function`` of the ``orbitspace`` script in pyproject.toml."""
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    return re.search(r'^orbitspace = "([\w.]+:\w+)"$', text, re.MULTILINE).group(1)
+
+
+# Python 3.12 starts with objects in the permanent generation already
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+start = gc.get_freeze_count()
+atexit.register(lambda: sys.stderr.write(f"frozen at exit: {gc.get_freeze_count() > start}\\n"))
+"""
+
+CASES_BY_EXIT = [
+    (["corpus", "list"], 0),
+    (["corpus", "build", "nosuch"], 2),
+    (["orbits", "--input", inp("no_such_file.json")], 3),
+]
+
+
+@pytest.mark.parametrize(
+    "launch",
+    [
+        'runpy.run_module("orbitspace", run_name="__main__", alter_sys=True)',
+        'runpy.run_module("orbitspace.cli", run_name="__main__", alter_sys=True)',
+        "from {0} import {1}\nsys.exit({1}())".format(*console_script().split(":")),
+    ],
+    ids=["python-m-orbitspace", "python-m-orbitspace.cli", "console-script"],
+)
+@pytest.mark.parametrize("argv, code", CASES_BY_EXIT, ids=["exit-0", "exit-2", "exit-3"])
+def test_every_launcher_freezes_the_heap_and_keeps_the_report(launch, argv, code, capsys):
+    """The launchers run main() and then gc.freeze(), so the collection at
+    shutdown skips the heap; what main() writes and returns is unchanged."""
+    assert main(argv) == code
+    report = capsys.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE + launch, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (code, report)
+    assert proc.stderr == "frozen at exit: True\n"
+
+
+def test_main_in_process_never_freezes(capsys):
+    frozen = gc.get_freeze_count()
+    for argv, code in CASES_BY_EXIT:
+        assert main(argv) == code
+    assert gc.get_freeze_count() == frozen
+
+
+def test_golden_commands_leave_nothing_for_the_exit_collection_to_close():
+    """What the collection at shutdown skips once frozen is never a file left
+    open: under -X dev an unclosed file is a ResourceWarning, here an error."""
+    code = (
+        "import contextlib, gc, io\n"
+        "from orbitspace.cli import main\n"
+        f"for argv in {[argv for _, argv in GOLDEN_CASES]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        if main(argv) != 0:\n"
+        "            raise SystemExit(argv)\n"
+        "gc.collect()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize(
