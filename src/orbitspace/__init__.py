@@ -54,7 +54,6 @@ _EXPORTS = {
     "restrict": "resind",
     "subset_inner_product": "resind",
     "GaussianRational": "scalars",
-    "Rational": "scalars",
     "parse_rational": "scalars",
     "Decomposition": "spaces",
     "FourierCoefficient": "spaces",

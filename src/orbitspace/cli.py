@@ -191,10 +191,10 @@ def _report(exc: OrbitspaceError) -> dict:
 def _default_cap() -> int:
     """The closure cap of a command given no --cap: ``ORBITSPACE_CAP`` when
     set, else ``DEFAULT_CLOSURE_CAP``. No library function reads the variable."""
-    from .groups import DEFAULT_CLOSURE_CAP
-
     raw = os.environ.get("ORBITSPACE_CAP")
     if raw is None:
+        from .groups import DEFAULT_CLOSURE_CAP
+
         return DEFAULT_CLOSURE_CAP
     cap = _integer(raw)
     if cap is None or cap < 1:
@@ -213,37 +213,22 @@ def _integer(text: str):
     return int(text) if digits.isascii() and digits.isdigit() else None
 
 
-def _parse_int_csv(text: str, flag: str):
-    values = [_integer(part) for part in text.split(",") if part]
-    if None in values:
-        raise ParseError(f"{flag} expects comma-separated integers, got {text!r}", flag=flag)
-    return values
-
-
-def _single_input(args):
-    if not args.input or len(args.input) != 1:
-        raise ParseError("this command takes exactly one --input file")
-    return _read_json(args.input[0])
-
-
 def _load_action(args):
     from .jsonio import action_from_json
 
-    return action_from_json(_single_input(args), cap=args.cap)
+    return action_from_json(_read_json(args.input[0]), cap=args.cap)
 
 
 def _load_subgroup(action, args):
     if args.subgroup is None:
         return None
-    return action.group.subgroup_generated(_parse_int_csv(args.subgroup, "--subgroup"))
+    return action.group.subgroup_generated(args.subgroup)
 
 
-def _load_function(args, action, position: int = 0):
+def _load_function(args, action):
     from .jsonio import function_from_json
 
-    if not args.function or len(args.function) <= position:
-        raise ParseError("missing --function file")
-    return function_from_json(_read_json(args.function[position]), degree=action.degree)
+    return function_from_json(_read_json(args.function[0]), degree=action.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +339,8 @@ def _cmd_reciprocity(args):
     from .resind import invariant_subset, reciprocity_check
 
     action = _load_action(args)
-    if args.subset is None:
-        raise ParseError("reciprocity needs --subset")
-    subset = invariant_subset(action, _parse_int_csv(args.subset, "--subset"))
-    if not args.function or len(args.function) != 2:
-        raise ParseError(
-            "reciprocity needs two --function files: first on the subset, then on all points"
-        )
+    subset = invariant_subset(action, args.subset[0])
+    # the first function is on the subset, the second on all points
     f = subset_function_from_json(_read_json(args.function[0]), subset)
     g = function_from_json(_read_json(args.function[1]), degree=action.degree)
     lhs, rhs = reciprocity_check(subset, f, g)
@@ -377,7 +357,7 @@ def _cmd_from_partition(args):
     from .jsonio import partition_from_json
     from .partitions import group_from_partition, preserves_cells
 
-    partition = partition_from_json(_single_input(args))
+    partition = partition_from_json(_read_json(args.input[0]))
     group, action = group_from_partition(
         partition, minimal_generators=args.minimal_generators, cap=args.cap
     )
@@ -397,8 +377,6 @@ def _cmd_equivalence(args):
     from .actions import are_equivalent
     from .jsonio import _action_reader
 
-    if not args.input or len(args.input) != 2:
-        raise ParseError("equivalence takes exactly two --input files")
     group_doc, build, make = _action_reader(_read_json(args.input[0]), args.cap)
     a1 = make(build())
     # after both shape checks, == no longer equates true, 1 and 1.0
@@ -466,12 +444,15 @@ def _cmd_corpus_build(args):
 # ---------------------------------------------------------------------------
 # wiring
 
-# Flag kinds: "value" (the last one given counts), "integer", "repeatable"
-# (collected into a list) and "switch"; a key without dashes is positional.
-_IO = {"--input": "repeatable", "--output": "value", "--cap": "integer"}
-_SUBGROUP = {**_IO, "--subgroup": "value"}
-_FUNCTIONS = {**_IO, "--function": "repeatable"}
-_RECIPROCITY = {**_FUNCTIONS, "--subset": "value"}
+# Flag kinds: "value" (the last one given counts), "integer" (a positive one),
+# "integers" (a comma list, empty items skipped), "repeatable" (collected into
+# a list) and "switch"; a key without dashes is positional. A kind with a
+# count, as "value x2", is collected into a list and given exactly that often.
+_IO = {"--input": "value x1", "--output": "value", "--cap": "integer"}
+_SUBGROUP = {**_IO, "--subgroup": "integers"}
+_FUNCTIONS = {**_IO, "--function": "value x1"}
+_RECIPROCITY = {**_IO, "--function": "value x2", "--subset": "integers x1"}
+_PAIR = {**_IO, "--input": "value x2"}
 _PARTITION = {**_IO, "--minimal-generators": "switch"}
 _BUILD = {"name": "positional", "--param": "repeatable", "--output": "value"}
 
@@ -486,7 +467,7 @@ _COMMANDS = {
     "decompose": (_cmd_decompose, "orthogonal splittings of a function", _FUNCTIONS),
     "reciprocity": (_cmd_reciprocity, "adjointness of induction and restriction", _RECIPROCITY),
     "from-partition": (_cmd_from_partition, "realize partition cells as orbits", _PARTITION),
-    "equivalence": (_cmd_equivalence, "search for an equivariant bijection", _IO),
+    "equivalence": (_cmd_equivalence, "search for an equivariant bijection", _PAIR),
     "corpus list": (_cmd_corpus_list, "list corpus names", {"--output": "value"}),
     "corpus build": (_cmd_corpus_build, "build one corpus entry", _BUILD),
 }
@@ -502,7 +483,7 @@ def _parse_args(argv):
 
     ``--flag value`` takes the next token unless it starts with ``--``, and
     ``--flag=value`` takes the rest of the token as it is. Flags match whole,
-    never by prefix.
+    never by prefix. The counts are checked once every token is read.
     """
     command, rest = (argv[0], argv[1:]) if argv else (None, [])
     if command not in _COMMANDS and rest and f"{command} {rest[0]}" in _COMMANDS:
@@ -510,9 +491,9 @@ def _parse_args(argv):
     if command not in _COMMANDS:
         problem = f"unknown command {command!r}" if argv else "missing command"
         raise ParseError(f"{problem}; known: {', '.join(_COMMANDS)}", command=command)
-    flags = _COMMANDS[command][2]
-    values = {key: False if kind == "switch" else None for key, kind in flags.items()}
-    positional = [key for key, kind in flags.items() if kind == "positional"]
+    flags = {key: spec.partition(" x")[::2] for key, spec in _COMMANDS[command][2].items()}
+    values = {key: False if kind == "switch" else None for key, (kind, _) in flags.items()}
+    positional = [key for key, (kind, _) in flags.items() if kind == "positional"]
     tokens = iter(rest)
     for token in tokens:
         if not token.startswith("-"):
@@ -521,9 +502,9 @@ def _parse_args(argv):
             values[positional.pop(0)] = token
             continue
         flag, has_value, value = token.partition("=")
-        kind = flags.get(flag)
-        if kind is None:  # --help lists the flags of every command
+        if flag not in flags:  # --help lists the flags of every command
             raise ParseError(f"{command} has no flag {flag!r}", command=command, flag=flag)
+        kind, count = flags[flag]
         if kind == "switch":
             if has_value:
                 raise ParseError(f"{flag} takes no value", flag=flag, value=value)
@@ -537,12 +518,24 @@ def _parse_args(argv):
             if number is None:
                 message = f"{flag} expects an integer, got {value!r}"
                 raise ParseError(message, flag=flag, value=value)
+            if number < 1:
+                raise ParseError(f"{flag} must be positive, got {number}", flag=flag, value=number)
             value = number
-        elif kind == "repeatable":
+        elif kind == "integers":
+            numbers = [_integer(part) for part in value.split(",") if part]
+            if None in numbers:
+                message = f"{flag} expects comma-separated integers, got {value!r}"
+                raise ParseError(message, flag=flag)
+            value = numbers
+        if count or kind == "repeatable":
             value = (values[flag] or []) + [value]
         values[flag] = value
     if positional:
         raise ParseError(f"{command} needs {positional[0].upper()}", command=command)
+    for flag, (_, count) in flags.items():
+        if count and (given := len(values[flag] or ())) != int(count):
+            message = f"{command} needs exactly {count} {flag}, got {given}"
+            raise ParseError(message, command=command, flag=flag, given=given)
     values = {key.lstrip("-").replace("-", "_"): value for key, value in values.items()}
     return SimpleNamespace(command=command, **values)
 
@@ -556,14 +549,11 @@ def main(argv=None) -> int:
             doc = _usage()
         else:
             args = _parse_args(argv)
-            output = args.output
             run, _, flags = _COMMANDS[args.command]
             # commands without --cap never read ORBITSPACE_CAP
             if "--cap" in flags and args.cap is None:
                 args.cap = _default_cap()
-            elif "--cap" in flags and args.cap < 1:
-                message = f"--cap must be positive, got {args.cap}"
-                raise ParseError(message, flag="--cap", value=args.cap)
+            output = args.output  # a usage error is reported on stdout
             try:
                 doc = run(args)
             except MemoryError:

@@ -19,9 +19,6 @@ from operator import floordiv
 
 from .errors import ParseError
 
-# Arbitrary-precision rational, always stored reduced with positive denominator.
-Rational = Fraction
-
 # [0-9], not \d, which also matches non-ASCII digits such as "٣"; used with
 # fullmatch, since $ also matches before a final newline
 _RAT_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")

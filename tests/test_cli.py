@@ -831,6 +831,8 @@ ACTION_LAYERS = [
 # table-form documents also load the checks of untrusted tables
 TABLE_LAYERS = sorted(ACTION_LAYERS + ["orbitspace.tables"])
 CLI_ONLY = ["orbitspace", "orbitspace.cli", "orbitspace.errors"]
+# a usage error is refused before any document is read, so no path need exist
+MISSING = "no-such-directory/input.json"
 # stdlib modules that no command needs at start-up, and fractions
 STARTUP = ("argparse", "dataclasses", "gettext", "inspect", "locale")
 WATCHED = STARTUP + ("fractions",)
@@ -991,11 +993,38 @@ def test_corpus_list_loads_no_function_layers():
 
 @pytest.mark.parametrize(
     "argv, exit_code",
-    [(["--help"], 0), (["orbits", "--inp", "x"], 3), (["orbits", "--cap", "0"], 3)],
-    ids=["help", "unknown-flag", "cap-below-one"],
+    [
+        (["--help"], 0),
+        (["orbits", "--inp", "x"], 3),
+        (["orbits", "--cap", "0"], 3),
+        (["fourier", "--input", MISSING], 3),
+        (["reciprocity", "--input", MISSING, "--function", "f", "--function", "g"], 3),
+        (["reciprocity", "--input", MISSING, "--subset", "0,1", "--function", "f"], 3),
+        (["dimension", "--input", MISSING, "--subgroup", "x"], 3),
+    ],
+    ids=[
+        "help",
+        "unknown-flag",
+        "cap-below-one",
+        "fourier-without-function",
+        "reciprocity-without-subset",
+        "reciprocity-with-one-function",
+        "subgroup-not-integers",
+    ],
 )
 def test_help_and_usage_errors_load_no_layer(argv, exit_code):
     assert loaded_by_command(argv, exit_code) == CLI_ONLY
+
+
+def test_a_bad_cap_env_var_loads_no_layer():
+    code = (
+        "import contextlib, io, os\n"
+        "os.environ['ORBITSPACE_CAP'] = '0'\n"
+        "from orbitspace.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['orbits', '--input', {MISSING!r}]) == 3\n"
+    )
+    assert loaded_modules(code) == CLI_ONLY
 
 
 @pytest.mark.parametrize(
@@ -1512,11 +1541,11 @@ def parsed(command, **flags):
         ),
         (
             ["dimension", "--input", "a.json", "--subgroup", "1,2"],
-            parsed("dimension", input=["a.json"], subgroup="1,2"),
+            parsed("dimension", input=["a.json"], subgroup=[1, 2]),
         ),
         (
             ["free-check", "--input", "a.json", "--subgroup", "2"],
-            parsed("free-check", input=["a.json"], subgroup="2"),
+            parsed("free-check", input=["a.json"], subgroup=[2]),
         ),
         (
             ["fourier", "--input", "a.json", "--function", "f.json"],
@@ -1533,7 +1562,7 @@ def parsed(command, **flags):
         (
             ["reciprocity", "--input", "a.json", "--subset", "0,1"]
             + ["--function", "f", "--function", "g"],
-            parsed("reciprocity", input=["a.json"], subset="0,1", function=["f", "g"]),
+            parsed("reciprocity", input=["a.json"], subset=[[0, 1]], function=["f", "g"]),
         ),
         (
             ["from-partition", "--input", "p.json", "--minimal-generators"],
@@ -1576,14 +1605,17 @@ def test_parse_args_reads_the_flags_of_each_command(argv, expected):
             parsed("validate", input=["a.json"], cap=9, output="o.json"),
         ),
         (
-            ["dimension", "--subgroup=--", "--input=a=b"],
-            parsed("dimension", subgroup="--", input=["a=b"]),
+            ["dimension", "--output=--", "--input=a=b"],
+            parsed("dimension", output="--", input=["a=b"]),
         ),
         (
-            ["orbits", "--output", "a", "--cap", "3", "--output", "b", "--cap=5"],
-            parsed("orbits", output="b", cap=5),
+            ["orbits", "--output", "a", "--cap", "3", "--output", "b", "--cap=5", "--input", "i"],
+            parsed("orbits", input=["i"], output="b", cap=5),
         ),
-        (["dimension", "--subgroup", "-1"], parsed("dimension", subgroup="-1")),
+        (
+            ["dimension", "--input", "a.json", "--subgroup", "-1"],
+            parsed("dimension", input=["a.json"], subgroup=[-1]),
+        ),
         (
             ["from-partition", "--input", "p.json"],
             parsed("from-partition", input=["p.json"], minimal_generators=False),
@@ -1651,6 +1683,17 @@ def test_a_flag_of_another_command_is_a_parse_error(capsys):
             ["corpus", "build", "symmetric", "cyclic"],
             {"command": "corpus build", "argument": "cyclic"},
         ),
+        (["fourier", "--input", MISSING], {"command": "fourier", "flag": "--function", "given": 0}),
+        (
+            ["reciprocity", "--input", MISSING, "--function", "f", "--function", "g"],
+            {"command": "reciprocity", "flag": "--subset", "given": 0},
+        ),
+        (
+            ["reciprocity", "--input", MISSING, "--subset", "0,1", "--function", "f"],
+            {"command": "reciprocity", "flag": "--function", "given": 1},
+        ),
+        (["dimension", "--input", MISSING, "--subgroup", "x"], {"flag": "--subgroup"}),
+        (["orbits", "--input", MISSING, "--cap", "0"], {"flag": "--cap", "value": 0}),
     ],
     ids=[
         "unknown-command",
@@ -1673,16 +1716,60 @@ def test_a_flag_of_another_command_is_a_parse_error(capsys):
         "corpus-build-flags-without-name",
         "corpus-list-with-param",
         "corpus-build-two-names",
+        "fourier-without-function",
+        "reciprocity-without-subset",
+        "reciprocity-with-one-function",
+        "subgroup-not-integers",
+        "cap-below-one",
     ],
 )
 def test_usage_errors_exit_3_naming_the_token(argv, witness, capsys):
     assert usage_error(argv, capsys)["witness"] == witness
 
 
-def test_a_usage_error_is_reported_on_stdout_even_with_output(tmp_path, capsys):
+def test_a_usage_error_is_reported_on_stdout_even_with_output(tmp_path, capsys, monkeypatch):
     out = tmp_path / "report.json"
-    usage_error(["orbits", "--output", str(out), "--bogus"], capsys)
+    for argv in (
+        ["orbits", "--bogus"],
+        ["orbits", "--input", S3, "--cap", "0"],
+        ["fourier", "--input", S3],
+    ):
+        usage_error(argv[:1] + ["--output", str(out)] + argv[1:], capsys)
+        assert not out.exists()
+    monkeypatch.setenv("ORBITSPACE_CAP", "0")
+    usage_error(["orbits", "--input", S3, "--output", str(out)], capsys)
     assert not out.exists()
+
+
+def counted_flag_cases():
+    """(command, flag, given) for each counted flag given one time too few or too many."""
+    for command, (_, _, flags) in _COMMANDS.items():
+        for flag, kind in flags.items():
+            count = int(kind.partition(" x")[2] or 0)
+            if count:
+                for given in (count - 1, count + 1):
+                    yield pytest.param(command, flag, given, id=f"{command}{flag}-{given}")
+
+
+@pytest.mark.parametrize("command,flag,given", counted_flag_cases())
+def test_a_counted_flag_given_too_few_or_too_many_times_exits_3(command, flag, given, capsys):
+    """Every other counted flag is given its count; no document is read."""
+    argv = command.split()
+    for other, kind in _COMMANDS[command][2].items():
+        kind, _, count = kind.partition(" x")
+        value = "0,1" if kind == "integers" else MISSING
+        argv += [other, value] * (given if other == flag else int(count or 0))
+    doc = usage_error(argv, capsys)
+    assert doc["witness"] == {"command": command, "flag": flag, "given": given}
+
+
+@pytest.mark.parametrize("command", ["fourier", "bessel", "decompose"])
+def test_a_second_function_is_refused_unread(command, capsys):
+    argv = [command, "--input", inp("z4_translation.json"), "--function", inp("f_delta.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    doc = usage_error(argv + ["--function", MISSING], capsys)
+    assert doc["witness"] == {"command": command, "flag": "--function", "given": 2}
 
 
 def test_commands_without_cap_never_read_the_cap_env_var(monkeypatch, capsys):
