@@ -3,17 +3,19 @@
 A ``GroupAction`` is a validated m x n table act[a][x] = a.x over a
 ``FiniteGroup``. This module provides orbit/fixed-point/stabilizer scans,
 the Cauchy-Frobenius dimension count for the space of invariant functions,
-its consequences for free actions, and an orbit matching by stabilizers for
-deciding when two actions of the same group are the same up to relabeling.
+and its consequences for free actions. Code that one command alone runs is
+imported when called: ``are_equivalent``'s orbit matching, which decides
+whether two actions of one group are the same up to relabeling, is in
+``orbitspace.equivalence``, and ``Partition``'s checks of untrusted cells
+are in ``orbitspace.partitions``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain
 
 from .errors import GroupMismatch, InvariantViolated, NotAnInteger, NotFree
-from .groups import FiniteGroup, Subgroup, _closure, whole_group
+from .groups import FiniteGroup, Subgroup, whole_group
 
 TYPE_CHECKING = False  # the name type checkers read as typing.TYPE_CHECKING
 if TYPE_CHECKING:
@@ -31,29 +33,11 @@ class Partition:
     __slots__ = ("degree", "cells", "cell_of")
 
     def __init__(self, degree: int, cells: Sequence[Sequence[int]]):
-        cells = [tuple(cell) for cell in cells]
-        for x in chain.from_iterable(cells):
-            if type(x) is not int:  # bools, floats and strings are refused, never converted
-                raise ValueError(f"point {x!r} is not an int")
-        norm = [tuple(sorted(cell)) for cell in cells]
-        for cell in norm:
-            if not cell:
-                raise ValueError("empty cell in partition")
-        norm.sort(key=lambda c: c[0])
-        cell_of = {}  # no degree-sized list before the cells are known to cover
-        for i, cell in enumerate(norm):
-            for x in cell:
-                if x < 0 or x >= degree:
-                    raise ValueError(f"point {x} out of range 0..{degree - 1}")
-                if x in cell_of:
-                    raise ValueError(f"point {x} appears more than once")
-                cell_of[x] = i
-        if len(cell_of) < degree:
-            missing = next(x for x in range(degree) if x not in cell_of)
-            raise ValueError(f"point {missing} not covered by any cell")
+        """Check and normalize untrusted cells: ``partitions._normal_cells``."""
+        from .partitions import _normal_cells
+
+        self.cells, self.cell_of = _normal_cells(degree, cells)
         self.degree = degree
-        self.cells = tuple(norm)
-        self.cell_of = tuple([cell_of[x] for x in range(degree)])
 
     @classmethod
     def _trusted(cls, degree: int, cells: tuple, cell_of: tuple) -> "Partition":
@@ -285,53 +269,9 @@ def validate_action(group: FiniteGroup, act: Sequence[Sequence[int]]) -> GroupAc
 
 
 def are_equivalent(a1: GroupAction, a2: GroupAction) -> list | None:
-    """An equivariant bijection phi with phi(a.x) = a.phi(x), or None.
+    """An equivariant bijection phi with phi(a.x) = a.phi(x), as a list, or None
+    when the actions are not equivalent: the orbit matching by stabilizers of
+    ``equivalence.equivariant_bijection``, which only this call loads."""
+    from .equivalence import equivariant_bijection
 
-    Returns the point map as a list, or None when the actions are not
-    equivalent (including the degree-mismatch case). The orbit of x0 is
-    isomorphic to an orbit of a2 exactly when the latter holds a y0 with the
-    stabilizer of x0, and then phi(a.x0) = a.y0. Isomorphism is an equivalence
-    relation, so taking the first unused such orbit finds a pairing whenever
-    one exists. Orbits of one size have stabilizers of one order, so y0 needs
-    only to be fixed by Stab(x0). Equivariance is checked on generators.
-    """
-    _require_same_group(a1.group, a2.group, "actions must share the same group")
-    if a1.degree != a2.degree:
-        return None
-    cells1 = a1.orbits().cells
-    cells2 = a2.orbits().cells
-    if len(cells1) != len(cells2):
-        return None
-    gens = a1.group.generators
-    gen_rows = [(a1.act[s], a2.act[s]) for s in gens]
-    phi = [None] * a1.degree
-    used = [False] * len(cells2)
-    for c1 in cells1:
-        x0 = c1[0]
-        stab_rows = [a2.act[a] for a in a1.stabilizer(x0).members]
-        candidates = (
-            (j, y) for j, c2 in enumerate(cells2) if not used[j] and len(c2) == len(c1) for y in c2
-        )
-        match = next(((j, y) for j, y in candidates if all(r[y] == y for r in stab_rows)), None)
-        if match is None:
-            return None
-        j, y0 = match
-        used[j] = True
-        # phi(s.x) = s.phi(x) carries x0 -> y0 over the orbit
-        for x, y in _closure((x0, y0), gen_rows, lambda p, r: (r[0][p[0]], r[1][p[1]])):
-            phi[x] = y
-    if None in phi:
-        raise InvariantViolated(
-            "matched orbits leave a point unassigned",
-            a1.degree - phi.count(None),
-            a1.degree,
-            point=phi.index(None),
-        )
-    for s, (row1, row2) in zip(gens, gen_rows):
-        for x in range(a1.degree):
-            lhs, rhs = phi[row1[x]], row2[phi[x]]
-            if lhs != rhs:
-                raise InvariantViolated(
-                    f"phi({s}.{x}) != {s}.phi({x})", lhs, rhs, element=s, point=x
-                )
-    return phi
+    return equivariant_bijection(a1, a2)

@@ -20,7 +20,11 @@ from types import SimpleNamespace
 from .errors import OrbitspaceError, ParseError, SizeLimitExceeded
 
 # Each command imports the layers it runs, so that `corpus list`, `--help` and
-# a usage error load no layer beyond this module and errors.
+# a usage error load no layer beyond this module and errors. The handlers that
+# one family of commands runs live in a module that only that family loads
+# (`functions` for the four function commands, `corpus` for `corpus build`,
+# `partitions` for `from-partition` and `equivalence` for `equivalence`), so
+# that no other command compiles them.
 
 
 class _Memo(dict):
@@ -208,9 +212,15 @@ def _default_cap() -> int:
 
 def _integer(text: str):
     """The int that ASCII digits after an optional "-" spell, else None; int()
-    would also take "1_000", surrounding whitespace and any Unicode digit."""
+    would also take "1_000", surrounding whitespace and any Unicode digit.
+    Digits past the interpreter's limit on int strings are None too."""
     digits = text.removeprefix("-")
-    return int(text) if digits.isascii() and digits.isdigit() else None
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # sys.get_int_max_str_digits()
+            pass
+    return None
 
 
 def _load_action(args):
@@ -223,12 +233,6 @@ def _load_subgroup(action, args):
     if args.subgroup is None:
         return None
     return action.group.subgroup_generated(args.subgroup)
-
-
-def _load_function(args, action):
-    from .jsonio import function_from_json
-
-    return function_from_json(_read_json(args.function[0]), degree=action.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -280,129 +284,6 @@ def _cmd_free_check(args):
     return {"is_free": False, "witness": {"element": violation[0], "point": violation[1]}}
 
 
-def _cmd_fourier(args):
-    from .jsonio import function_to_json, rational_to_json, scalar_to_json
-    from .spaces import fourier_coefficients, fourier_projection
-
-    action = _load_action(args)
-    f = _load_function(args, action)
-    entries = fourier_coefficients(action, f)
-    projection = fourier_projection(action, f, entries)
-    return {
-        "projection": function_to_json(projection),
-        "coefficients": [
-            {
-                "cell": list(entry.cell),
-                "raw_sum": scalar_to_json(entry.raw_sum),
-                "coef_norm_sq": rational_to_json(entry.coef_norm_sq),
-            }
-            for entry in entries
-        ],
-        "is_invariant": projection == f,  # both reduced: f is invariant iff it is its projection
-    }
-
-
-def _cmd_bessel(args):
-    from .jsonio import rational_to_json
-    from .spaces import bessel_check
-
-    action = _load_action(args)
-    f = _load_function(args, action)
-    # bessel_check raises unless equality agrees with the invariance scan
-    lhs, rhs = bessel_check(action, f)
-    return {
-        "lhs": rational_to_json(lhs),
-        "rhs": rational_to_json(rhs),
-        "equal": lhs == rhs,
-        "is_invariant": lhs == rhs,
-    }
-
-
-def _cmd_decompose(args):
-    from .jsonio import function_to_json, scalar_to_json
-    from .spaces import decompose, value_sum
-
-    action = _load_action(args)
-    f = _load_function(args, action)
-    parts = decompose(action, f)
-    return {
-        "invariant_part": function_to_json(parts.invariant_part),
-        "perp_part": function_to_json(parts.perp_part),
-        "mean_part": function_to_json(parts.mean_part),
-        "zero_sum_part": function_to_json(parts.zero_sum_part),
-        "value_sum": scalar_to_json(value_sum(f)),
-    }
-
-
-def _cmd_reciprocity(args):
-    from .jsonio import function_from_json, scalar_to_json, subset_function_from_json
-    from .resind import invariant_subset, reciprocity_check
-
-    action = _load_action(args)
-    subset = invariant_subset(action, args.subset[0])
-    # the first function is on the subset, the second on all points
-    f = subset_function_from_json(_read_json(args.function[0]), subset)
-    g = function_from_json(_read_json(args.function[1]), degree=action.degree)
-    lhs, rhs = reciprocity_check(subset, f, g)
-    return {
-        "lhs": scalar_to_json(lhs),
-        "rhs": scalar_to_json(rhs),
-        "equal": lhs == rhs,
-        "subset": list(subset.points),
-    }
-
-
-def _cmd_from_partition(args):
-    """Membership reads generator rows: maps that keep each cell compose to such maps."""
-    from .jsonio import partition_from_json
-    from .partitions import group_from_partition, preserves_cells
-
-    partition = partition_from_json(_read_json(args.input[0]))
-    group, action = group_from_partition(
-        partition, minimal_generators=args.minimal_generators, cap=args.cap
-    )
-    membership_ok = all(preserves_cells(partition, action.act[s]) for s in group.generators)
-    return {
-        "order": group.order,
-        "degree": partition.degree,
-        # _closure numbers the transpositions 1..k in order: distinct, and none is the identity
-        "generators": [list(action.act[s]) for s in group.generators],
-        "orbit_cells": [list(c) for c in action.orbits().cells],
-        "round_trip": "ok",  # group_from_partition raises unless the orbits are the cells
-        "cell_preserving_membership": "ok" if membership_ok else "violated",
-    }
-
-
-def _cmd_equivalence(args):
-    from .actions import are_equivalent
-    from .jsonio import _action_reader
-
-    group_doc, build, make = _action_reader(_read_json(args.input[0]), args.cap)
-    a1 = make(build())
-    # after both shape checks, == no longer equates true, 1 and 1.0
-    doc, build, make = _action_reader(_read_json(args.input[1]), args.cap)
-    a2 = make(a1.group if doc == group_doc else build())
-    phi = are_equivalent(a1, a2)
-    return {"equivalent": phi is not None, "bijection": phi}
-
-
-def _parse_param(text: str):
-    if "=" not in text:
-        raise ParseError(f"--param expects key=value, got {text!r}", param=text)
-    key, raw = text.split("=", 1)
-    value: object
-    number, items = _integer(raw), [_integer(p) for p in raw.split(",") if p]
-    if raw.lower() in ("true", "false"):
-        value = raw.lower() == "true"
-    elif number is not None:
-        value = number
-    elif "," in raw and None not in items:
-        value = items
-    else:
-        value = raw
-    return key, value
-
-
 # corpus.corpus_names(), kept here so that `corpus list` loads no layer
 _CORPUS_NAMES = (
     "conjugation",
@@ -423,24 +304,6 @@ def _cmd_corpus_list(args):
     return {"names": _CORPUS_NAMES}
 
 
-def _cmd_corpus_build(args):
-    from . import corpus as corpus_mod
-    from .jsonio import action_to_json
-
-    params = dict(_parse_param(p) for p in (args.param or []))
-    entry = corpus_mod.build(args.name, **params)
-    doc = action_to_json(entry.action)
-    doc.update(
-        {
-            "name": entry.name,
-            "params": entry.params,
-            "expected": entry.expected,
-            "divisibility": entry.divisibility(),
-        }
-    )
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # wiring
 
@@ -456,20 +319,27 @@ _PAIR = {**_IO, "--input": "value x2"}
 _PARTITION = {**_IO, "--minimal-generators": "switch"}
 _BUILD = {"name": "positional", "--param": "repeatable", "--output": "value"}
 
-# command -> (handler, help line, flags)
+# command -> (handler, help line, flags); a handler "module:name" is imported
+# when its command runs, from the module that only its commands load
 _COMMANDS = {
     "validate": (_cmd_validate, "check a group action table", _IO),
     "orbits": (_cmd_orbits, "orbit partition of an action", _IO),
     "dimension": (_cmd_dimension, "invariant-space dimension by fixed-point count", _SUBGROUP),
     "free-check": (_cmd_free_check, "freeness, and the dimension ratio for a subgroup", _SUBGROUP),
-    "fourier": (_cmd_fourier, "orbit-average projection and coefficients", _FUNCTIONS),
-    "bessel": (_cmd_bessel, "both sides of the projection norm inequality", _FUNCTIONS),
-    "decompose": (_cmd_decompose, "orthogonal splittings of a function", _FUNCTIONS),
-    "reciprocity": (_cmd_reciprocity, "adjointness of induction and restriction", _RECIPROCITY),
-    "from-partition": (_cmd_from_partition, "realize partition cells as orbits", _PARTITION),
-    "equivalence": (_cmd_equivalence, "search for an equivariant bijection", _PAIR),
+    "fourier": ("functions:_cmd_fourier", "orbit-average projection and coefficients", _FUNCTIONS),
+    "bessel": (
+        "functions:_cmd_bessel", "both sides of the projection norm inequality", _FUNCTIONS
+    ),
+    "decompose": ("functions:_cmd_decompose", "orthogonal splittings of a function", _FUNCTIONS),
+    "reciprocity": (
+        "functions:_cmd_reciprocity", "adjointness of induction and restriction", _RECIPROCITY
+    ),
+    "from-partition": (
+        "partitions:_cmd_from_partition", "realize partition cells as orbits", _PARTITION
+    ),
+    "equivalence": ("equivalence:_cmd_equivalence", "search for an equivariant bijection", _PAIR),
     "corpus list": (_cmd_corpus_list, "list corpus names", {"--output": "value"}),
-    "corpus build": (_cmd_corpus_build, "build one corpus entry", _BUILD),
+    "corpus build": ("corpus:_cmd_build", "build one corpus entry", _BUILD),
 }
 
 
@@ -550,6 +420,9 @@ def main(argv=None) -> int:
         else:
             args = _parse_args(argv)
             run, _, flags = _COMMANDS[args.command]
+            if isinstance(run, str):  # as `from .module import name`, which -X importtime sees
+                module, _, name = run.partition(":")
+                run = getattr(__import__(module, globals(), None, (name,), 1), name)
             # commands without --cap never read ORBITSPACE_CAP
             if "--cap" in flags and args.cap is None:
                 args.cap = _default_cap()
@@ -583,4 +456,7 @@ def run() -> int:
 
 
 if __name__ == "__main__":
+    # python -m orbitspace.cli: the modules that the lazy handlers load import
+    # this module back, as orbitspace.cli, rather than run it a second time
+    sys.modules.setdefault("orbitspace.cli", sys.modules[__name__])
     raise SystemExit(run())

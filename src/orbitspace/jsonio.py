@@ -25,8 +25,9 @@ if TYPE_CHECKING:
     from .scalars import GaussianRational
     from .spaces import PointFunction
 
-# The scalar, function-space and induction layers are imported by the readers
-# that need them, so that parsing an action alone does not load them.
+# The scalar, function-space and induction layers, and the function readers in
+# ``functions``, are imported by the readers that need them, so that parsing
+# an action alone does not load them.
 
 
 def _expect(obj, key, kinds, where):
@@ -146,28 +147,12 @@ def action_to_json(action: GroupAction) -> dict:
     }
 
 
-def _values_from_json(values) -> PointFunction:
-    from .scalars import parse_pairs
-    from .spaces import PointFunction
-
-    columns = parse_pairs(values)
-    if columns is not None:
-        return PointFunction._from_columns(*columns)
-    # some value is off the wire format: read one by one, naming the first bad one
-    return PointFunction(
-        scalar_from_json(v, where=f"function.values[{i}]") for i, v in enumerate(values)
-    )
-
-
 def function_from_json(obj, degree: int | None = None) -> PointFunction:
-    f = _values_from_json(_expect(obj, "values", list, "function"))
-    if degree is not None and f.degree != degree:
-        raise ParseError(
-            f"function has {f.degree} values, expected {degree}",
-            values=f.degree,
-            degree=degree,
-        )
-    return f
+    """A function document, checked against ``degree`` when given: the reader is
+    ``functions.checked_function``, which only the function commands load."""
+    from .functions import checked_function
+
+    return checked_function(obj, degree)
 
 
 def function_to_json(f: PointFunction) -> dict:
@@ -175,26 +160,10 @@ def function_to_json(f: PointFunction) -> dict:
 
 
 def subset_function_from_json(obj, subset: InvariantSubset) -> SubsetFunction:
-    from .resind import SubsetFunction
+    """A function document on ``subset``: ``functions.checked_subset_function``."""
+    from .functions import checked_subset_function
 
-    values = _expect(obj, "values", list, "function")
-    declared = obj.get("subset")
-    if declared is not None:
-        declared = _int_list(declared, "function.subset")
-        if tuple(sorted(declared)) != subset.points:
-            raise ParseError(
-                "function.subset does not match the requested subset",
-                declared=sorted(declared),
-                subset=list(subset.points),
-            )
-    f = _values_from_json(values)
-    if f.degree != subset.size:
-        raise ParseError(
-            f"function has {f.degree} values, subset has {subset.size} points",
-            values=f.degree,
-            size=subset.size,
-        )
-    return SubsetFunction(subset, f)
+    return checked_subset_function(obj, subset)
 
 
 def subset_function_to_json(g: SubsetFunction) -> dict:

@@ -4,16 +4,50 @@ Any partition of a finite set is the orbit partition of a concrete
 permutation group: the one generated by all transpositions of same-cell
 pairs. That group is exactly the full cell-preserving group, so the
 construction also gives a membership test and a counting cross-check
-(product of cell factorials).
+(product of cell factorials). It also holds the checks of untrusted cells,
+which ``Partition(...)`` imports when called; the orbit partitions that
+every action command builds are trusted and never load this module.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .actions import GroupAction, Partition
 from .errors import InvariantViolated, SizeLimitExceeded
 from .groups import DEFAULT_CLOSURE_CAP, check_permutation, compose, from_generators
+
+
+def _normal_cells(degree: int, cells) -> tuple:
+    """(cells, cell_of) of ``Partition(degree, cells)``: each cell sorted, the
+    cells ordered by least member, ``cell_of[x]`` the index of x's cell.
+
+    Raises ValueError for a point that is not an int (bools, floats and
+    strings are refused, never converted), an empty cell, a point out of
+    range or repeated, or a point that no cell covers.
+    """
+    cells = [tuple(cell) for cell in cells]
+    for x in chain.from_iterable(cells):
+        if type(x) is not int:
+            raise ValueError(f"point {x!r} is not an int")
+    norm = [tuple(sorted(cell)) for cell in cells]
+    for cell in norm:
+        if not cell:
+            raise ValueError("empty cell in partition")
+    norm.sort(key=lambda c: c[0])
+    cell_of = {}  # no degree-sized list before the cells are known to cover
+    for i, cell in enumerate(norm):
+        for x in cell:
+            if x < 0 or x >= degree:
+                raise ValueError(f"point {x} out of range 0..{degree - 1}")
+            if x in cell_of:
+                raise ValueError(f"point {x} appears more than once")
+            cell_of[x] = i
+    if len(cell_of) < degree:
+        missing = next(x for x in range(degree) if x not in cell_of)
+        raise ValueError(f"point {missing} not covered by any cell")
+    return tuple(norm), tuple([cell_of[x] for x in range(degree)])
 
 
 def cell_transpositions(partition: Partition, minimal: bool = False):
@@ -84,3 +118,27 @@ def preserves_cells(partition: Partition, sigma) -> bool:
     """True iff sigma maps every cell onto itself."""
     sigma = check_permutation(sigma, partition.degree)
     return compose(partition.cell_of, sigma) == partition.cell_of
+
+
+def _cmd_from_partition(args):
+    """The ``from-partition`` command, whose handler ``cli`` imports from here.
+
+    Membership reads generator rows: maps that keep each cell compose to such maps.
+    """
+    from .cli import _read_json
+    from .jsonio import partition_from_json
+
+    partition = partition_from_json(_read_json(args.input[0]))
+    group, action = group_from_partition(
+        partition, minimal_generators=args.minimal_generators, cap=args.cap
+    )
+    membership_ok = all(preserves_cells(partition, action.act[s]) for s in group.generators)
+    return {
+        "order": group.order,
+        "degree": partition.degree,
+        # _closure numbers the transpositions 1..k in order: distinct, and none is the identity
+        "generators": [list(action.act[s]) for s in group.generators],
+        "orbit_cells": [list(c) for c in action.orbits().cells],
+        "round_trip": "ok",  # group_from_partition raises unless the orbits are the cells
+        "cell_preserving_membership": "ok" if membership_ok else "violated",
+    }

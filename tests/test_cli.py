@@ -574,6 +574,57 @@ def test_integer_lists_take_ascii_digits_only(argv, capsys):
     assert doc["witness"] == {"flag": argv[3]}
 
 
+# digits past the interpreter's limit on int strings, where int() raises ValueError
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, witness",
+    [
+        (
+            ["orbits", "--input", inp("s3_eval.json"), "--cap", LONG],
+            {"flag": "--cap", "value": LONG},
+        ),
+        (
+            ["dimension", "--input", inp("s3_eval.json"), "--subgroup", f"1,{LONG}"],
+            {"flag": "--subgroup"},
+        ),
+        (["reciprocity", "--input", inp("z2_four.json"), "--subset", LONG], {"flag": "--subset"}),
+        (
+            ["corpus", "build", "symmetric", "--param", f"n={LONG}"],
+            {"name": "symmetric", "param": "n", "value": LONG, "expected": "int"},
+        ),
+    ],
+    ids=["cap", "subgroup", "subset", "param"],
+)
+def test_an_integer_past_the_digit_limit_takes_its_flags_refusal(argv, witness, capsys):
+    """A --param value stays a string, which an integer parameter refuses."""
+    assert main(argv) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["error"], doc["witness"]) == ("ParseError", witness)
+
+
+def test_a_cap_env_var_past_the_digit_limit_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("ORBITSPACE_CAP", LONG)
+    assert main(["orbits", "--input", inp("s3_eval.json")]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    witness = {"variable": "ORBITSPACE_CAP", "value": LONG}
+    assert (doc["error"], doc["witness"]) == ("ParseError", witness)
+
+
+@pytest.mark.parametrize("second", ["n=4", "n=3", "n=x"])
+def test_corpus_build_refuses_a_repeated_param_before_building(second, capsys, monkeypatch):
+    """dict() of the pairs would keep the last value and build n=4 unasked."""
+    from orbitspace import corpus
+
+    built = []
+    monkeypatch.setattr(corpus, "build", lambda *args, **params: built.append(params))
+    assert main(["corpus", "build", "symmetric", "--param", "n=3", "--param", second]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["error"], doc["witness"]) == ("ParseError", {"param": "n"})
+    assert built == []
+
+
 def test_an_empty_subgroup_list_is_the_trivial_subgroup(capsys):
     assert main(["dimension", "--input", inp("s3_eval.json"), "--subgroup", ""]) == 0
     assert json.loads(capsys.readouterr().out)["subgroup_order"] == 1
@@ -831,6 +882,16 @@ ACTION_LAYERS = [
 # table-form documents also load the checks of untrusted tables
 TABLE_LAYERS = sorted(ACTION_LAYERS + ["orbitspace.tables"])
 CLI_ONLY = ["orbitspace", "orbitspace.cli", "orbitspace.errors"]
+# code that one family of commands runs, in a module that only that family loads
+FUNCTIONS = "orbitspace.functions"
+EQUIVALENCE = "orbitspace.equivalence"
+FAMILY_MODULE = {
+    "fourier": FUNCTIONS,
+    "bessel": FUNCTIONS,
+    "decompose": FUNCTIONS,
+    "reciprocity": FUNCTIONS,
+    "equivalence": EQUIVALENCE,
+}
 # a usage error is refused before any document is read, so no path need exist
 MISSING = "no-such-directory/input.json"
 # stdlib modules that no command needs at start-up, and fractions
@@ -872,6 +933,12 @@ def loaded_by_command(argv, exit_code=0, clean=False):
     return loaded_modules(code, clean)
 
 
+def with_family_module(layers, argv):
+    """``layers`` and the module of argv's command family, if it has one, sorted."""
+    family = FAMILY_MODULE.get(argv[0])
+    return sorted(layers + [family] if family else layers)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -886,7 +953,7 @@ def loaded_by_command(argv, exit_code=0, clean=False):
 )
 def test_action_commands_load_only_the_action_layers(argv):
     """Evaluation documents: a closure and its own rows, no table checks, no corpus."""
-    assert loaded_by_command(argv) == ACTION_LAYERS
+    assert loaded_by_command(argv) == with_family_module(ACTION_LAYERS, argv)
 
 
 @pytest.mark.parametrize(
@@ -902,7 +969,61 @@ def test_action_commands_load_only_the_action_layers(argv):
     ids=["orbits", "dimension", "free-check", "validate", "equivalence", "equivalence-mixed"],
 )
 def test_table_documents_load_the_table_checks_too(argv):
-    assert loaded_by_command(argv) == TABLE_LAYERS
+    assert loaded_by_command(argv) == with_family_module(TABLE_LAYERS, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbits", "--input", inp("s3_eval.json")],
+        ["orbits", "--input", inp("s3_conj.json")],
+        ["dimension", "--input", inp("s3_conj.json"), "--subgroup", "2"],
+        ["free-check", "--input", inp("s3_eval.json")],
+        ["validate", "--input", inp("z2_four.json")],
+        ["from-partition", "--input", inp("partition.json")],
+        ["equivalence", "--input", inp("z2_four.json"), "--input", inp("z2_relabeled.json")],
+        ["fourier", "--input", inp("z4_translation.json"), "--function", inp("f_delta.json")],
+        ["bessel", "--input", inp("z2_four.json"), "--function", inp("f_mixed.json")],
+        ["decompose", "--input", inp("z2_four.json"), "--function", inp("f_mixed.json")],
+        [
+            "reciprocity",
+            "--input",
+            inp("z2_four.json"),
+            "--subset",
+            "0,1",
+            "--function",
+            inp("f_on_y.json"),
+            "--function",
+            inp("g_inv.json"),
+        ],
+    ],
+    ids=lambda argv: f"{argv[0]}-{Path(argv[2]).stem}",
+)
+def test_a_family_module_loads_only_for_its_own_commands(argv):
+    """The function commands' module and the equivalence search are compiled
+    by their own commands alone, never by an orbits or validate."""
+    family = FAMILY_MODULE.get(argv[0])
+    loaded = set(loaded_by_command(argv)) & {FUNCTIONS, EQUIVALENCE}
+    assert loaded == ({family} if family else set())
+
+
+def module_nodes(module):
+    """The AST nodes of an orbitspace module's source: what compiling it walks."""
+    name = module.split(".")[1] if "." in module else "__init__"
+    source = (SRC / "orbitspace" / f"{name}.py").read_text(encoding="utf-8")
+    return sum(1 for _ in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize(
+    "document, budget", [("s3_eval.json", 8_400), ("s3_conj.json", 9_400)]
+)
+def test_orbits_compiles_no_more_than_its_node_budget(document, budget):
+    """With no bytecode cache (PYTHONDONTWRITEBYTECODE=1, a read-only install)
+    a command compiles every module it loads. orbits loads what every action
+    command loads, so code that one command family alone runs belongs in a
+    module that only that family loads, not under this budget."""
+    loaded = loaded_by_command(["orbits", "--input", inp(document)])
+    assert sum(map(module_nodes, loaded)) <= budget
 
 
 @pytest.mark.parametrize(
