@@ -20,11 +20,9 @@ from types import SimpleNamespace
 from .errors import OrbitspaceError, ParseError, SizeLimitExceeded
 
 # Each command imports the layers it runs, so that `corpus list`, `--help` and
-# a usage error load no layer beyond this module and errors. The handlers that
-# one family of commands runs live in a module that only that family loads
-# (`functions` for the four function commands, `corpus` for `corpus build`,
-# `partitions` for `from-partition` and `equivalence` for `equivalence`), so
-# that no other command compiles them.
+# a usage error load no layer beyond this module and errors. The handlers of
+# the function commands, `from-partition`, `equivalence` and `corpus build`
+# are in `commands`, which only those commands load.
 
 
 class _Memo(dict):
@@ -319,27 +317,20 @@ _PAIR = {**_IO, "--input": "value x2"}
 _PARTITION = {**_IO, "--minimal-generators": "switch"}
 _BUILD = {"name": "positional", "--param": "repeatable", "--output": "value"}
 
-# command -> (handler, help line, flags); a handler "module:name" is imported
-# when its command runs, from the module that only its commands load
+# command -> (handler, help line, flags); a handler given by name is in `commands`
 _COMMANDS = {
     "validate": (_cmd_validate, "check a group action table", _IO),
     "orbits": (_cmd_orbits, "orbit partition of an action", _IO),
     "dimension": (_cmd_dimension, "invariant-space dimension by fixed-point count", _SUBGROUP),
     "free-check": (_cmd_free_check, "freeness, and the dimension ratio for a subgroup", _SUBGROUP),
-    "fourier": ("functions:_cmd_fourier", "orbit-average projection and coefficients", _FUNCTIONS),
-    "bessel": (
-        "functions:_cmd_bessel", "both sides of the projection norm inequality", _FUNCTIONS
-    ),
-    "decompose": ("functions:_cmd_decompose", "orthogonal splittings of a function", _FUNCTIONS),
-    "reciprocity": (
-        "functions:_cmd_reciprocity", "adjointness of induction and restriction", _RECIPROCITY
-    ),
-    "from-partition": (
-        "partitions:_cmd_from_partition", "realize partition cells as orbits", _PARTITION
-    ),
-    "equivalence": ("equivalence:_cmd_equivalence", "search for an equivariant bijection", _PAIR),
+    "fourier": ("_cmd_fourier", "orbit-average projection and coefficients", _FUNCTIONS),
+    "bessel": ("_cmd_bessel", "both sides of the projection norm inequality", _FUNCTIONS),
+    "decompose": ("_cmd_decompose", "orthogonal splittings of a function", _FUNCTIONS),
+    "reciprocity": ("_cmd_reciprocity", "adjointness of induction and restriction", _RECIPROCITY),
+    "from-partition": ("_cmd_from_partition", "realize partition cells as orbits", _PARTITION),
+    "equivalence": ("_cmd_equivalence", "search for an equivariant bijection", _PAIR),
     "corpus list": (_cmd_corpus_list, "list corpus names", {"--output": "value"}),
-    "corpus build": ("corpus:_cmd_build", "build one corpus entry", _BUILD),
+    "corpus build": ("_cmd_corpus_build", "build one corpus entry", _BUILD),
 }
 
 
@@ -420,9 +411,10 @@ def main(argv=None) -> int:
         else:
             args = _parse_args(argv)
             run, _, flags = _COMMANDS[args.command]
-            if isinstance(run, str):  # as `from .module import name`, which -X importtime sees
-                module, _, name = run.partition(":")
-                run = getattr(__import__(module, globals(), None, (name,), 1), name)
+            if isinstance(run, str):
+                from . import commands
+
+                run = getattr(commands, run)
             # commands without --cap never read ORBITSPACE_CAP
             if "--cap" in flags and args.cap is None:
                 args.cap = _default_cap()
@@ -456,7 +448,7 @@ def run() -> int:
 
 
 if __name__ == "__main__":
-    # python -m orbitspace.cli: the modules that the lazy handlers load import
-    # this module back, as orbitspace.cli, rather than run it a second time
+    # python -m orbitspace.cli: `commands` imports this module's readers as
+    # orbitspace.cli, which is then this module rather than a second copy
     sys.modules.setdefault("orbitspace.cli", sys.modules[__name__])
     raise SystemExit(run())

@@ -8,8 +8,7 @@ documented as never free at default parameters are listed in
 count) is reported alongside each entry. The constructors that no analysis
 command runs live here too, so that no such command compiles them:
 ``cyclic_group``, ``direct_product``, ``automorphism_group`` and the
-conjugation, coset, translation and trivial actions, and the handler of the
-``corpus build`` command with its ``--param`` parser. The named groups ``q8``
+conjugation, coset, translation and trivial actions. The named groups ``q8``
 and ``dic3`` are the dicyclic groups Dic_2 and Dic_3, from one presentation.
 """
 
@@ -675,52 +674,3 @@ def _check_expected(entry: CorpusEntry):
 def default_entries() -> List[CorpusEntry]:
     """Every family at its default parameters."""
     return [build(name) for name in corpus_names()]
-
-
-# ---------------------------------------------------------------------------
-# the corpus build command, whose handler ``cli`` imports from here
-
-
-def _parse_param(text: str):
-    """(key, value) of one ``--param key=value``: ``true`` or ``false`` is a bool,
-    an integer as ``cli._integer`` reads it an int, a comma list of those a
-    list, and anything else the string itself."""
-    from .cli import _integer
-
-    if "=" not in text:
-        raise ParseError(f"--param expects key=value, got {text!r}", param=text)
-    key, raw = text.split("=", 1)
-    value: object
-    number, items = _integer(raw), [_integer(p) for p in raw.split(",") if p]
-    if raw.lower() in ("true", "false"):
-        value = raw.lower() == "true"
-    elif number is not None:
-        value = number
-    elif "," in raw and None not in items:
-        value = items
-    else:
-        value = raw
-    return key, value
-
-
-def _cmd_build(args):
-    """Every --param is parsed, and a repeated key refused, before anything is built."""
-    from .jsonio import action_to_json
-
-    params = {}
-    for text in args.param or ():
-        key, value = _parse_param(text)
-        if key in params:
-            raise ParseError(f"--param {key} is given more than once", param=key)
-        params[key] = value
-    entry = build(args.name, **params)
-    doc = action_to_json(entry.action)
-    doc.update(
-        {
-            "name": entry.name,
-            "params": entry.params,
-            "expected": entry.expected,
-            "divisibility": entry.divisibility(),
-        }
-    )
-    return doc

@@ -1,8 +1,8 @@
 """The search for an equivariant bijection between two actions of one group.
 
-``actions.are_equivalent`` imports this module when it is called, and
-``cli``'s command table names the ``equivalence`` handler here, so only that
-command loads it; every other action command leaves it uncompiled.
+``actions.are_equivalent`` imports this module when it is called, so only
+the ``equivalence`` command loads it; every other action command leaves it
+uncompiled.
 """
 
 from __future__ import annotations
@@ -63,19 +63,3 @@ def equivariant_bijection(a1: GroupAction, a2: GroupAction) -> list | None:
                     f"phi({s}.{x}) != {s}.phi({x})", lhs, rhs, element=s, point=x
                 )
     return phi
-
-
-def _cmd_equivalence(args):
-    """The ``equivalence`` command: both documents, one group when their group
-    documents are equal, and the search through ``actions.are_equivalent``."""
-    from .actions import are_equivalent
-    from .cli import _read_json
-    from .jsonio import _action_reader
-
-    group_doc, build, make = _action_reader(_read_json(args.input[0]), args.cap)
-    a1 = make(build())
-    # after both shape checks, == no longer equates true, 1 and 1.0
-    doc, build, make = _action_reader(_read_json(args.input[1]), args.cap)
-    a2 = make(a1.group if doc == group_doc else build())
-    phi = are_equivalent(a1, a2)
-    return {"equivalent": phi is not None, "bijection": phi}

@@ -1,29 +1,24 @@
-"""The four commands on functions, and the readers of function documents.
+"""The readers of function documents.
 
-``fourier``, ``bessel``, ``decompose`` and ``reciprocity`` are the only
-commands that read a function document, and the only ones that load this
-module: ``cli``'s command table names their handlers here, and
-``jsonio.function_from_json`` and ``subset_function_from_json`` import
-their readers from here when called. So the action commands, which read no
-function, never compile any of it.
+``jsonio.function_from_json`` and ``subset_function_from_json`` import their
+readers from here when called. Only the four function commands (``fourier``,
+``bessel``, ``decompose`` and ``reciprocity``) read a function document, so
+the action commands never compile this module.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
-from .jsonio import _expect, _int_list, function_from_json, function_to_json
-from .jsonio import rational_to_json, scalar_from_json, scalar_to_json, subset_function_from_json
+from .jsonio import _expect, _int_list, scalar_from_json
 from .scalars import parse_pairs
-from .spaces import PointFunction, bessel_check, decompose, fourier_coefficients
-from .spaces import fourier_projection, value_sum
+from .spaces import PointFunction
 
 TYPE_CHECKING = False  # the name type checkers read as typing.TYPE_CHECKING
 if TYPE_CHECKING:
     from .resind import InvariantSubset, SubsetFunction
 
-# The induction layer is imported by the reciprocity code that needs it, so
-# that fourier, bessel and decompose do not load it; the handlers import the
-# CLI's readers when called, so that the function readers alone do not.
+# The induction layer is imported by the subset reader that needs it, so
+# that fourier, bessel and decompose do not load it.
 
 
 def _values_from_json(values) -> PointFunction:
@@ -71,75 +66,3 @@ def checked_subset_function(obj, subset: InvariantSubset) -> SubsetFunction:
             size=subset.size,
         )
     return SubsetFunction(subset, f)
-
-
-def _load_action_and_function(args):
-    """The --input action, then the --function document on its points."""
-    from .cli import _load_action, _read_json
-
-    action = _load_action(args)
-    return action, function_from_json(_read_json(args.function[0]), degree=action.degree)
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-
-def _cmd_fourier(args):
-    action, f = _load_action_and_function(args)
-    entries = fourier_coefficients(action, f)
-    projection = fourier_projection(action, f, entries)
-    return {
-        "projection": function_to_json(projection),
-        "coefficients": [
-            {
-                "cell": list(entry.cell),
-                "raw_sum": scalar_to_json(entry.raw_sum),
-                "coef_norm_sq": rational_to_json(entry.coef_norm_sq),
-            }
-            for entry in entries
-        ],
-        "is_invariant": projection == f,  # both reduced: f is invariant iff it is its projection
-    }
-
-
-def _cmd_bessel(args):
-    action, f = _load_action_and_function(args)
-    # bessel_check raises unless equality agrees with the invariance scan
-    lhs, rhs = bessel_check(action, f)
-    return {
-        "lhs": rational_to_json(lhs),
-        "rhs": rational_to_json(rhs),
-        "equal": lhs == rhs,
-        "is_invariant": lhs == rhs,
-    }
-
-
-def _cmd_decompose(args):
-    action, f = _load_action_and_function(args)
-    parts = decompose(action, f)
-    return {
-        "invariant_part": function_to_json(parts.invariant_part),
-        "perp_part": function_to_json(parts.perp_part),
-        "mean_part": function_to_json(parts.mean_part),
-        "zero_sum_part": function_to_json(parts.zero_sum_part),
-        "value_sum": scalar_to_json(value_sum(f)),
-    }
-
-
-def _cmd_reciprocity(args):
-    from .cli import _load_action, _read_json
-    from .resind import invariant_subset, reciprocity_check
-
-    action = _load_action(args)
-    subset = invariant_subset(action, args.subset[0])
-    # the first function is on the subset, the second on all points
-    f = subset_function_from_json(_read_json(args.function[0]), subset)
-    g = function_from_json(_read_json(args.function[1]), degree=action.degree)
-    lhs, rhs = reciprocity_check(subset, f, g)
-    return {
-        "lhs": scalar_to_json(lhs),
-        "rhs": scalar_to_json(rhs),
-        "equal": lhs == rhs,
-        "subset": list(subset.points),
-    }

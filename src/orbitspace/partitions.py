@@ -118,27 +118,3 @@ def preserves_cells(partition: Partition, sigma) -> bool:
     """True iff sigma maps every cell onto itself."""
     sigma = check_permutation(sigma, partition.degree)
     return compose(partition.cell_of, sigma) == partition.cell_of
-
-
-def _cmd_from_partition(args):
-    """The ``from-partition`` command, whose handler ``cli`` imports from here.
-
-    Membership reads generator rows: maps that keep each cell compose to such maps.
-    """
-    from .cli import _read_json
-    from .jsonio import partition_from_json
-
-    partition = partition_from_json(_read_json(args.input[0]))
-    group, action = group_from_partition(
-        partition, minimal_generators=args.minimal_generators, cap=args.cap
-    )
-    membership_ok = all(preserves_cells(partition, action.act[s]) for s in group.generators)
-    return {
-        "order": group.order,
-        "degree": partition.degree,
-        # _closure numbers the transpositions 1..k in order: distinct, and none is the identity
-        "generators": [list(action.act[s]) for s in group.generators],
-        "orbit_cells": [list(c) for c in action.orbits().cells],
-        "round_trip": "ok",  # group_from_partition raises unless the orbits are the cells
-        "cell_preserving_membership": "ok" if membership_ok else "violated",
-    }

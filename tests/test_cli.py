@@ -882,15 +882,19 @@ ACTION_LAYERS = [
 # table-form documents also load the checks of untrusted tables
 TABLE_LAYERS = sorted(ACTION_LAYERS + ["orbitspace.tables"])
 CLI_ONLY = ["orbitspace", "orbitspace.cli", "orbitspace.errors"]
-# code that one family of commands runs, in a module that only that family loads
+# code that some commands alone run, in modules that only those commands load:
+# the CLI handlers in `commands`, the function readers, the equivalence search
+HANDLERS = "orbitspace.commands"
 FUNCTIONS = "orbitspace.functions"
 EQUIVALENCE = "orbitspace.equivalence"
-FAMILY_MODULE = {
-    "fourier": FUNCTIONS,
-    "bessel": FUNCTIONS,
-    "decompose": FUNCTIONS,
-    "reciprocity": FUNCTIONS,
-    "equivalence": EQUIVALENCE,
+FAMILY_MODULES = {
+    "fourier": [HANDLERS, FUNCTIONS],
+    "bessel": [HANDLERS, FUNCTIONS],
+    "decompose": [HANDLERS, FUNCTIONS],
+    "reciprocity": [HANDLERS, FUNCTIONS],
+    "equivalence": [HANDLERS, EQUIVALENCE],
+    "from-partition": [HANDLERS],
+    "corpus": [HANDLERS],
 }
 # a usage error is refused before any document is read, so no path need exist
 MISSING = "no-such-directory/input.json"
@@ -934,9 +938,8 @@ def loaded_by_command(argv, exit_code=0, clean=False):
 
 
 def with_family_module(layers, argv):
-    """``layers`` and the module of argv's command family, if it has one, sorted."""
-    family = FAMILY_MODULE.get(argv[0])
-    return sorted(layers + [family] if family else layers)
+    """``layers`` and the modules of argv's command family, if it has any, sorted."""
+    return sorted(layers + FAMILY_MODULES.get(argv[0], []))
 
 
 @pytest.mark.parametrize(
@@ -982,6 +985,7 @@ def test_table_documents_load_the_table_checks_too(argv):
         ["validate", "--input", inp("z2_four.json")],
         ["from-partition", "--input", inp("partition.json")],
         ["equivalence", "--input", inp("z2_four.json"), "--input", inp("z2_relabeled.json")],
+        ["corpus", "build", "symmetric", "--param", "n=3"],
         ["fourier", "--input", inp("z4_translation.json"), "--function", inp("f_delta.json")],
         ["bessel", "--input", inp("z2_four.json"), "--function", inp("f_mixed.json")],
         ["decompose", "--input", inp("z2_four.json"), "--function", inp("f_mixed.json")],
@@ -1000,11 +1004,22 @@ def test_table_documents_load_the_table_checks_too(argv):
     ids=lambda argv: f"{argv[0]}-{Path(argv[2]).stem}",
 )
 def test_a_family_module_loads_only_for_its_own_commands(argv):
-    """The function commands' module and the equivalence search are compiled
-    by their own commands alone, never by an orbits or validate."""
-    family = FAMILY_MODULE.get(argv[0])
-    loaded = set(loaded_by_command(argv)) & {FUNCTIONS, EQUIVALENCE}
-    assert loaded == ({family} if family else set())
+    """The CLI handlers in `commands`, the function readers and the equivalence
+    search are compiled by their own commands alone, never by an orbits or
+    validate."""
+    loaded = set(loaded_by_command(argv)) & {HANDLERS, FUNCTIONS, EQUIVALENCE}
+    assert loaded == set(FAMILY_MODULES.get(argv[0], []))
+
+
+def test_only_the_cli_modules_import_cli():
+    """The layers never import the CLI back: `commands` alone takes its readers."""
+    found = sorted(
+        path.name
+        for path in (SRC / "orbitspace").glob("*.py")
+        if path.name not in ("cli.py", "commands.py", "__main__.py")
+        and any(name in (".cli", "orbitspace.cli") for _, name in module_imports(path))
+    )
+    assert found == []
 
 
 def module_nodes(module):
@@ -1434,6 +1449,31 @@ def test_every_launcher_freezes_the_heap_and_keeps_the_report(launch, argv, code
     )
     assert (proc.returncode, proc.stdout) == (code, report)
     assert proc.stderr == "frozen at exit: True\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corpus", "build", "symmetric", "--param", "n=3"],
+        ["fourier", "--input", inp("z4_translation.json"), "--function", inp("f_delta.json")],
+    ],
+    ids=["corpus-build", "fourier"],
+)
+def test_python_m_orbitspace_cli_runs_one_copy_of_the_cli(argv, capsys):
+    """`commands` imports the readers of orbitspace.cli; under `python -m
+    orbitspace.cli` that import finds the running module, not a second copy."""
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "orbitspace.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, report)
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    assert "orbitspace.commands" in imported
+    assert "orbitspace.cli" not in imported
 
 
 def test_main_in_process_never_freezes(capsys):
